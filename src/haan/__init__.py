@@ -37,12 +37,6 @@ from .model import (
     evaluate_annotated,
     validate_instance,
 )
-from .matching import (
-    BipartiteGraph,
-    Matching,
-    max_cardinality_matching,
-    min_cost_max_matching,
-)
 from .graphtools import (
     SeparatorDecomposition,
     find_balanced_separator,

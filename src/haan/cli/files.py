@@ -73,6 +73,13 @@ def _ints(tokens: Iterable[str], what: str) -> list[int]:
         raise FormatError(f"non-integer token in {what} line") from exc
 
 
+def _exact_ints(tokens: list[str], count: int, what: str) -> list[int]:
+    values = _ints(tokens, what)
+    if len(values) != count:
+        raise FormatError(f"{what} line needs {count} integer(s), got {len(values)}")
+    return values
+
+
 def parse_instance_text(text: str) -> InstanceDocument:
     lines = [ln.rstrip("\n") for ln in text.splitlines()]
     lines = [ln for ln in lines if ln.strip()]
@@ -89,21 +96,21 @@ def parse_instance_text(text: str) -> InstanceDocument:
         tokens = ln.split()
         kind, rest = tokens[0], tokens[1:]
         if kind == "agents":
-            n_agents = _ints(rest, "agents")[0]
+            (n_agents,) = _exact_ints(rest, 1, "agents")
         elif kind == "houses":
-            n_houses = _ints(rest, "houses")[0]
+            (n_houses,) = _exact_ints(rest, 1, "houses")
         elif kind == "edge":
-            u, v = _ints(rest, "edge")
+            u, v = _exact_ints(rest, 2, "edge")
             edges.append((u, v))
         elif kind == "prefs":
             head, tail = _split_set_line(rest, "prefs")
-            (agent,) = _ints(head, "prefs")
+            (agent,) = _exact_ints(head, 1, "prefs")
             if agent in prefs:
                 raise FormatError(f"duplicate prefs line for agent {agent}")
             prefs[agent] = _ints(tail, "prefs")
         elif kind == "feasible":
             head, tail = _split_set_line(rest, "feasible")
-            (agent,) = _ints(head, "feasible")
+            (agent,) = _exact_ints(head, 1, "feasible")
             if agent in feasible:
                 raise FormatError(f"duplicate feasible line for agent {agent}")
             feasible[agent] = _ints(tail, "feasible")
@@ -114,12 +121,11 @@ def parse_instance_text(text: str) -> InstanceDocument:
             if not rest:
                 raise FormatError("empty meta line")
             key = rest[0]
-            value = " ".join(rest[1:])
             if key == "target_envy":
-                target_envy = int(value)
+                (target_envy,) = _exact_ints(rest[1:], 1, "meta target_envy")
             elif key == "provenance":
                 try:
-                    provenance = json.loads(value)
+                    provenance = json.loads(" ".join(rest[1:]))
                 except json.JSONDecodeError as exc:
                     raise FormatError("malformed provenance JSON") from exc
             else:

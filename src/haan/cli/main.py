@@ -1,10 +1,11 @@
 """``haan`` command-line entry point.
 
 Exit codes are stable: 0 success, 2 usage (argparse), 3 parse/format
-error, 4 infeasible instance, 5 guess budget exceeded, 6 wrong solver
-for the instance shape, 7 invalid allocation, 8 no feasible allocation
-(annotated), 9 generator precondition failure. Machine-readable output
-goes to stdout only; every diagnostic goes to stderr.
+error or a file that cannot be read or written, 4 infeasible instance,
+5 guess budget exceeded, 6 wrong solver for the instance shape, 7 invalid
+allocation, 8 no feasible allocation (annotated), 9 generator
+precondition failure. Machine-readable output goes to stdout only; every
+diagnostic goes to stderr.
 """
 
 from __future__ import annotations
@@ -144,7 +145,11 @@ def cmd_solve(args) -> int:
         wall_time_ms=elapsed_ms,
         allocation=result.allocation.assignment,
     )
-    _emit(render_result_text(out), args.output)
+    try:
+        _emit(render_result_text(out), args.output)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return EXIT_OK
 
 
@@ -213,9 +218,13 @@ def cmd_generate(args) -> int:
         target_envy=red.target_envy,
         provenance=red.provenance,
     )
-    write_instance_file(args.output, doc)
-    if args.witness and witness is not None:
-        Path(args.witness).write_text(render_allocation_text(witness))
+    try:
+        write_instance_file(args.output, doc)
+        if args.witness and witness is not None:
+            Path(args.witness).write_text(render_allocation_text(witness))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return EXIT_OK
 
 

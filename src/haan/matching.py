@@ -1,189 +1,26 @@
-"""Bipartite matching engines used as solver subroutines.
+"""Bipartite matching subroutines of the solvers, in pure Python.
 
-Inadmissible pairs are modeled by edge absence, never by a sentinel cost.
-``min_cost_max_matching`` is a pure-Python successive-shortest-path
-implementation that handles arbitrary integer costs and graphs where no
-side is saturated. ``min_cost_saturating_assignment`` is the fast path for
-the common solver case (every left vertex must be matched): it delegates
-to scipy's sparse LAPJVsp and reports infeasibility as ``None``.
+Two entry points, both deterministic:
+
+- ``left_perfect_matching_masks``: Kuhn's augmenting-path search on
+  bitmask adjacency; answers "can every left vertex be matched?" with a
+  witness. Envy-guess uses it to accept a guess, vc-xp to reject a guess
+  that no matching can extend before pricing it.
+- ``min_cost_saturating_assignment``: the shortest-augmenting-path
+  Hungarian method (Kuhn; Jonker-Volgenant) on a dense cost table with
+  ``None`` for an inadmissible pair. The d1 and vc-xp solvers use it to
+  extend a guess at minimum cost.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-
-from .errors import InvalidInstance
+from typing import Sequence
 
 __all__ = [
-    "BipartiteGraph",
-    "Matching",
-    "max_cardinality_matching",
-    "min_cost_max_matching",
     "left_perfect_matching_masks",
     "min_cost_saturating_assignment",
 ]
-
-_UNREACHED = None
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Bipartite graph with integer edge costs; absent edge = inadmissible."""
-
-    n_left: int
-    n_right: int
-    costs: tuple[tuple[tuple[int, int], int], ...]
-
-    def __init__(
-        self,
-        n_left: int,
-        n_right: int,
-        costs: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]],
-    ):
-        if n_left < 0 or n_right < 0:
-            raise InvalidInstance("side sizes must be non-negative")
-        items = costs.items() if isinstance(costs, Mapping) else costs
-        seen: dict[tuple[int, int], int] = {}
-        for (l, r), c in items:
-            if not (0 <= l < n_left and 0 <= r < n_right):
-                raise InvalidInstance(f"edge ({l}, {r}) out of range")
-            if (l, r) in seen:
-                raise InvalidInstance(f"duplicate edge ({l}, {r})")
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise InvalidInstance(f"cost of edge ({l}, {r}) is not an integer")
-            seen[(l, r)] = c
-        object.__setattr__(self, "n_left", n_left)
-        object.__setattr__(self, "n_right", n_right)
-        object.__setattr__(self, "costs", tuple(sorted(seen.items())))
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(e for e, _ in self.costs)
-
-    def cost_of(self, left: int, right: int) -> int:
-        return dict(self.costs)[(left, right)]
-
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-left sorted list of (right, cost) pairs."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_left)]
-        for (l, r), c in self.costs:
-            adj[l].append((r, c))
-        return adj
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A matching with its total edge cost."""
-
-    pairs: tuple[tuple[int, int], ...]
-    total_cost: int
-
-    def __init__(self, pairs: Iterable[tuple[int, int]], total_cost: int):
-        object.__setattr__(self, "pairs", tuple(sorted(pairs)))
-        object.__setattr__(self, "total_cost", total_cost)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def _kuhn_try(adj: Sequence[Sequence[int]], a: int, seen: list[bool],
-              match_right: list[int]) -> bool:
-    for r in adj[a]:
-        if not seen[r]:
-            seen[r] = True
-            if match_right[r] == -1 or _kuhn_try(adj, match_right[r], seen, match_right):
-                match_right[r] = a
-                return True
-    return False
-
-
-def max_cardinality_matching(g: BipartiteGraph) -> Matching:
-    """A maximum-cardinality matching; size is unique, the matching is not.
-
-    Deterministic: left vertices are processed in ascending order and
-    augmenting paths prefer smaller right indices.
-    """
-    adj = [[r for r, _ in row] for row in g.adjacency()]
-    match_right = [-1] * g.n_right
-    for a in range(g.n_left):
-        seen = [False] * g.n_right
-        _kuhn_try(adj, a, seen, match_right)
-    cost_lookup = dict(g.costs)
-    pairs = [(a, r) for r, a in enumerate(match_right) if a != -1]
-    total = sum(cost_lookup[p] for p in pairs)
-    return Matching(pairs, total)
-
-
-def min_cost_max_matching(g: BipartiteGraph) -> Matching:
-    """Minimum total cost among all maximum-cardinality matchings.
-
-    Successive shortest augmenting paths from the empty matching; each
-    augmentation uses a minimum-cost alternating path (Bellman-Ford on the
-    residual graph, so negative costs are fine), which keeps the matching
-    cost-minimal at every intermediate cardinality.
-    """
-    n_left, n_right = g.n_left, g.n_right
-    adj = g.adjacency()
-    cost_map = [dict(row) for row in adj]
-    match_left = [-1] * n_left
-    match_right = [-1] * n_right
-    total = 0
-
-    while True:
-        # Shortest alternating path from any free left vertex; matched
-        # edges are traversed backwards with negated cost.
-        dist_l: list[int | None] = [
-            0 if match_left[l] == -1 else _UNREACHED for l in range(n_left)
-        ]
-        dist_r: list[int | None] = [_UNREACHED] * n_right
-        parent_r = [-1] * n_right
-        changed = True
-        while changed:
-            changed = False
-            for l in range(n_left):
-                dl = dist_l[l]
-                if dl is _UNREACHED:
-                    continue
-                matched_r = match_left[l]
-                for r, c in adj[l]:
-                    if r == matched_r:
-                        continue
-                    nd = dl + c
-                    if dist_r[r] is _UNREACHED or nd < dist_r[r]:
-                        dist_r[r] = nd
-                        parent_r[r] = l
-                        mr = match_right[r]
-                        if mr != -1:
-                            back = nd - cost_map[mr][r]
-                            if dist_l[mr] is _UNREACHED or back < dist_l[mr]:
-                                dist_l[mr] = back
-                                changed = True
-        best_r = -1
-        best_d: int | None = _UNREACHED
-        for r in range(n_right):
-            if match_right[r] == -1 and dist_r[r] is not _UNREACHED:
-                if best_d is _UNREACHED or dist_r[r] < best_d:
-                    best_d = dist_r[r]
-                    best_r = r
-        if best_r == -1:
-            break
-        total += best_d  # type: ignore[operator]
-        r = best_r
-        while r != -1:
-            l = parent_r[r]
-            nxt = match_left[l]
-            match_left[l] = r
-            match_right[r] = l
-            r = nxt
-
-    pairs = [(l, match_left[l]) for l in range(n_left) if match_left[l] != -1]
-    return Matching(pairs, total)
 
 
 def left_perfect_matching_masks(fmasks: Sequence[int], n_right: int) -> list[int] | None:
@@ -223,63 +60,20 @@ def left_perfect_matching_masks(fmasks: Sequence[int], n_right: int) -> list[int
     return out
 
 
-def _small_saturating(
-    cost_rows: Sequence[Sequence[int | None]], n_right: int
-) -> tuple[int, list[int]] | None:
-    """Exhaustive DFS for tiny saturating assignments (first optimum in
-    lexicographic order; branches that cannot beat the incumbent are cut
-    using per-row minima)."""
-    n_left = len(cost_rows)
-    row_min: list[int] = []
-    for row in cost_rows:
-        entries = [c for c in row if c is not None]
-        if not entries:
-            return None
-        row_min.append(min(entries))
-    suffix_min = [0] * (n_left + 1)
-    for i in range(n_left - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + row_min[i]
-
-    best_cost = None
-    best_assign: list[int] | None = None
-    assign = [-1] * n_left
-
-    def rec(i: int, used: int, cost: int) -> None:
-        nonlocal best_cost, best_assign
-        if best_cost is not None and cost + suffix_min[i] >= best_cost:
-            return
-        if i == n_left:
-            best_cost = cost
-            best_assign = assign.copy()
-            return
-        row = cost_rows[i]
-        for r in range(n_right):
-            if used >> r & 1:
-                continue
-            c = row[r]
-            if c is None:
-                continue
-            assign[i] = r
-            rec(i + 1, used | (1 << r), cost + c)
-        assign[i] = -1
-
-    rec(0, 0, 0)
-    if best_assign is None:
-        return None
-    return best_cost, best_assign
-
-
 def min_cost_saturating_assignment(
     cost_rows: Sequence[Sequence[int | None]],
 ) -> tuple[int, list[int]] | None:
     """Min-cost matching that must cover every left vertex, else ``None``.
 
-    ``cost_rows[l][r]`` is the integer cost of pairing ``l`` with ``r``;
-    ``None`` marks an inadmissible pair. Requires ``len(rows) <= len(row)``.
-    Tiny systems are solved by direct enumeration; larger ones go through
-    scipy's sparse LAPJVsp with costs shifted strictly positive, which
-    preserves the optimum because every saturating matching has the same
-    cardinality.
+    ``cost_rows[l][r]`` is the integer cost (any sign) of pairing ``l``
+    with ``r``; ``None`` marks an inadmissible pair. Returns
+    ``(total cost, assignment)`` with ``assignment[l]`` the right vertex of
+    ``l``, or ``None`` exactly when no matching covers every left vertex.
+
+    Rows are added one at a time; each is joined by a shortest augmenting
+    path (Dijkstra on reduced costs, with dual potentials ``u``/``v`` that
+    keep them non-negative), which keeps the partial matching optimal. A
+    row with no augmenting path admits no left-saturating matching.
     """
     n_left = len(cost_rows)
     if n_left == 0:
@@ -287,33 +81,46 @@ def min_cost_saturating_assignment(
     n_right = len(cost_rows[0])
     if n_left > n_right:
         return None
-    if math.perm(n_right, n_left) <= 3000:
-        return _small_saturating(cost_rows, n_right)
-
-    data: list[int] = []
-    indices: list[int] = []
-    indptr = [0]
-    low = None
-    for row in cost_rows:
-        for r, c in enumerate(row):
-            if c is None:
-                continue
-            data.append(c)
-            indices.append(r)
-            if low is None or c < low:
-                low = c
-        indptr.append(len(data))
-    if low is None:
-        return None
-    shift = 1 - low
-    arr = np.asarray(data, dtype=np.float64) + shift
-    matrix = csr_matrix((arr, indices, indptr), shape=(n_left, n_right))
-    try:
-        rows, cols = min_weight_full_bipartite_matching(matrix)
-    except ValueError:
-        return None
-    assignment = [-1] * n_left
-    for l, r in zip(rows.tolist(), cols.tolist()):
-        assignment[l] = r
-    total = sum(cost_rows[l][assignment[l]] for l in range(n_left))  # type: ignore[misc]
-    return total, assignment
+    inf = math.inf
+    u = [0] * n_left
+    v = [0] * n_right
+    col_of = [-1] * n_left
+    row_of = [-1] * n_right
+    for start in range(n_left):
+        dist = [inf] * n_right
+        via = [-1] * n_right
+        todo = list(range(n_right))
+        rows_seen = []
+        cols_seen = []
+        i, reach = start, 0
+        while True:
+            rows_seen.append(i)
+            row, base = cost_rows[i], reach - u[i]
+            best, pick = inf, -1
+            for j in todo:
+                c = row[j]
+                if c is not None and base + c - v[j] < dist[j]:
+                    dist[j] = base + c - v[j]
+                    via[j] = i
+                if dist[j] < best or (dist[j] == best and row_of[j] == -1):
+                    best, pick = dist[j], j
+            if best == inf:
+                return None
+            reach = best
+            todo.remove(pick)
+            cols_seen.append(pick)
+            if row_of[pick] == -1:
+                break
+            i = row_of[pick]
+        for i in rows_seen:
+            u[i] += reach - (0 if i == start else dist[col_of[i]])
+        for j in cols_seen:
+            v[j] -= reach - dist[j]
+        j = pick
+        while True:
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return sum(cost_rows[l][col_of[l]] for l in range(n_left)), col_of

@@ -656,35 +656,28 @@ def solve_separator(
 # Vertex-cover XP solver
 # ---------------------------------------------------------------------------
 
-def _vc_cover_tuples(m: int, k: int, first: int):
-    """Injective house tuples for the cover agents, ascending; optionally
-    pinned first coordinate (chunking)."""
-    def rec(i: int, used: int):
-        if i == k:
-            yield ()
-            return
-        for h in range(m):
-            bit = 1 << h
-            if used & bit:
-                continue
-            if i == 0 and first >= 0 and h != first:
-                continue
-            for rest in rec(i + 1, used | bit):
-                yield (h,) + rest
-    return rec(0, 0)
-
-
 def _vc_chunk(args) -> tuple[int | None, tuple | None, int]:
     (n, m, pref, nbrs, cover, rest, scale, happy_mode, first, deadline) = args
     k = len(cover)
     if not happy_mode:
         scale = 1
+    liked_cost = -1 if happy_mode else 0
     best_key = None
     best = None
     count = 0
-    cover_pos = {a: i for i, a in enumerate(cover)}
-    nb_of = [set(nbrs[a]) for a in range(n)]
-    for phi in _vc_cover_tuples(m, k, first):
+    rest_pos = {a: i for i, a in enumerate(rest)}
+    cover_nbrs = {a: [b for b in nbrs[a] if b not in rest_pos] for a in cover}
+    # Per cover agent: its rest neighbours as a bitmask over rest positions.
+    rest_nbrs = {a: sum(1 << rest_pos[b] for b in nbrs[a] if b in rest_pos)
+                 for a in cover}
+    # Injective cover tuples in lexicographic order, optionally with the
+    # first coordinate pinned (chunking).
+    if first >= 0:
+        others = [h for h in range(m) if h != first]
+        phis = ((first,) + t for t in permutations(others, k - 1))
+    else:
+        phis = permutations(range(m), k)
+    for phi in phis:
         if deadline is not None:
             _check_deadline(deadline)
         phi_of = dict(zip(cover, phi))
@@ -692,69 +685,79 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None, int]:
         for h in phi:
             used_mask |= 1 << h
         happy_flags = {a: bool(pref[a] >> h & 1) for a, h in phi_of.items()}
-        happy_s = sum(happy_flags.values())
+        happy_s = sum(happy_flags.values()) if happy_mode else 0
         eligible = []
         for a in cover:
             if happy_flags[a]:
                 eligible.append(a)
                 continue
-            if any(pref[a] >> phi_of[b] & 1 for b in nbrs[a] if b in cover_pos):
+            if any(pref[a] >> phi_of[b] & 1 for b in cover_nbrs[a]):
                 continue  # already envious within the cover
             eligible.append(a)
         n_el = len(eligible)
-        block = 1 << n_el
+        count += 1 << n_el
         if best_key is not None:
             floor = scale * (k - n_el)
             if happy_mode:
                 floor -= happy_s + len(rest)
             if floor >= best_key:
-                count += block
                 continue
         remaining = [h for h in range(m) if not used_mask >> h & 1]
-        for cmask in range(block):
-            count += 1
-            chosen = [eligible[i] for i in range(n_el) if cmask >> i & 1]
-            env_cover = k - len(chosen)
-            base = scale * env_cover
-            if happy_mode:
-                base -= happy_s
-            if best_key is not None:
-                floor = base - (len(rest) if happy_mode else 0)
-                if floor >= best_key:
-                    continue
-            rows: list[list[int | None]] = []
-            feasible = True
-            for a in rest:
-                forbid = 0
-                sees = False
-                pa = pref[a]
-                for b in nbrs[a]:
-                    hb = phi_of[b]
-                    if pa >> hb & 1:
-                        sees = True
-                for b in chosen:
-                    if not happy_flags[b] and b in nb_of[a]:
-                        forbid |= pref[b]
-                row: list[int | None] = []
-                any_ok = False
-                for h in remaining:
-                    if forbid >> h & 1:
-                        row.append(None)
-                        continue
-                    any_ok = True
-                    liked = pa >> h & 1
-                    w = 1 if (sees and not liked) else 0
-                    row.append(scale * w - liked if happy_mode else w)
-                if not any_ok:
-                    feasible = False
+        rem_mask = ((1 << m) - 1) & ~used_mask
+        # Choosing a *free* eligible agent (happy, or forbidding no remaining
+        # house to any rest agent) leaves every row as it is and lowers the
+        # key by ``scale``, so only guesses that choose all free agents can
+        # be optimal; the rest are counted above but never evaluated.
+        n_free = 0
+        forbids = []
+        for a in eligible:
+            hit = pref[a] & rem_mask
+            if happy_flags[a] or not hit or not rest_nbrs[a]:
+                n_free += 1
+            else:
+                forbids.append((hit, rest_nbrs[a]))
+        # Cmask-independent data per rest agent: its liked remaining houses
+        # and the cost of an unliked house (``scale`` when it sees a cover
+        # neighbour holding a house it likes, else 0).
+        liked = []
+        miss = []
+        for a in rest:
+            pa = pref[a]
+            liked.append(pa & rem_mask)
+            miss.append(scale if any(pa >> phi_of[b] & 1 for b in nbrs[a]) else 0)
+        for sub in range(1 << len(forbids)):
+            base = scale * (k - n_free - sub.bit_count()) - happy_s
+            forbid = [0] * len(rest)
+            for i, (hit, nb) in enumerate(forbids):
+                if sub >> i & 1:
+                    while nb:
+                        low = nb & -nb
+                        forbid[low.bit_length() - 1] |= hit
+                        nb ^= low
+            # Row-minimum bound: every rest agent pays at least its
+            # cheapest admissible house.
+            bound = base
+            for p, f in enumerate(forbid):
+                if liked[p] & ~f:
+                    bound += liked_cost
+                elif rem_mask & ~f:
+                    bound += miss[p]
+                else:
+                    bound = None
                     break
-                rows.append(row)
-            if not feasible:
+            if bound is None or (best_key is not None and bound >= best_key):
                 continue
-            matched = min_cost_saturating_assignment(rows)
-            if matched is None:
+            # Most guesses that pass the bound admit no extension at all;
+            # the bitmask Hall check rejects them cheaper than the min-cost
+            # engine would.
+            if left_perfect_matching_masks([rem_mask & ~f for f in forbid], m) is None:
                 continue
-            zeta, assign_local = matched
+            rows: list[list[int | None]] = [
+                [None if f >> h & 1 else liked_cost if lk >> h & 1 else w
+                 for h in remaining]
+                for lk, w, f in zip(liked, miss, forbid)
+            ]
+            zeta, assign_local = min_cost_saturating_assignment(rows)
             key = base + zeta
             if best_key is None or key < best_key:
                 assignment = [-1] * n
@@ -779,6 +782,20 @@ def solve_vertex_cover_xp(
     remainder with one min-cost matching; inconsistent pairs are omitted
     edges, so a guess whose matching cannot cover all remaining agents is
     discarded.
+
+    Two rules skip guesses without changing the optimum, the witness or
+    ``guesses_explored`` (skipped guesses are still counted):
+
+    - *Free-agent dominance.* A cover agent that is happy, whose preferred
+      houses are all taken by the cover, or that has no neighbour outside
+      the cover constrains no remaining agent when guessed non-envious.
+      Guessing it envious instead leaves the matching unchanged and costs
+      one more envious agent, so only guesses that keep every free agent
+      non-envious are evaluated; each skipped guess is strictly worse than
+      a later one.
+    - *Row-minimum bound.* The extension costs at least the sum of each
+      remaining agent's cheapest admissible house; a guess whose bound
+      cannot beat the incumbent is not matched.
     """
     cfg = cfg or SolverConfig()
     n, m = inst.n_agents, inst.n_houses

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from haan.cli.main import main as cli_main
 from haan.errors import BadK, BadPartition, GeneratorError
-from haan.matching import BipartiteGraph, min_cost_max_matching
+from haan.matching import min_cost_saturating_assignment
 from haan.model import AnnotatedInstance, Instance, evaluate
 from haan.reductions import (
     SourceGraph,
@@ -173,11 +173,18 @@ def test_criterion_2_matching_oracle():
             for r in range(n_right)
             if rng.random() < p_edge
         }
-        g = BipartiteGraph(n_left, n_right, costs)
-        want = matching_optimum(n_left, n_right, costs)
-        got = min_cost_max_matching(g)
-        if (len(got), got.total_cost) != want:
-            failures.append((trial, costs, want, (len(got), got.total_cost)))
+        size, cost = matching_optimum(n_left, n_right, costs)
+        rows = [[costs.get((l, r)) for r in range(n_right)] for l in range(n_left)]
+        got = min_cost_saturating_assignment(rows)
+        want = None if size < n_left else cost
+        if (None if got is None else got[0]) != want:
+            failures.append((trial, costs, want, got))
+        elif got is not None:
+            total, assignment = got
+            if (len(set(assignment)) != n_left
+                    or any(rows[l][r] is None for l, r in enumerate(assignment))
+                    or total != sum(rows[l][r] for l, r in enumerate(assignment))):
+                failures.append((trial, costs, "invalid assignment", got))
     conclude(2, "matching oracle", failures, "1000 graphs")
 
 

@@ -92,6 +92,24 @@ def test_instance_parse_errors():
         )
 
 
+@pytest.mark.parametrize("bad_line", [
+    "meta target_envy abc",
+    "agents",
+    "edge 1",
+    "prefs 0 1 : 0",
+])
+def test_malformed_line_is_a_format_error(tmp_path, capsys, bad_line):
+    text = TRIANGLE_TEXT + bad_line + "\n"
+    with pytest.raises(FormatError):
+        parse_instance_text(text)
+    path = tmp_path / "bad.haan"
+    path.write_text(text)
+    code, out, err = run_cli_capture(capsys, "solve", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_result_round_trip():
     doc = ResultDocument("brute", "envy", 2, 1, 6, 0, (0, 1, 2))
     text = render_result_text(doc)
@@ -420,3 +438,18 @@ def test_workers_env_var_sets_default(tmp_path, capsys, monkeypatch):
                                    "--omit-timing")
     assert code == 0
     assert parse_result_text(out).min_envy == 2
+
+
+@pytest.mark.parametrize("command", ["generate-output", "generate-witness", "solve-output"])
+def test_output_in_missing_directory_exit_code(tmp_path, capsys, command):
+    missing = str(tmp_path / "no-such-dir" / "out.haan")
+    generate = ["generate", "clique-bip-d2", "--graph", "k4", "--k", "3"]
+    if command == "generate-output":
+        argv = generate + ["--output", missing]
+    elif command == "generate-witness":
+        argv = generate + ["--output", str(tmp_path / "k4.haan"), "--witness", missing]
+    else:
+        argv = ["solve", str(write_triangle(tmp_path)), "--output", missing]
+    code, _, err = run_cli_capture(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1

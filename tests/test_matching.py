@@ -1,153 +1,145 @@
 import random
 
-import pytest
-
-from haan.errors import InvalidInstance
-from haan.matching import (
-    BipartiteGraph,
-    Matching,
-    max_cardinality_matching,
-    min_cost_max_matching,
-    min_cost_saturating_assignment,
-)
+from haan.matching import left_perfect_matching_masks, min_cost_saturating_assignment
 
 from oracles import matching_optimum
 
 
-def random_graph(rng, max_side=6, p_edge=0.6, cost_hi=9):
+def random_graph(rng, max_side=6, p_edge=0.6, cost_lo=0, cost_hi=9):
+    """(n_left, n_right, {(l, r): cost}) with some pairs left out."""
     n_left = rng.randint(0, max_side)
     n_right = rng.randint(0, max_side)
     costs = {
-        (l, r): rng.randint(0, cost_hi)
+        (l, r): rng.randint(cost_lo, cost_hi)
         for l in range(n_left)
         for r in range(n_right)
         if rng.random() < p_edge
     }
-    return BipartiteGraph(n_left, n_right, costs)
+    return n_left, n_right, costs
 
 
-def test_graph_rejects_out_of_range_edge():
-    with pytest.raises(InvalidInstance):
-        BipartiteGraph(1, 1, {(0, 2): 0})
+def cost_rows(n_left, n_right, costs):
+    return [[costs.get((l, r)) for r in range(n_right)] for l in range(n_left)]
 
 
-def test_graph_rejects_non_integer_cost():
-    with pytest.raises(InvalidInstance):
-        BipartiteGraph(1, 1, {(0, 0): 1.5})
+def masks(n_left, n_right, costs):
+    return [sum(1 << r for r in range(n_right) if (l, r) in costs)
+            for l in range(n_left)]
+
+
+def assert_valid(rows, got):
+    """An assignment that is injective, admissible and priced as reported."""
+    total, assignment = got
+    assert len(assignment) == len(rows)
+    assert len(set(assignment)) == len(assignment)
+    assert all(rows[l][r] is not None for l, r in enumerate(assignment))
+    assert total == sum(rows[l][r] for l, r in enumerate(assignment))
 
 
 def test_max_cardinality_empty():
-    g = BipartiteGraph(3, 3, {})
-    assert len(max_cardinality_matching(g)) == 0
+    assert left_perfect_matching_masks([0, 0, 0], 3) is None
+    assert min_cost_saturating_assignment([[None] * 3] * 3) is None
 
 
 def test_max_cardinality_shared_right_vertex():
-    g = BipartiteGraph(2, 2, {(0, 0): 0, (1, 0): 0})
-    assert len(max_cardinality_matching(g)) == 1
+    assert left_perfect_matching_masks([0b01, 0b01], 2) is None
+    assert min_cost_saturating_assignment([[0, None], [0, None]]) is None
 
 
 def test_max_cardinality_complete():
-    g = BipartiteGraph(3, 3, {(l, r): 0 for l in range(3) for r in range(3)})
-    assert len(max_cardinality_matching(g)) == 3
+    assignment = left_perfect_matching_masks([0b111] * 3, 3)
+    assert sorted(assignment) == [0, 1, 2]
 
 
 def test_min_cost_2x2_example():
-    g = BipartiteGraph(2, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 0})
-    m = min_cost_max_matching(g)
-    assert m.pairs == ((0, 0), (1, 1))
-    assert m.total_cost == 1
+    assert min_cost_saturating_assignment([[1, 2], [3, 0]]) == (1, [0, 1])
 
 
 def test_min_cost_single_left_vertex():
-    g = BipartiteGraph(1, 2, {(0, 0): 5, (0, 1): 3})
-    m = min_cost_max_matching(g)
-    assert m.pairs == ((0, 1),)
-    assert m.total_cost == 3
+    assert min_cost_saturating_assignment([[5, 3]]) == (3, [1])
 
 
 def test_min_cost_all_zero_costs():
     rng = random.Random(0)
     for _ in range(20):
-        g = random_graph(rng, cost_hi=0)
-        m = min_cost_max_matching(g)
-        assert m.total_cost == 0
-        assert len(m) == len(max_cardinality_matching(g))
+        n_left, n_right, costs = random_graph(rng, cost_hi=0)
+        rows = cost_rows(n_left, n_right, costs)
+        got = min_cost_saturating_assignment(rows)
+        size, _ = matching_optimum(n_left, n_right, costs)
+        if size < n_left:
+            assert got is None
+        else:
+            assert got[0] == 0
+            assert_valid(rows, got)
 
 
 def test_min_cost_handles_negative_costs():
-    g = BipartiteGraph(2, 2, {(0, 0): -1, (0, 1): -5, (1, 1): -4})
-    m = min_cost_max_matching(g)
-    # Maximum cardinality 2 is mandatory even though (0,1) alone is cheapest.
-    assert len(m) == 2
-    assert m.total_cost == -5
+    # Saturating both rows is mandatory even though (0, 1) alone is cheapest.
+    total, assignment = min_cost_saturating_assignment([[-1, -5], [None, -4]])
+    assert (total, assignment) == (-5, [0, 1])
 
 
 def test_oracle_equivalence_random_graphs():
     rng = random.Random(42)
     for _ in range(300):
-        g = random_graph(rng)
-        size, cost = matching_optimum(g.n_left, g.n_right, dict(g.costs))
-        m = min_cost_max_matching(g)
-        assert len(m) == size
-        assert m.total_cost == cost
-        assert len(max_cardinality_matching(g)) == size
+        n_left, n_right, costs = random_graph(rng)
+        size, cost = matching_optimum(n_left, n_right, costs)
+        got = min_cost_saturating_assignment(cost_rows(n_left, n_right, costs))
+        saturating = left_perfect_matching_masks(masks(n_left, n_right, costs), n_right)
+        if size < n_left:
+            assert got is None
+            assert saturating is None
+        else:
+            assert got[0] == cost
+            assert saturating is not None
 
 
 def test_matching_pairs_are_valid_edges():
     rng = random.Random(7)
     for _ in range(100):
-        g = random_graph(rng)
-        for matching in (max_cardinality_matching(g), min_cost_max_matching(g)):
-            lefts = [l for l, _ in matching.pairs]
-            rights = [r for _, r in matching.pairs]
-            assert len(set(lefts)) == len(lefts)
-            assert len(set(rights)) == len(rights)
-            costs = dict(g.costs)
-            assert all(p in costs for p in matching.pairs)
-            assert matching.total_cost == sum(costs[p] for p in matching.pairs)
+        n_left, n_right, costs = random_graph(rng)
+        rows = cost_rows(n_left, n_right, costs)
+        got = min_cost_saturating_assignment(rows)
+        if got is not None:
+            assert_valid(rows, got)
+        saturating = left_perfect_matching_masks(masks(n_left, n_right, costs), n_right)
+        if saturating is not None:
+            assert len(set(saturating)) == n_left
+            assert all((l, r) in costs for l, r in enumerate(saturating))
 
 
 def test_adding_edge_is_monotone():
     rng = random.Random(11)
     for _ in range(100):
-        g = random_graph(rng, max_side=5)
+        n_left, n_right, costs = random_graph(rng, max_side=5)
         missing = [
-            (l, r)
-            for l in range(g.n_left)
-            for r in range(g.n_right)
-            if (l, r) not in dict(g.costs)
+            (l, r) for l in range(n_left) for r in range(n_right) if (l, r) not in costs
         ]
         if not missing:
             continue
-        extra = missing[rng.randrange(len(missing))]
-        bigger_costs = dict(g.costs)
-        bigger_costs[extra] = rng.randint(0, 9)
-        bigger = BipartiteGraph(g.n_left, g.n_right, bigger_costs)
-        before = min_cost_max_matching(g)
-        after = min_cost_max_matching(bigger)
-        assert len(after) >= len(before)
-        if len(after) == len(before):
-            assert after.total_cost <= before.total_cost
+        bigger = dict(costs)
+        bigger[missing[rng.randrange(len(missing))]] = rng.randint(0, 9)
+        before = min_cost_saturating_assignment(cost_rows(n_left, n_right, costs))
+        after = min_cost_saturating_assignment(cost_rows(n_left, n_right, bigger))
+        if before is not None:
+            assert after is not None
+            assert after[0] <= before[0]
 
 
 def test_saturating_assignment_agrees_with_general_matching():
     rng = random.Random(5)
     checked = 0
     for _ in range(300):
-        g = random_graph(rng, max_side=5)
-        if g.n_left > g.n_right:
+        n_left, n_right, costs = random_graph(rng, max_side=5)
+        if n_left > n_right:
             continue
-        rows = [
-            [dict(g.costs).get((l, r)) for r in range(g.n_right)]
-            for l in range(g.n_left)
-        ]
+        rows = cost_rows(n_left, n_right, costs)
         got = min_cost_saturating_assignment(rows)
-        full = min_cost_max_matching(g)
-        if len(full) == g.n_left:
+        size, cost = matching_optimum(n_left, n_right, costs)
+        if size == n_left:
             assert got is not None
-            total, assignment = got
-            assert total == full.total_cost
-            assert sorted(assignment) == sorted(set(assignment))
+            assert got[0] == cost
+            assert_valid(rows, got)
             checked += 1
         else:
             assert got is None
@@ -165,6 +157,25 @@ def test_saturating_assignment_negative_costs():
     assert assignment == [0, 1]
 
 
-def test_matching_sorted_pairs():
-    m = Matching([(1, 0), (0, 1)], 0)
-    assert m.pairs == ((0, 1), (1, 0))
+def test_saturating_assignment_edge_cases():
+    """All-None rows, negative costs and square infeasible systems, each
+    against the enumeration oracle."""
+    rng = random.Random(99)
+    shapes = {"none-row": 0, "square-infeasible": 0, "negative": 0}
+    for _ in range(400):
+        n_left, n_right, costs = random_graph(rng, cost_lo=-9, p_edge=0.5)
+        if n_left and rng.random() < 0.3:
+            dead = rng.randrange(n_left)
+            costs = {p: c for p, c in costs.items() if p[0] != dead}
+            shapes["none-row"] += 1
+        rows = cost_rows(n_left, n_right, costs)
+        size, cost = matching_optimum(n_left, n_right, costs)
+        got = min_cost_saturating_assignment(rows)
+        if size < n_left:
+            assert got is None
+            shapes["square-infeasible"] += n_left == n_right
+        else:
+            assert got[0] == cost
+            assert_valid(rows, got)
+            shapes["negative"] += cost < 0
+    assert all(count >= 10 for count in shapes.values()), shapes

@@ -1,7 +1,14 @@
+import math
+import os
 import random
-from itertools import combinations
+import subprocess
+import sys
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
+
+import haan
 
 from haan.errors import (
     BudgetExceeded,
@@ -367,3 +374,101 @@ def test_all_solvers_reject_infeasible():
     for name, fn in ALL_SOLVERS:
         with pytest.raises(InstanceInfeasible):
             fn(inst, SolverConfig())
+
+
+def _vc_guess_count(inst: Instance, cover: list[int]) -> int:
+    """vc-xp's guess count from its definition: per injective cover tuple,
+    2^(cover agents not already envious within the cover)."""
+    prefs = [set(p) for p in inst.preferences]
+    cover_set = set(cover)
+    total = 0
+    for phi in permutations(range(inst.n_houses), len(cover)):
+        house = dict(zip(cover, phi))
+        eligible = sum(
+            1 for a in cover
+            if house[a] in prefs[a]
+            or not any(house[b] in prefs[a] for b in inst.neighbors[a] if b in cover_set)
+        )
+        total += 1 << eligible
+    return total
+
+
+def _vc_pruning_instance(rng: random.Random):
+    """A small instance and a vertex cover of it that exercise vc-xp's
+    free-agent rule: cover agents prefer few low houses (so the cover often
+    holds them, or holds all of them), and one cover agent may have no
+    neighbour outside the cover."""
+    n = rng.randint(2, 7)
+    m = rng.randint(n, min(n + 3, 8 if n == 7 else 9))
+    k = rng.randint(1, min(3, n - 1))
+    cover = sorted(rng.sample(range(n), k))
+    rest = [a for a in range(n) if a not in cover]
+    isolated = cover[0] if rng.random() < 0.5 else None
+    edges = set()
+    for c in cover:
+        for a in range(n):
+            if a == c or (a in cover and a < c):
+                continue
+            if a in rest and c == isolated:
+                continue
+            if rng.random() < (0.6 if a in rest else 0.3):
+                edges.add((min(a, c), max(a, c)))
+    prefs = [
+        rng.sample(range(min(3, m)), rng.randint(1, 2)) if a in cover
+        else rng.sample(range(m), rng.randint(0, min(3, m)))
+        for a in range(n)
+    ]
+    return Instance(n, m, sorted(edges), prefs), cover
+
+
+def test_vc_xp_pruning_keeps_optimum_and_guess_count():
+    rng = random.Random(4242)
+    seen = {"happy cover agent": 0, "no rest neighbour": 0, "prefs taken by cover": 0}
+    for trial in range(60):
+        inst, cover = _vc_pruning_instance(rng)
+        prefs = [set(p) for p in inst.preferences]
+        rest_set = set(range(inst.n_agents)) - set(cover)
+        for a in cover:
+            seen["no rest neighbour"] += not rest_set & set(inst.neighbors[a])
+            seen["prefs taken by cover"] += len(prefs[a]) <= len(cover)
+            seen["happy cover agent"] += bool(prefs[a])
+        want_count = _vc_guess_count(inst, cover)
+        if not any(b in cover for a in cover for b in inst.neighbors[a]):
+            assert want_count == math.perm(inst.n_houses, len(cover)) << len(cover)
+        for happy in (False, True):
+            objective = Objective.MIN_ENVY_THEN_MAX_HAPPY if happy else Objective.MIN_ENVY
+            ref_envy, ref_happy, _ = brute_optimum(inst, happy=happy)
+            runs = [
+                solve_vertex_cover_xp(inst, cover, SolverConfig(objective=objective, workers=w))
+                for w in ((1, 2) if trial % 4 == 0 else (1,))
+            ]
+            got = runs[0]
+            assert got.min_envy == ref_envy, (trial, happy)
+            if happy:
+                assert got.happiness == ref_happy, trial
+            assert got.guesses_explored == want_count, trial
+            assert len({
+                (r.min_envy, r.happiness, r.allocation.assignment, r.guesses_explored)
+                for r in runs
+            }) == 1, trial
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    code = (
+        "import sys\n"
+        "import haan\n"
+        "from haan.model import Instance\n"
+        "from haan.solvers import solve\n"
+        "star = Instance(3, 3, [(0, 1), (0, 2)], [[0], [0], [1]])\n"
+        "assert solve(star, 'd1').min_envy == solve(star, 'brute').min_envy\n"
+        "path = Instance(3, 3, [(0, 1), (1, 2)], [[0, 1], [0], [0, 2]])\n"
+        "assert solve(path, 'vc-xp').min_envy == solve(path, 'brute').min_envy\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    src = str(Path(haan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
