@@ -35,15 +35,8 @@ from .model import (
     check_allocation,
     evaluate,
     evaluate_annotated,
-    validate_instance,
 )
-from .graphtools import (
-    SeparatorDecomposition,
-    find_balanced_separator,
-    find_min_vertex_cover,
-    is_bipartite,
-    is_regular,
-)
+from .graphtools import find_min_vertex_cover, is_bipartite
 from .solvers import (
     ALGORITHMS,
     Objective,

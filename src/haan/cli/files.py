@@ -26,8 +26,6 @@ __all__ = [
     "write_instance_file",
     "parse_result_text",
     "render_result_text",
-    "read_result_file",
-    "write_result_file",
     "render_allocation_text",
     "parse_allocation_text",
 ]
@@ -272,15 +270,3 @@ def read_instance_file(path: str | Path) -> InstanceDocument:
 
 def write_instance_file(path: str | Path, doc: InstanceDocument) -> None:
     Path(path).write_text(render_instance_text(doc))
-
-
-def read_result_file(path: str | Path) -> ResultDocument:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    return parse_result_text(text)
-
-
-def write_result_file(path: str | Path, doc: ResultDocument) -> None:
-    Path(path).write_text(render_result_text(doc))

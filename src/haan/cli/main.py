@@ -2,7 +2,8 @@
 
 Exit codes are stable: 0 success, 2 usage (argparse), 3 parse/format
 error or a file that cannot be read or written, 4 infeasible instance,
-5 guess budget exceeded, 6 wrong solver for the instance shape, 7 invalid
+5 guess budget exceeded or no balanced separator within
+``--separator-max-size``, 6 wrong solver for the instance shape, 7 invalid
 allocation, 8 no feasible allocation (annotated), 9 generator
 precondition failure. Machine-readable output goes to stdout only; every
 diagnostic goes to stderr.
@@ -26,6 +27,7 @@ from ..errors import (
     InvalidAllocation,
     InvalidInstance,
     NoFeasibleAllocation,
+    SeparatorNotFound,
     SolveTimeout,
     WrongSolver,
 )
@@ -71,6 +73,7 @@ _ERROR_EXITS = (
     (FormatError, EXIT_PARSE),
     (InstanceInfeasible, EXIT_INFEASIBLE),
     (BudgetExceeded, EXIT_BUDGET),
+    (SeparatorNotFound, EXIT_BUDGET),
     (WrongSolver, EXIT_WRONG_SOLVER),
     (InvalidAllocation, EXIT_INVALID_ALLOCATION),
     (NoFeasibleAllocation, EXIT_NO_FEASIBLE),
@@ -86,16 +89,6 @@ def _fail(exc: HaanError) -> int:
     for kind, code in _ERROR_EXITS:
         if isinstance(exc, kind):
             return code
-    return 1
-
-
-def _default_workers() -> int:
-    env = os.environ.get("HAAN_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
     return 1
 
 
@@ -128,6 +121,9 @@ def _solve_document(doc: InstanceDocument, algo: str, cfg: SolverConfig):
 
 
 def cmd_solve(args) -> int:
+    if args.output != "-" and not Path(args.output).parent.is_dir():
+        print(f"error: cannot write {args.output}: no such directory", file=sys.stderr)
+        return EXIT_PARSE
     try:
         doc = read_instance_file(args.instance)
         cfg = _config_from_args(args)
@@ -261,26 +257,19 @@ def cmd_verify(args) -> int:
 
 
 def _bench_one(job) -> tuple[str, ...]:
-    path, algo, objective, timeout, solver_args = job
+    path, algo, args = job
     name = path.name
+    objective = args.objective
     try:
         doc = read_instance_file(path)
     except HaanError as exc:
         return (name, algo, objective, "", "", "", "", f"error:{type(exc).__name__}")
     deadline = None
-    if timeout is not None:
-        deadline = time.monotonic() + timeout
-    workers, guess_limit, separator_max_size = solver_args
-    cfg = SolverConfig(
-        objective=Objective(objective),
-        workers=workers,
-        guess_limit=None if guess_limit == 0 else guess_limit,
-        separator_max_size=separator_max_size,
-        deadline=deadline,
-    )
+    if args.timeout is not None:
+        deadline = time.monotonic() + args.timeout
     start = time.monotonic()
     try:
-        result = _solve_document(doc, algo, cfg)
+        result = _solve_document(doc, algo, _config_from_args(args, deadline))
     except SolveTimeout:
         return (name, algo, objective, "", "", "", "", "timeout")
     except HaanError as exc:
@@ -304,12 +293,11 @@ def cmd_bench(args) -> int:
         if algo not in ALGORITHMS:
             print(f"error: unknown algorithm {algo!r}", file=sys.stderr)
             return 2
-    solver_args = (args.workers, args.guess_limit, args.separator_max_size)
-    jobs = [
-        (path, algo, args.objective, args.timeout, solver_args)
-        for path in paths
-        for algo in algos
-    ]
+    try:
+        _config_from_args(args)
+    except HaanError as exc:
+        return _fail(exc)
+    jobs = [(path, algo, args) for path in paths for algo in algos]
     print("# instance\talgo\tobjective\tmin_envy\thappiness\tguesses\twall_ms\tstatus")
     if args.jobs > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -350,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver_flags(p):
         p.add_argument("--objective", choices=["envy", "envy-happy"], default="envy")
-        p.add_argument("--workers", type=int, default=_default_workers())
+        p.add_argument("--workers", type=int,
+                       default=os.environ.get("HAAN_WORKERS") or "1")
         p.add_argument("--guess-limit", type=int, default=DEFAULT_GUESS_LIMIT,
                        help="maximum explored guesses; 0 lifts the cap")
         p.add_argument("--separator-max-size", type=int, default=None)

@@ -1,9 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Search-style misses (no separator found within a size cap, no vertex cover
-within budget, non-regular graph probed by ``is_regular``) are returned as
-``None`` values, not raised; only contract violations and unsatisfiable
-solve requests raise.
+within budget) are returned as ``None`` values, not raised; only contract
+violations and unsatisfiable solve requests raise.
 """
 
 

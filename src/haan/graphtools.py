@@ -9,18 +9,14 @@ progress in the divide-and-conquer solver.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .model import Instance
 
 __all__ = [
-    "SeparatorDecomposition",
-    "find_balanced_separator",
     "balanced_separator_of_subgraph",
     "find_min_vertex_cover",
-    "is_regular",
     "is_bipartite",
 ]
 
@@ -29,16 +25,6 @@ log = logging.getLogger(__name__)
 # Whole connected components are assigned to parts; beyond this many
 # components the 2^c grouping search is abandoned for that separator.
 MAX_GROUPING_COMPONENTS = 20
-
-
-@dataclass(frozen=True)
-class SeparatorDecomposition:
-    """Partition (S, A1, A2) of the vertex set with no A1-A2 edge and
-    both parts of size at most 2n/3."""
-
-    separator: frozenset[int]
-    part1: frozenset[int]
-    part2: frozenset[int]
 
 
 def _components(vertices: Sequence[int], adj: Mapping[int, Iterable[int]],
@@ -114,19 +100,6 @@ def balanced_separator_of_subgraph(
     return None
 
 
-def find_balanced_separator(
-    inst: Instance, max_size: int
-) -> SeparatorDecomposition | None:
-    """Smallest balanced separator of the agent graph with |S| <= max_size,
-    ties broken lexicographically; ``None`` if none exists."""
-    adj = {a: inst.neighbors[a] for a in range(inst.n_agents)}
-    found = balanced_separator_of_subgraph(range(inst.n_agents), adj, max_size)
-    if found is None:
-        return None
-    sep, part1, part2 = found
-    return SeparatorDecomposition(frozenset(sep), frozenset(part1), frozenset(part2))
-
-
 def _cover_exists(edges: Sequence[tuple[int, int]], k: int, excluded: frozenset[int]) -> bool:
     """Bounded search tree: is there a vertex cover of size <= k avoiding
     ``excluded``?"""
@@ -180,16 +153,6 @@ def find_min_vertex_cover(inst: Instance, budget: int) -> frozenset[int] | None:
             cover.append(v)
             remaining = without_v
     return frozenset(cover)
-
-
-def is_regular(inst: Instance) -> int | None:
-    """Common degree if the agent graph is regular, else ``None``."""
-    if inst.n_agents == 0:
-        return 0
-    degrees = {inst.degree(a) for a in range(inst.n_agents)}
-    if len(degrees) == 1:
-        return degrees.pop()
-    return None
 
 
 def is_bipartite(inst: Instance) -> tuple[frozenset[int], frozenset[int]] | None:

@@ -8,9 +8,9 @@ across threads and worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidAllocation, InvalidInstance
 
@@ -20,7 +20,6 @@ __all__ = [
     "EnvyReport",
     "AnnotatedInstance",
     "SolveResult",
-    "validate_instance",
     "check_allocation",
     "evaluate",
     "evaluate_annotated",
@@ -126,10 +125,6 @@ class Allocation:
     def __len__(self) -> int:
         return len(self.assignment)
 
-    def inverse(self) -> dict[int, int]:
-        """House-to-agent lookup for the assigned houses."""
-        return {h: a for a, h in enumerate(self.assignment)}
-
 
 @dataclass(frozen=True)
 class EnvyReport:
@@ -204,22 +199,6 @@ class SolveResult:
     guesses_explored: int
 
 
-def validate_instance(raw: Mapping[str, object]) -> Instance:
-    """Build a validated :class:`Instance` from raw mapping data.
-
-    Expects keys ``n_agents``, ``n_houses``, ``edges``, ``preferences``.
-    Raises :class:`InvalidInstance` on any violation; validation is total.
-    """
-    try:
-        n_agents = int(raw["n_agents"])  # type: ignore[arg-type]
-        n_houses = int(raw["n_houses"])  # type: ignore[arg-type]
-        edges = raw.get("edges", ())
-        preferences = raw.get("preferences", ())
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInstance(f"malformed instance data: {exc}") from exc
-    return Instance(n_agents, n_houses, edges, preferences)  # type: ignore[arg-type]
-
-
 def check_allocation(inst: Instance, alloc: Allocation) -> None:
     """Raise :class:`InvalidAllocation` unless ``alloc`` is total, injective
     and in range for ``inst``."""
@@ -271,36 +250,17 @@ def evaluate_annotated(
 ) -> tuple[bool, EnvyReport]:
     """Annotated report: feasibility flag plus envy under angry semantics.
 
-    Angry agents are envious iff unassigned a preferred house; for them the
+    The report is :func:`evaluate`'s on the base instance, except that
+    angry agents are envious iff unassigned a preferred house; for them the
     ``envious`` flag is authoritative and ``envy_sets`` (still the envied
-    neighbors, possibly empty) is informative only. Non-angry agents follow
-    the plain rule. With no angry agents and all-permissive feasibility
-    sets this coincides with :func:`evaluate`.
+    neighbors, possibly empty) is informative only. With no angry agents
+    and all-permissive feasibility sets this coincides with
+    :func:`evaluate`.
     """
-    inst = ann.base
-    check_allocation(inst, alloc)
-    assignment = alloc.assignment
-    prefs = inst.preferences
-    feasible_ok = all(
-        assignment[a] in ann.feasible[a] for a in range(inst.n_agents)
+    report = evaluate(ann.base, alloc)
+    feasible_ok = all(h in f for h, f in zip(alloc.assignment, ann.feasible))
+    envious = tuple(
+        e or (a in ann.angry and not report.happy[a])
+        for a, e in enumerate(report.envious)
     )
-    happy = tuple(assignment[a] in prefs[a] for a in range(inst.n_agents))
-    envy_sets = []
-    envious = []
-    for a in range(inst.n_agents):
-        if happy[a]:
-            envy_sets.append(frozenset())
-            envious.append(False)
-            continue
-        pref = prefs[a]
-        eset = frozenset(b for b in inst.neighbors[a] if assignment[b] in pref)
-        envy_sets.append(eset)
-        envious.append(True if a in ann.angry else bool(eset))
-    report = EnvyReport(
-        envy_sets=tuple(envy_sets),
-        envious=tuple(envious),
-        happy=happy,
-        n_envious=sum(envious),
-        n_happy=sum(happy),
-    )
-    return feasible_ok, report
+    return feasible_ok, replace(report, envious=envious, n_envious=sum(envious))

@@ -84,11 +84,6 @@ class SourceGraph:
             return 0
         return degs.pop() if len(degs) == 1 else None
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in set(self.edges)
-
     def is_clique(self, vertices: Iterable[int]) -> bool:
         vs = sorted(set(vertices))
         edge_set = set(self.edges)

@@ -7,9 +7,10 @@ results are bit-identical for any worker count: parallel runs partition
 the guess space into ranked chunks and the reduction keeps the
 lowest-ranked optimum.
 
-Lexicographic envy-then-happiness objectives are encoded as single
-integer keys scaled by (n+1): key = (n+1)*envy - happiness. Total
-happiness never exceeds n, so the scaling preserves the lexicographic
+Objectives are encoded as single integer keys
+``scale*envy - w*happiness``: ``(scale, w) = (n+1, 1)`` under
+``envy-happy`` and ``(1, 0)`` under ``envy``. Total happiness never
+exceeds n, so the scaling preserves the lexicographic envy-then-happiness
 order in exact integer arithmetic.
 """
 
@@ -21,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -93,21 +94,19 @@ class SolverConfig:
             raise InvalidInstance("guess_limit must be at least 1")
         if self.workers is not None and self.workers < 1:
             raise InvalidInstance("workers must be at least 1")
+        if self.separator_max_size is not None and self.separator_max_size < 0:
+            raise InvalidInstance("separator_max_size must be non-negative")
 
 
-def _happy_mode(cfg: SolverConfig) -> bool:
-    return cfg.objective is Objective.MIN_ENVY_THEN_MAX_HAPPY
+def _key_weights(cfg: SolverConfig, n: int) -> tuple[int, int]:
+    """``(scale, w)`` of the guess key ``scale*envy - w*happiness``."""
+    if cfg.objective is Objective.MIN_ENVY_THEN_MAX_HAPPY:
+        return n + 1, 1
+    return 1, 0
 
 
 def _resolve_workers(cfg: SolverConfig) -> int:
     return 1 if cfg.workers is None else cfg.workers
-
-
-def _check_budget(total: int, cfg: SolverConfig, solver: str) -> None:
-    if cfg.guess_limit is not None and total > cfg.guess_limit:
-        raise BudgetExceeded(
-            f"{solver}: guess space {total} exceeds limit {cfg.guess_limit}"
-        )
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -134,25 +133,53 @@ def _result(inst: Instance, assignment: Sequence[int], solver_id: str,
     )
 
 
-def _map_chunks(worker, chunk_args: list, workers: int) -> list:
-    """Run chunk jobs in submission order, in-process or across a pool."""
-    if workers <= 1 or len(chunk_args) <= 1:
-        return [worker(args) for args in chunk_args]
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunk_args))) as pool:
-        return list(pool.map(worker, chunk_args))
+def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
+            worker, chunk_args: list) -> SolveResult:
+    """Driver of the guess solvers.
 
-
-def _reduce_chunks(results: Iterable[tuple]) -> tuple[int | None, tuple | None, int]:
-    """Keep the best (key, witness) with the lowest chunk rank; sum counts."""
+    Checks the guess space ``total`` against the budget, runs the chunk
+    jobs in rank order (in-process, or on a pool when several workers and
+    chunks), keeps the best key of the lowest-ranked chunk that reaches it,
+    sums the guess counts, and evaluates the witness. Each job returns
+    ``(best key or None, witness, guesses)``.
+    """
+    if cfg.guess_limit is not None and total > cfg.guess_limit:
+        raise BudgetExceeded(
+            f"{label}: guess space {total} exceeds limit {cfg.guess_limit}"
+        )
+    workers = min(_resolve_workers(cfg), len(chunk_args))
+    if workers <= 1:
+        results = map(worker, chunk_args)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(worker, chunk_args))
     best_key = None
-    best_witness = None
+    best = None
     guesses = 0
     for key, witness, count in results:
         guesses += count
         if key is not None and (best_key is None or key < best_key):
             best_key = key
-            best_witness = witness
-    return best_key, best_witness, guesses
+            best = witness
+    assert best is not None  # m >= n: some allocation always exists
+    return _result(inst, best, label, guesses)
+
+
+def _injective(m: int, k: int, first: int) -> Iterator[tuple[int, ...]]:
+    """Injective k-tuples over ``range(m)`` in lexicographic order; with
+    ``first >= 0``, only those whose first house is ``first``."""
+    if first < 0:
+        return permutations(range(m), k)
+    others = [h for h in range(m) if h != first]
+    return ((first,) + t for t in permutations(others, k - 1))
+
+
+def _first_houses(m: int, k: int, cfg: SolverConfig) -> list[int]:
+    """Chunks of an injective k-tuple enumeration: one unpinned chunk, or
+    one chunk per first house when several workers share it."""
+    if k == 0 or _resolve_workers(cfg) <= 1:
+        return [-1]
+    return list(range(m))
 
 
 # ---------------------------------------------------------------------------
@@ -160,23 +187,15 @@ def _reduce_chunks(results: Iterable[tuple]) -> tuple[int | None, tuple | None, 
 # ---------------------------------------------------------------------------
 
 def _bf_chunk(args) -> tuple[int | None, tuple | None, int]:
-    (n, m, pref, nbrs, scale, happy_mode, first, deadline) = args
-    rest_houses = [h for h in range(m) if h != first] if first >= 0 else []
+    (n, m, pref, nbrs, scale, w, first, deadline) = args
     best_key = None
     best = None
     count = 0
     agents = range(n)
-    if first >= 0:
-        perms = permutations(rest_houses, n - 1)
-        make = lambda rest: (first,) + rest  # noqa: E731
-    else:
-        perms = permutations(range(m), n)
-        make = lambda rest: rest  # noqa: E731
-    for rest in perms:
+    for asg in _injective(m, n, first):
         count += 1
         if deadline is not None and not count & 4095:
             _check_deadline(deadline)
-        asg = make(rest)
         env = 0
         hap = 0
         for a in agents:
@@ -188,7 +207,7 @@ def _bf_chunk(args) -> tuple[int | None, tuple | None, int]:
                     if pb >> asg[b] & 1:
                         env += 1
                         break
-        key = env * scale - hap if happy_mode else env
+        key = env * scale - w * hap
         if best_key is None or key < best_key:
             best_key = key
             best = asg
@@ -205,27 +224,13 @@ def solve_bruteforce(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
     n, m = inst.n_agents, inst.n_houses
     if m < n:
         raise InstanceInfeasible(f"{m} houses for {n} agents")
-    total = math.perm(m, n)
-    _check_budget(total, cfg, "brute")
-    if n == 0:
-        return _result(inst, (), "brute", 1)
-
     pref = _pref_masks(inst)
-    nbrs = inst.neighbors
-    happy_mode = _happy_mode(cfg)
-    scale = n + 1
-    if n == 1 or m == 1:
-        chunk_firsts = [-1]
-    else:
-        chunk_firsts = list(range(m))
+    scale, w = _key_weights(cfg, n)
     chunk_args = [
-        (n, m, pref, nbrs, scale, happy_mode, first, cfg.deadline)
-        for first in chunk_firsts
+        (n, m, pref, inst.neighbors, scale, w, first, cfg.deadline)
+        for first in _first_houses(m, n, cfg)
     ]
-    results = _map_chunks(_bf_chunk, chunk_args, _resolve_workers(cfg))
-    best_key, best, guesses = _reduce_chunks(results)
-    assert best is not None
-    return _result(inst, best, "brute", guesses)
+    return _search(inst, cfg, "brute", math.perm(m, n), _bf_chunk, chunk_args)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +252,6 @@ def solve_d1_matching(inst: Instance, cfg: SolverConfig | None = None) -> SolveR
         raise WrongSolver("d1 solver requires exactly one preferred house per agent")
     if m < n:
         raise InstanceInfeasible(f"{m} houses for {n} agents")
-    if n == 0:
-        return _result(inst, (), "d1", 0)
-
     single = [next(iter(p)) for p in inst.preferences]
     scale = n + 1
     # The happiness adjustment is harmless under the plain objective: it
@@ -272,16 +274,9 @@ def solve_d1_matching(inst: Instance, cfg: SolverConfig | None = None) -> SolveR
 # Envy-guessing solver
 # ---------------------------------------------------------------------------
 
-def _eg_total_guesses(degs: Sequence[int]) -> int:
-    total = 1
-    for d in degs:
-        total *= (1 << d) + 1
-    return total
-
-
 def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
-    (n, m, pref, nbrs, scale, happy_mode, smask_lo, smask_hi, deadline,
-     full_mask) = args
+    (n, m, pref, nbrs, scale, w, smask_lo, smask_hi, deadline) = args
+    full_mask = (1 << m) - 1
     # Per-agent tables: for each subset mask over the neighbor list, the
     # guessed envied agents as an agent bitmask.
     envied_bits: list[list[int]] = []
@@ -316,11 +311,9 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
             sub_total *= (1 << len(nbrs[a])) - 1
         if sub_total == 0:
             continue
-        if best_key is not None:
-            floor_key = env_count * scale - n_emp if happy_mode else env_count
-            if floor_key >= best_key:
-                count += sub_total
-                continue
+        if best_key is not None and env_count * scale - w * n_emp >= best_key:
+            count += sub_total
+            continue
         empties = [a for a in range(n) if not smask >> a & 1]
         emp_pos = {a: i for i, a in enumerate(empties)}
         for combo in product(*[range(1, 1 << len(nbrs[a])) for a in support]):
@@ -348,7 +341,7 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
             for cmask in range(block):
                 count += 1
                 hap = cmask.bit_count()
-                key = env_count * scale - hap if happy_mode else env_count
+                key = env_count * scale - w * hap
                 if best_key is not None and key >= best_key:
                     continue
                 fmasks = []
@@ -390,31 +383,19 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
     n, m = inst.n_agents, inst.n_houses
     if m < n:
         raise InstanceInfeasible(f"{m} houses for {n} agents")
-    degs = [inst.degree(a) for a in range(n)]
-    total = _eg_total_guesses(degs)
-    _check_budget(total, cfg, "envy-guess")
-    if n == 0:
-        return _result(inst, (), "envy-guess", 1)
-
     pref = _pref_masks(inst)
-    nbrs = inst.neighbors
-    happy_mode = _happy_mode(cfg)
-    scale = n + 1
-    full_mask = (1 << m) - 1
+    scale, w = _key_weights(cfg, n)
     workers = _resolve_workers(cfg)
-
     # Contiguous ranges of envious-support bitmasks form the chunks.
     n_chunks = 1 if workers <= 1 else min(1 << n, 4 * workers)
     bounds = [(1 << n) * i // n_chunks for i in range(n_chunks + 1)]
     chunk_args = [
-        (n, m, pref, nbrs, scale, happy_mode, bounds[i], bounds[i + 1],
-         cfg.deadline, full_mask)
+        (n, m, pref, inst.neighbors, scale, w, bounds[i], bounds[i + 1],
+         cfg.deadline)
         for i in range(n_chunks)
     ]
-    results = _map_chunks(_eg_chunk, chunk_args, workers)
-    best_key, best, guesses = _reduce_chunks(results)
-    assert best is not None  # m >= n guarantees some allocation exists
-    return _result(inst, best, "envy-guess", guesses)
+    total = math.prod((1 << inst.degree(a)) + 1 for a in range(n))
+    return _search(inst, cfg, "envy-guess", total, _eg_chunk, chunk_args)
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +403,14 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
 # ---------------------------------------------------------------------------
 
 class _SepState:
-    __slots__ = ("pref", "nbrs", "scale", "happy_mode", "max_size", "limit",
+    __slots__ = ("pref", "nbrs", "scale", "w", "max_size", "limit",
                  "deadline", "count", "memo", "sep_cache")
 
-    def __init__(self, pref, nbrs, scale, happy_mode, max_size, limit, deadline):
+    def __init__(self, pref, nbrs, scale, w, max_size, limit, deadline):
         self.pref = pref
         self.nbrs = nbrs
         self.scale = scale
-        self.happy_mode = happy_mode
+        self.w = w
         self.max_size = max_size
         self.limit = limit
         self.deadline = deadline
@@ -490,7 +471,8 @@ def _ohaanr(st: _SepState, agents: tuple[int, ...], hmask: int,
         st.sep_cache[agents] = cached
     S, A1, A2 = cached
     scale = st.scale
-    happy_mode = st.happy_mode
+    w = st.w
+    w_parts = w * (len(A1) + len(A2))
 
     best = None
     slots = [F[a] & hmask for a in S]
@@ -515,12 +497,8 @@ def _ohaanr(st: _SepState, agents: tuple[int, ...], hmask: int,
                 r_set.append(a)
         forced_env = len(d_set) + len(q_set)
         n_c = len(happy_in_s)
-        if best is not None:
-            floor = scale * forced_env
-            if happy_mode:
-                floor -= n_c + len(A1) + len(A2)
-            if floor >= best[0]:
-                continue
+        if best is not None and scale * forced_env - w * n_c - w_parts >= best[0]:
+            continue
         extra_angry = set()
         for a in A1 + A2:
             pa = P[a]
@@ -543,15 +521,9 @@ def _ohaanr(st: _SepState, agents: tuple[int, ...], hmask: int,
                 k_agents = [r_tuple[i] for i in range(len(r_tuple))
                             if kmask >> i & 1]
                 env_s = forced_env + len(r_tuple) - len(k_agents)
-                contrib = scale * env_s
-                if happy_mode:
-                    contrib -= n_c
-                if best is not None:
-                    floor = contrib
-                    if happy_mode:
-                        floor -= len(A1) + len(A2)
-                    if floor >= best[0]:
-                        continue
+                contrib = scale * env_s - w * n_c
+                if best is not None and contrib - w_parts >= best[0]:
+                    continue
                 f1 = {a: F[a] & h1mask for a in A1}
                 f2 = {a: F[a] & h2mask for a in A2}
                 for ka in k_agents:
@@ -601,28 +573,21 @@ def solve_separator(
     n, m = inst.n_agents, inst.n_houses
     if m < n:
         raise InstanceInfeasible(f"{m} houses for {n} agents")
-    if n == 0:
-        return _result(inst, (), "separator", 0)
-
     pref = _pref_masks(inst)
     feas = [sum(1 << h for h in ann.feasible[a]) for a in range(n)]
-    happy_mode = _happy_mode(cfg)
+    scale, w = _key_weights(cfg, n)
     st = _SepState(
         pref=pref,
         nbrs=inst.neighbors,
-        scale=(n + 1) if happy_mode else 1,
-        happy_mode=happy_mode,
+        scale=scale,
+        w=w,
         max_size=cfg.separator_max_size,
         limit=cfg.guess_limit,
         deadline=cfg.deadline,
     )
     agents = tuple(range(n))
     best = None
-    if m == n:
-        subsets: Iterable[tuple[int, ...]] = (tuple(range(m)),)
-    else:
-        subsets = combinations(range(m), n)
-    for used_houses in subsets:
+    for used_houses in combinations(range(m), n):
         umask = 0
         for h in used_houses:
             umask |= 1 << h
@@ -657,11 +622,9 @@ def solve_separator(
 # ---------------------------------------------------------------------------
 
 def _vc_chunk(args) -> tuple[int | None, tuple | None, int]:
-    (n, m, pref, nbrs, cover, rest, scale, happy_mode, first, deadline) = args
+    (n, m, pref, nbrs, cover, rest, scale, w, first, deadline) = args
     k = len(cover)
-    if not happy_mode:
-        scale = 1
-    liked_cost = -1 if happy_mode else 0
+    liked_cost = -w
     best_key = None
     best = None
     count = 0
@@ -670,14 +633,7 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None, int]:
     # Per cover agent: its rest neighbours as a bitmask over rest positions.
     rest_nbrs = {a: sum(1 << rest_pos[b] for b in nbrs[a] if b in rest_pos)
                  for a in cover}
-    # Injective cover tuples in lexicographic order, optionally with the
-    # first coordinate pinned (chunking).
-    if first >= 0:
-        others = [h for h in range(m) if h != first]
-        phis = ((first,) + t for t in permutations(others, k - 1))
-    else:
-        phis = permutations(range(m), k)
-    for phi in phis:
+    for phi in _injective(m, k, first):
         if deadline is not None:
             _check_deadline(deadline)
         phi_of = dict(zip(cover, phi))
@@ -685,7 +641,7 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None, int]:
         for h in phi:
             used_mask |= 1 << h
         happy_flags = {a: bool(pref[a] >> h & 1) for a, h in phi_of.items()}
-        happy_s = sum(happy_flags.values()) if happy_mode else 0
+        happy_s = w * sum(happy_flags.values())
         eligible = []
         for a in cover:
             if happy_flags[a]:
@@ -696,12 +652,9 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None, int]:
             eligible.append(a)
         n_el = len(eligible)
         count += 1 << n_el
-        if best_key is not None:
-            floor = scale * (k - n_el)
-            if happy_mode:
-                floor -= happy_s + len(rest)
-            if floor >= best_key:
-                continue
+        if (best_key is not None
+                and scale * (k - n_el) - happy_s - w * len(rest) >= best_key):
+            continue
         remaining = [h for h in range(m) if not used_mask >> h & 1]
         rem_mask = ((1 << m) - 1) & ~used_mask
         # Choosing a *free* eligible agent (happy, or forbidding no remaining
@@ -815,29 +768,15 @@ def solve_vertex_cover_xp(
                 raise NotACover(f"edge ({u}, {v}) not covered")
     cover_t = tuple(sorted(cover_set))
     k = len(cover_t)
-    total = math.perm(m, k) * (1 << k)
-    _check_budget(total, cfg, "vc-xp")
-    if n == 0:
-        return _result(inst, (), "vc-xp", 1)
-
-    pref = _pref_masks(inst)
     rest = tuple(a for a in range(n) if a not in cover_set)
-    happy_mode = _happy_mode(cfg)
-    scale = n + 1
-    workers = _resolve_workers(cfg)
-    if k == 0 or workers <= 1:
-        firsts = [-1]
-    else:
-        firsts = list(range(m))
+    pref = _pref_masks(inst)
+    scale, w = _key_weights(cfg, n)
     chunk_args = [
-        (n, m, pref, inst.neighbors, cover_t, rest, scale, happy_mode, first,
-         cfg.deadline)
-        for first in firsts
+        (n, m, pref, inst.neighbors, cover_t, rest, scale, w, first, cfg.deadline)
+        for first in _first_houses(m, k, cfg)
     ]
-    results = _map_chunks(_vc_chunk, chunk_args, workers)
-    best_key, best, guesses = _reduce_chunks(results)
-    assert best is not None  # m >= n: the all-dummy extension always matches
-    return _result(inst, best, "vc-xp", guesses)
+    total = math.perm(m, k) * (1 << k)
+    return _search(inst, cfg, "vc-xp", total, _vc_chunk, chunk_args)
 
 
 # ---------------------------------------------------------------------------

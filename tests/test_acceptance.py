@@ -12,6 +12,8 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations, product
 from pathlib import Path
 
+import pytest
+
 from haan.cli.main import main as cli_main
 from haan.errors import BadK, BadPartition, GeneratorError
 from haan.matching import min_cost_saturating_assignment
@@ -126,6 +128,7 @@ def _check_random_batch(args) -> tuple[int, list]:
     return checked, failures
 
 
+@pytest.mark.slow
 def test_criterion_1_oracle_agreement():
     start = time.monotonic()
     tasks = []
@@ -210,6 +213,7 @@ def _decide_reduced(red) -> bool | None:
     return opt[0] <= red.target_envy
 
 
+@pytest.mark.slow
 def test_criterion_3_reduction_equivalence():
     start = time.monotonic()
     failures = []

@@ -12,6 +12,7 @@ from haan.cli.files import (
     render_instance_text,
     render_result_text,
 )
+from haan.cli import main as main_module
 from haan.cli.main import main
 from haan.cli.sources import named_source_graph
 from haan.errors import FormatError
@@ -440,8 +441,38 @@ def test_workers_env_var_sets_default(tmp_path, capsys, monkeypatch):
     assert parse_result_text(out).min_envy == 2
 
 
+def test_invalid_workers_env_var_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HAAN_WORKERS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(write_triangle(tmp_path))])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_separator_size_cap_miss_exit_code(tmp_path, capsys):
+    path = write_triangle(tmp_path)
+    code, out, err = run_cli_capture(capsys, "solve", str(path), "--algo", "separator",
+                                     "--separator-max-size", "0")
+    assert code == 5
+    assert out == ""
+    assert "no balanced separator" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_negative_separator_max_size_exit_code(tmp_path, capsys, command):
+    target = str(write_triangle(tmp_path)) if command == "solve" else str(tmp_path)
+    code, out, err = run_cli_capture(capsys, command, target, "--separator-max-size", "-2")
+    assert code == 3
+    assert out == ""
+    assert err == "error: separator_max_size must be non-negative\n"
+
+
 @pytest.mark.parametrize("command", ["generate-output", "generate-witness", "solve-output"])
-def test_output_in_missing_directory_exit_code(tmp_path, capsys, command):
+def test_output_in_missing_directory_exit_code(tmp_path, capsys, monkeypatch, command):
+    def no_solve(*args):
+        raise AssertionError("solved before checking the output directory")
+
+    monkeypatch.setattr(main_module, "_solve_document", no_solve)
     missing = str(tmp_path / "no-such-dir" / "out.haan")
     generate = ["generate", "clique-bip-d2", "--graph", "k4", "--k", "3"]
     if command == "generate-output":

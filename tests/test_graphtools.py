@@ -2,12 +2,12 @@ import random
 from itertools import combinations
 
 from haan.graphtools import (
-    find_balanced_separator,
+    balanced_separator_of_subgraph,
     find_min_vertex_cover,
     is_bipartite,
-    is_regular,
 )
 from haan.model import Instance
+from haan.reductions import SourceGraph
 
 
 def graph(n, edges):
@@ -26,44 +26,46 @@ def random_graph(rng, n_max=8, p=0.4):
     return graph(n, edges)
 
 
+def separator(g, max_size):
+    """(S, A1, A2) of the whole agent graph, as the separator solver asks."""
+    adj = {a: g.neighbors[a] for a in range(g.n_agents)}
+    return balanced_separator_of_subgraph(range(g.n_agents), adj, max_size)
+
+
 def test_path_unique_size1_separator():
-    dec = find_balanced_separator(P3, 1)
-    assert dec.separator == frozenset({1})
-    assert {dec.part1, dec.part2} == {frozenset({0}), frozenset({2})}
+    sep, part1, part2 = separator(P3, 1)
+    assert sep == (1,)
+    assert {part1, part2} == {(0,), (2,)}
 
 
 def test_triangle_allows_empty_part():
-    dec = find_balanced_separator(K3, 1)
-    assert dec.separator == frozenset({0})
-    assert dec.part1 == frozenset({1, 2})
-    assert dec.part2 == frozenset()
+    assert separator(K3, 1) == ((0,), (1, 2), ())
 
 
 def test_k4_has_no_size1_separator():
-    assert find_balanced_separator(K4, 1) is None
+    assert separator(K4, 1) is None
 
 
 def test_full_separator_always_exists():
     rng = random.Random(0)
     for _ in range(50):
         g = random_graph(rng)
-        dec = find_balanced_separator(g, g.n_agents)
-        assert dec is not None
+        assert separator(g, g.n_agents) is not None
 
 
 def test_returned_decomposition_satisfies_invariants():
     rng = random.Random(1)
     for _ in range(100):
         g = random_graph(rng)
-        dec = find_balanced_separator(g, g.n_agents)
+        sep, part1, part2 = separator(g, g.n_agents)
         n = g.n_agents
-        parts = [dec.separator, dec.part1, dec.part2]
+        parts = [sep, part1, part2]
         assert sum(len(p) for p in parts) == n
         assert frozenset().union(*parts) == frozenset(range(n))
-        assert 3 * len(dec.part1) <= 2 * n
-        assert 3 * len(dec.part2) <= 2 * n
-        for u in dec.part1:
-            for v in dec.part2:
+        assert 3 * len(part1) <= 2 * n
+        assert 3 * len(part2) <= 2 * n
+        for u in part1:
+            for v in part2:
                 assert (min(u, v), max(u, v)) not in set(g.edges)
 
 
@@ -71,10 +73,9 @@ def test_separator_is_minimum_size():
     rng = random.Random(2)
     for _ in range(60):
         g = random_graph(rng, n_max=6)
-        dec = find_balanced_separator(g, g.n_agents)
-        size = len(dec.separator)
+        size = len(separator(g, g.n_agents)[0])
         for smaller in range(size):
-            assert find_balanced_separator(g, smaller) is None
+            assert separator(g, smaller) is None
 
 
 def test_vertex_cover_edgeless():
@@ -126,10 +127,10 @@ def test_vertex_cover_lexicographic_among_minima():
 
 
 def test_is_regular():
-    assert is_regular(K4) == 3
-    assert is_regular(P3) is None
-    assert is_regular(graph(3, [])) == 0
-    assert is_regular(graph(0, [])) == 0
+    assert SourceGraph(4, K4.edges).regular_degree() == 3
+    assert SourceGraph(3, P3.edges).regular_degree() is None
+    assert SourceGraph(3, []).regular_degree() == 0
+    assert SourceGraph(0, []).regular_degree() == 0
 
 
 def test_is_bipartite_even_cycle():

@@ -11,7 +11,6 @@ from haan.model import (
     Instance,
     evaluate,
     evaluate_annotated,
-    validate_instance,
 )
 
 from oracles import brute_optimum
@@ -38,20 +37,18 @@ def instances_with_allocations(draw):
 
 
 def test_validate_empty_instance():
-    inst = validate_instance({"n_agents": 0, "n_houses": 0, "edges": [], "preferences": []})
+    inst = Instance(0, 0, [], [])
     assert inst.n_agents == 0 and inst.n_houses == 0 and inst.d == 0
 
 
 def test_validate_rejects_self_loop():
     with pytest.raises(InvalidInstance, match="self-loop"):
-        validate_instance({"n_agents": 2, "n_houses": 1, "edges": [(0, 0)],
-                           "preferences": [[], []]})
+        Instance(2, 1, [(0, 0)], [[], []])
 
 
 def test_validate_rejects_out_of_range_preference():
     with pytest.raises(InvalidInstance, match="out of range"):
-        validate_instance({"n_agents": 1, "n_houses": 3, "edges": [],
-                           "preferences": [[5]]})
+        Instance(1, 3, [], [[5]])
 
 
 def test_validate_rejects_duplicate_edge():

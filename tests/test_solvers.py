@@ -150,6 +150,18 @@ def test_separator_empty():
     assert solve_separator(ann).min_envy == 0
 
 
+EMPTY_GUESSES = {"brute": 1, "d1": 0, "envy-guess": 1, "separator": 0, "vc-xp": 1}
+
+
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("algo", sorted(EMPTY_GUESSES))
+def test_empty_instance_allocation_and_guess_count(algo, objective, m):
+    r = solve(Instance(0, m, [], []), algo, SolverConfig(objective=objective))
+    assert (r.min_envy, r.happiness, r.allocation.assignment) == (0, 0, ())
+    assert (r.solver_id, r.guesses_explored) == (algo, EMPTY_GUESSES[algo])
+
+
 def test_separator_single_angry_agent():
     base = Instance(1, 2, [], [[0]])
     ann = AnnotatedInstance(base, [[1]], [0])
@@ -355,13 +367,19 @@ def test_edge_deletion_monotonicity_of_optimum():
 
 def test_worker_count_does_not_change_results():
     rng = random.Random(29)
-    for _ in range(10):
-        inst = random_instance(rng, n_max=5, extra_houses=1)
+    instances = [random_instance(rng, n_max=5, extra_houses=1) for _ in range(10)]
+    instances += [
+        Instance(0, 0, [], []),
+        Instance(0, 2, [], []),
+        Instance(1, 1, [], [[]]),
+        Instance(1, 3, [], [[1, 2]]),
+    ]
+    for inst in instances:
         for fn in (solve_bruteforce, solve_envy_guess,
                    lambda i, c: solve_vertex_cover_xp(i, None, c)):
             results = [
                 fn(inst, SolverConfig(workers=w, objective=Objective.MIN_ENVY_THEN_MAX_HAPPY))
-                for w in (1, 2)
+                for w in (1, 2, 3)
             ]
             assert len({
                 (r.min_envy, r.happiness, r.allocation.assignment, r.guesses_explored)
