@@ -36,7 +36,7 @@ from .model import (
     evaluate,
     evaluate_annotated,
 )
-from .graphtools import find_min_vertex_cover, is_bipartite
+from .graphtools import find_min_vertex_cover
 from .solvers import (
     ALGORITHMS,
     Objective,

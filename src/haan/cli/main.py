@@ -329,6 +329,17 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """argparse type of a worker or job count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="haan",
@@ -338,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver_flags(p):
         p.add_argument("--objective", choices=["envy", "envy-happy"], default="envy")
-        p.add_argument("--workers", type=int,
+        p.add_argument("--workers", type=_count,
                        default=os.environ.get("HAAN_WORKERS") or "1")
         p.add_argument("--guess-limit", type=int, default=DEFAULT_GUESS_LIMIT,
                        help="maximum explored guesses; 0 lifts the cap")
@@ -380,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--algos", default="brute,d1,envy-guess,separator,vc-xp")
     p_bench.add_argument("--timeout", type=float, default=None,
                          help="per-instance wall-clock timeout in seconds")
-    p_bench.add_argument("--jobs", type=int, default=1,
+    p_bench.add_argument("--jobs", type=_count, default=1,
                          help="instances run sequentially by default; "
                               "values > 1 opt into a process pool")
     add_solver_flags(p_bench)

@@ -1,9 +1,12 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the deadline check
+that raises :class:`SolveTimeout`.
 
 Search-style misses (no separator found within a size cap, no vertex cover
 within budget) are returned as ``None`` values, not raised; only contract
 violations and unsatisfiable solve requests raise.
 """
+
+import time
 
 
 class HaanError(Exception):
@@ -43,7 +46,13 @@ class SeparatorNotFound(HaanError):
 
 
 class SolveTimeout(HaanError):
-    """Cooperative wall-clock deadline hit inside a guess loop."""
+    """Cooperative wall-clock deadline hit inside a guess loop or graph search."""
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise :class:`SolveTimeout` once ``time.monotonic()`` is past ``deadline``."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolveTimeout("wall-clock deadline exceeded")
 
 
 class NotACover(HaanError):

@@ -12,12 +12,12 @@ import logging
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
+from .errors import check_deadline
 from .model import Instance
 
 __all__ = [
     "balanced_separator_of_subgraph",
     "find_min_vertex_cover",
-    "is_bipartite",
 ]
 
 log = logging.getLogger(__name__)
@@ -56,6 +56,7 @@ def balanced_separator_of_subgraph(
     vertices: Sequence[int],
     adj: Mapping[int, Iterable[int]],
     max_size: int,
+    deadline: float | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None:
     """Smallest balanced separator of the given (sub)graph, or ``None``.
 
@@ -64,13 +65,16 @@ def balanced_separator_of_subgraph(
     larger part) wins, ties broken lexicographically by the separator.
     The cross-edge-free bipartition groups whole connected components,
     trying groupings in ascending bitmask order; a grouping is valid when
-    both parts satisfy 3*|part| <= 2*n.
+    both parts satisfy 3*|part| <= 2*n. ``deadline`` is checked every
+    64 candidate separators and every 4096 groupings.
     """
     verts = sorted(vertices)
     n = len(verts)
     for size in range(min(max_size, n) + 1):
         best: tuple[int, tuple[int, ...], int, list[list[int]]] | None = None
-        for sep in combinations(verts, size):
+        for i, sep in enumerate(combinations(verts, size)):
+            if not i & 63:
+                check_deadline(deadline)
             removed = frozenset(sep)
             comps = _components(verts, adj, removed)
             c = len(comps)
@@ -84,6 +88,8 @@ def balanced_separator_of_subgraph(
             sizes = [len(comp) for comp in comps]
             total = n - size
             for mask in range(1 << c):
+                if mask & 4095 == 4095:
+                    check_deadline(deadline)
                 size2 = sum(sizes[i] for i in range(c) if mask >> i & 1)
                 size1 = total - size2
                 if 3 * size1 <= 2 * n and 3 * size2 <= 2 * n:
@@ -100,40 +106,43 @@ def balanced_separator_of_subgraph(
     return None
 
 
-def _cover_exists(edges: Sequence[tuple[int, int]], k: int, excluded: frozenset[int]) -> bool:
-    """Bounded search tree: is there a vertex cover of size <= k avoiding
-    ``excluded``?"""
-    uncovered = [e for e in edges]
-    return _cover_branch(uncovered, k, excluded)
-
-
-def _cover_branch(edges: list[tuple[int, int]], k: int, excluded: frozenset[int]) -> bool:
-    if not edges:
-        return True
-    if k == 0:
-        return False
-    u, v = edges[0]
-    for pick in (u, v):
-        if pick in excluded:
-            continue
-        rest = [e for e in edges if pick not in e]
-        if _cover_branch(rest, k - 1, excluded):
-            return True
-    return False
-
-
-def find_min_vertex_cover(inst: Instance, budget: int) -> frozenset[int] | None:
+def find_min_vertex_cover(inst: Instance, budget: int,
+                          deadline: float | None = None) -> frozenset[int] | None:
     """Minimum vertex cover if its size is <= budget, else ``None``.
 
     Among minimum covers, returns the lexicographically smallest (as a
     sorted index list), built greedily against the decision subroutine.
+    The bounded search tree checks ``deadline`` every 1024 branches.
     """
+    branches = 0
+
+    def cover_exists(edges: list[tuple[int, int]], k: int,
+                     excluded: frozenset[int]) -> bool:
+        """Is there a vertex cover of ``edges`` of size <= k avoiding
+        ``excluded``?"""
+        nonlocal branches
+        branches += 1
+        if not branches & 1023:
+            check_deadline(deadline)
+        if not edges:
+            return True
+        if k == 0:
+            return False
+        u, v = edges[0]
+        for pick in (u, v):
+            if pick in excluded:
+                continue
+            rest = [e for e in edges if pick not in e]
+            if cover_exists(rest, k - 1, excluded):
+                return True
+        return False
+
     edges = list(inst.edges)
     if not edges:
         return frozenset()
     best_k = None
     for k in range(min(budget, inst.n_agents) + 1):
-        if _cover_exists(edges, k, frozenset()):
+        if cover_exists(edges, k, frozenset()):
             best_k = k
             break
     if best_k is None:
@@ -149,31 +158,7 @@ def find_min_vertex_cover(inst: Instance, budget: int) -> frozenset[int] | None:
         without_v = [e for e in remaining if v not in e]
         # Future cover vertices must be > v to keep the list lexicographic.
         excluded = frozenset(range(v + 1))
-        if _cover_branch(without_v, best_k - len(cover) - 1, excluded):
+        if cover_exists(without_v, best_k - len(cover) - 1, excluded):
             cover.append(v)
             remaining = without_v
     return frozenset(cover)
-
-
-def is_bipartite(inst: Instance) -> tuple[frozenset[int], frozenset[int]] | None:
-    """2-coloring as (part1, part2) if bipartite, else ``None``.
-
-    The smallest vertex of each component lands in part1.
-    """
-    color: dict[int, int] = {}
-    for start in range(inst.n_agents):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in inst.neighbors[v]:
-                if w not in color:
-                    color[w] = color[v] ^ 1
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    part1 = frozenset(v for v, c in color.items() if c == 0)
-    part2 = frozenset(v for v, c in color.items() if c == 1)
-    return part1, part2

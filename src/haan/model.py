@@ -26,9 +26,28 @@ __all__ = [
 ]
 
 
-def _normalize_edge(edge: Sequence[int]) -> tuple[int, int]:
-    u, v = edge
-    return (u, v) if u <= v else (v, u)
+def normalize_edges(edges: Iterable[Sequence[int]], n: int,
+                    noun: str) -> tuple[tuple[int, int], ...]:
+    """Sorted ``(u, v)`` pairs with ``u < v`` over ``range(n)``.
+
+    Raises :class:`InvalidInstance` on a non-pair, a self-loop, an endpoint
+    out of range or a duplicate edge; ``noun`` names the endpoints
+    ("agent", "vertex") in the messages.
+    """
+    pairs = set()
+    for edge in edges:
+        pair = tuple(edge)
+        if len(pair) != 2:
+            raise InvalidInstance(f"edge {pair!r} is not a pair")
+        u, v = sorted(pair)
+        if u == v:
+            raise InvalidInstance(f"self-loop at {noun} {u}")
+        if not (0 <= u and v < n):
+            raise InvalidInstance(f"edge ({u}, {v}) out of {noun} range")
+        if (u, v) in pairs:
+            raise InvalidInstance(f"duplicate edge ({u}, {v})")
+        pairs.add((u, v))
+    return tuple(sorted(pairs))
 
 
 @dataclass(frozen=True)
@@ -55,23 +74,7 @@ class Instance:
     ):
         if n_agents < 0 or n_houses < 0:
             raise InvalidInstance("agent and house counts must be non-negative")
-
-        norm_edges = []
-        seen = set()
-        for edge in edges:
-            pair = tuple(edge)
-            if len(pair) != 2:
-                raise InvalidInstance(f"edge {pair!r} is not a pair")
-            u, v = _normalize_edge(pair)
-            if u == v:
-                raise InvalidInstance(f"self-loop at agent {u}")
-            if not (0 <= u < n_agents and 0 <= v < n_agents):
-                raise InvalidInstance(f"edge ({u}, {v}) out of agent range")
-            if (u, v) in seen:
-                raise InvalidInstance(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            norm_edges.append((u, v))
-        norm_edges.sort()
+        norm_edges = normalize_edges(edges, n_agents, "agent")
 
         prefs = []
         for a, houses in enumerate(preferences):
@@ -92,7 +95,7 @@ class Instance:
 
         object.__setattr__(self, "n_agents", n_agents)
         object.__setattr__(self, "n_houses", n_houses)
-        object.__setattr__(self, "edges", tuple(norm_edges))
+        object.__setattr__(self, "edges", norm_edges)
         object.__setattr__(self, "preferences", tuple(prefs))
 
     @property

@@ -27,7 +27,7 @@ from .errors import (
     NotAClique,
     NotRegular,
 )
-from .model import Allocation, Instance
+from .model import Allocation, Instance, normalize_edges
 
 __all__ = [
     "SourceGraph",
@@ -36,7 +36,6 @@ __all__ = [
     "witness_from_clique",
     "gen_halfsep_3regular",
     "witness_from_separator",
-    "pad_separator_to_exact",
     "gen_clique_vc_bipartite",
     "gen_clique_vc_split",
     "witness_from_clique_vc",
@@ -53,23 +52,8 @@ class SourceGraph:
     def __init__(self, n_vertices: int, edges: Iterable[Sequence[int]] = ()):
         if n_vertices < 0:
             raise InvalidInstance("vertex count must be non-negative")
-        norm = []
-        seen = set()
-        for edge in edges:
-            u, v = edge
-            if u > v:
-                u, v = v, u
-            if u == v:
-                raise InvalidInstance(f"self-loop at vertex {u}")
-            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-                raise InvalidInstance(f"edge ({u}, {v}) out of range")
-            if (u, v) in seen:
-                raise InvalidInstance(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            norm.append((u, v))
-        norm.sort()
         object.__setattr__(self, "n_vertices", n_vertices)
-        object.__setattr__(self, "edges", tuple(norm))
+        object.__setattr__(self, "edges", normalize_edges(edges, n_vertices, "vertex"))
 
     def degrees(self) -> list[int]:
         degs = [0] * self.n_vertices
@@ -231,41 +215,6 @@ def gen_halfsep_3regular(g: SourceGraph, k: int) -> ReducedInstance:
         "dummy_houses": list(range(t, n)),
     }
     return ReducedInstance(inst, target, provenance)
-
-
-def pad_separator_to_exact(
-    g: SourceGraph, k: int,
-    separator: Iterable[int], part1: Iterable[int], part2: Iterable[int],
-) -> tuple[list[int], list[int], list[int]]:
-    """Grow a small 1/2-vertex separator to size exactly 2*floor(k/2).
-
-    Moves the first few vertices of each (equal-sized) part into the
-    separator so that both the separator size and the part sizes are
-    exactly what the witness constructor requires.
-    """
-    sep = sorted(set(separator))
-    x = sorted(set(part1))
-    y = sorted(set(part2))
-    n = g.n_vertices
-    if sorted(sep + x + y) != list(range(n)):
-        raise BadPartition("separator and parts must partition the vertex set")
-    if len(x) != len(y):
-        raise BadPartition("parts must have equal sizes")
-    if len(sep) > 2 * (k // 2):
-        raise BadPartition(
-            f"separator of size {len(sep)} exceeds 2*floor(k/2) = {2 * (k // 2)}"
-        )
-    edge_set = set(g.edges)
-    for u in x:
-        for v in y:
-            if (min(u, v), max(u, v)) in edge_set:
-                raise BadPartition(f"edge ({u}, {v}) crosses the parts")
-    gamma = len(x) - n // 2 + k // 2
-    return (
-        sorted(sep + x[:gamma] + y[:gamma]),
-        x[gamma:],
-        y[gamma:],
-    )
 
 
 def witness_from_separator(

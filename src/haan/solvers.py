@@ -17,7 +17,6 @@ order in exact integer arithmetic.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -31,9 +30,9 @@ from .errors import (
     NoFeasibleAllocation,
     NotACover,
     SeparatorNotFound,
-    SolveTimeout,
     UnknownAlgorithm,
     WrongSolver,
+    check_deadline,
 )
 from .graphtools import balanced_separator_of_subgraph, find_min_vertex_cover
 from .matching import left_perfect_matching_masks, min_cost_saturating_assignment
@@ -80,7 +79,7 @@ class SolverConfig:
     minimum-size balanced separator at every recursion level.
     ``workers=None`` resolves to sequential execution. ``guess_limit=None``
     lifts the exploration cap. ``deadline`` is a ``time.monotonic()``
-    cutoff checked cooperatively inside guess loops.
+    cutoff checked cooperatively inside guess loops and graph searches.
     """
 
     objective: Objective = Objective.MIN_ENVY
@@ -109,15 +108,21 @@ def _resolve_workers(cfg: SolverConfig) -> int:
     return 1 if cfg.workers is None else cfg.workers
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise SolveTimeout("wall-clock deadline exceeded")
+def _bits(items: Iterable[int]) -> int:
+    """Bitmask with bit ``i`` set for every ``i`` in ``items``."""
+    mask = 0
+    for i in items:
+        mask |= 1 << i
+    return mask
+
+
+def _members(mask: int) -> list[int]:
+    """Set bit positions of ``mask``, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _pref_masks(inst: Instance) -> list[int]:
-    return [
-        sum(1 << h for h in inst.preferences[a]) for a in range(inst.n_agents)
-    ]
+    return [_bits(p) for p in inst.preferences]
 
 
 def _result(inst: Instance, assignment: Sequence[int], solver_id: str,
@@ -195,7 +200,7 @@ def _bf_chunk(args) -> tuple[int | None, tuple | None, int]:
     for asg in _injective(m, n, first):
         count += 1
         if deadline is not None and not count & 4095:
-            _check_deadline(deadline)
+            check_deadline(deadline)
         env = 0
         hap = 0
         for a in agents:
@@ -279,19 +284,10 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
     full_mask = (1 << m) - 1
     # Per-agent tables: for each subset mask over the neighbor list, the
     # guessed envied agents as an agent bitmask.
-    envied_bits: list[list[int]] = []
-    for a in range(n):
-        nb = nbrs[a]
-        table = []
-        for mask in range(1 << len(nb)):
-            bits = 0
-            mm = mask
-            while mm:
-                low = mm & -mm
-                bits |= 1 << nb[low.bit_length() - 1]
-                mm ^= low
-            table.append(bits)
-        envied_bits.append(table)
+    envied_bits = [
+        [_bits(nb[i] for i in _members(mask)) for mask in range(1 << len(nb))]
+        for nb in nbrs
+    ]
 
     best_key = None
     best = None
@@ -301,7 +297,7 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
     # skipped wholesale with its guesses counted in bulk.
     for smask in range(smask_lo, smask_hi):
         if deadline is not None and not smask & 63:
-            _check_deadline(deadline)
+            check_deadline(deadline)
         support = [a for a in range(n) if smask >> a & 1]
         env_count = len(support)
         n_emp = n - env_count
@@ -402,157 +398,6 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
 # Separator recursion (annotated problem)
 # ---------------------------------------------------------------------------
 
-class _SepState:
-    __slots__ = ("pref", "nbrs", "scale", "w", "max_size", "limit",
-                 "deadline", "count", "memo", "sep_cache")
-
-    def __init__(self, pref, nbrs, scale, w, max_size, limit, deadline):
-        self.pref = pref
-        self.nbrs = nbrs
-        self.scale = scale
-        self.w = w
-        self.max_size = max_size
-        self.limit = limit
-        self.deadline = deadline
-        self.count = 0
-        self.memo: dict = {}
-        # The decomposition depends only on the agent subset, never on the
-        # feasibility data, so it is cached separately from subproblems.
-        self.sep_cache: dict = {}
-
-
-def _phi_assignments(slots: list[int], used: int, i: int):
-    """Injective house tuples, houses ascending per slot (lexicographic)."""
-    if i == len(slots):
-        yield ()
-        return
-    avail = slots[i] & ~used
-    while avail:
-        bit = avail & -avail
-        avail ^= bit
-        h = bit.bit_length() - 1
-        for rest in _phi_assignments(slots, used | bit, i + 1):
-            yield (h,) + rest
-
-
-def _ohaanr(st: _SepState, agents: tuple[int, ...], hmask: int,
-            F: dict[int, int], P: dict[int, int], B: frozenset[int]):
-    """Recursive optimum of the annotated subproblem, or ``None`` when no
-    assignment respects the feasibility sets.
-
-    Returns (scaled value, witness pairs). Memoized on the full subproblem
-    key; guesses are counted per (separator assignment, house split,
-    non-envious subset) triple evaluated.
-    """
-    if not agents:
-        return 0, ()
-    key = (
-        agents,
-        hmask,
-        tuple(F[a] for a in agents),
-        tuple(P[a] for a in agents),
-        sum(1 << i for i, a in enumerate(agents) if a in B),
-    )
-    if key in st.memo:
-        return st.memo[key]
-
-    n_sub = len(agents)
-    agset = set(agents)
-    adj = {a: tuple(b for b in st.nbrs[a] if b in agset) for a in agents}
-    cached = st.sep_cache.get(agents)
-    if cached is None:
-        cap = n_sub if st.max_size is None else min(st.max_size, n_sub)
-        cached = balanced_separator_of_subgraph(agents, adj, cap)
-        if cached is None:
-            raise SeparatorNotFound(
-                f"no balanced separator of size <= {cap} on {n_sub} agents; "
-                "use the automatic size policy"
-            )
-        st.sep_cache[agents] = cached
-    S, A1, A2 = cached
-    scale = st.scale
-    w = st.w
-    w_parts = w * (len(A1) + len(A2))
-
-    best = None
-    slots = [F[a] & hmask for a in S]
-    for phi in _phi_assignments(slots, 0, 0):
-        _check_deadline(st.deadline)
-        phi_of = dict(zip(S, phi))
-        used_mask = 0
-        for h in phi:
-            used_mask |= 1 << h
-        happy_in_s = {a for a, h in phi_of.items() if P[a] >> h & 1}
-        d_set = []
-        q_set = []
-        r_set = []
-        for a in S:
-            if a in happy_in_s:
-                continue
-            if a in B:
-                q_set.append(a)
-            elif any(P[a] >> phi_of[b] & 1 for b in adj[a] if b in phi_of):
-                d_set.append(a)
-            else:
-                r_set.append(a)
-        forced_env = len(d_set) + len(q_set)
-        n_c = len(happy_in_s)
-        if best is not None and scale * forced_env - w * n_c - w_parts >= best[0]:
-            continue
-        extra_angry = set()
-        for a in A1 + A2:
-            pa = P[a]
-            if any(pa >> phi_of[b] & 1 for b in adj[a] if b in phi_of):
-                extra_angry.add(a)
-        rem_houses = [h for h in range(hmask.bit_length())
-                      if hmask >> h & 1 and not used_mask >> h & 1]
-        r_tuple = tuple(r_set)
-        for h1 in combinations(rem_houses, len(A1)):
-            h1mask = 0
-            for h in h1:
-                h1mask |= 1 << h
-            h2mask = hmask & ~used_mask & ~h1mask
-            for kmask in range(1 << len(r_tuple)):
-                st.count += 1
-                if st.limit is not None and st.count > st.limit:
-                    raise BudgetExceeded(
-                        f"separator: guess count exceeded limit {st.limit}"
-                    )
-                k_agents = [r_tuple[i] for i in range(len(r_tuple))
-                            if kmask >> i & 1]
-                env_s = forced_env + len(r_tuple) - len(k_agents)
-                contrib = scale * env_s - w * n_c
-                if best is not None and contrib - w_parts >= best[0]:
-                    continue
-                f1 = {a: F[a] & h1mask for a in A1}
-                f2 = {a: F[a] & h2mask for a in A2}
-                for ka in k_agents:
-                    pk = P[ka]
-                    for b in st.nbrs[ka]:
-                        if b in f1:
-                            f1[b] &= ~pk
-                        elif b in f2:
-                            f2[b] &= ~pk
-                if any(not v for v in f1.values()) or any(not v for v in f2.values()):
-                    continue
-                p1 = {a: P[a] & h1mask for a in A1}
-                p2 = {a: P[a] & h2mask for a in A2}
-                b1 = frozenset(a for a in A1 if a in B or a in extra_angry)
-                b2 = frozenset(a for a in A2 if a in B or a in extra_angry)
-                sub1 = _ohaanr(st, A1, h1mask, f1, p1, b1)
-                if sub1 is None:
-                    continue
-                sub2 = _ohaanr(st, A2, h2mask, f2, p2, b2)
-                if sub2 is None:
-                    continue
-                value = contrib + sub1[0] + sub2[0]
-                if best is None or value < best[0]:
-                    witness = tuple(phi_of.items()) + sub1[1] + sub2[1]
-                    best = (value, witness)
-    st.memo[key] = best
-    return best
-
-
 def solve_separator(
     ann: AnnotatedInstance, cfg: SolverConfig | None = None
 ) -> SolveResult:
@@ -565,6 +410,17 @@ def solve_separator(
     are more houses than agents, the set of houses actually used is
     guessed up front.
 
+    A subproblem is the tuple ``(agents, houses, F, P, angry)``: a sorted
+    agent tuple, the bitmask of the houses it shares out, each agent's
+    feasible (F) and preferred (P) houses among them as bitmasks aligned
+    with ``agents``, and its angry agents as a bitmask over positions in
+    ``agents``. That tuple is also the memo key. Separator houses are
+    tried in lexicographic order (each separator agent over its feasible
+    houses, ascending), house splits in ``combinations`` order and the
+    non-envious subsets of the undecided separator agents as ascending
+    bitmasks; the first optimum is kept. ``guesses_explored`` counts the
+    (separator houses, house split, non-envious subset) triples reached.
+
     Raises :class:`NoFeasibleAllocation` when the feasibility sets admit
     no allocation.
     """
@@ -573,31 +429,158 @@ def solve_separator(
     n, m = inst.n_agents, inst.n_houses
     if m < n:
         raise InstanceInfeasible(f"{m} houses for {n} agents")
-    pref = _pref_masks(inst)
-    feas = [sum(1 << h for h in ann.feasible[a]) for a in range(n)]
+    nbrs = inst.neighbors
+    max_size = cfg.separator_max_size
+    limit = cfg.guess_limit
+    deadline = cfg.deadline
     scale, w = _key_weights(cfg, n)
-    st = _SepState(
-        pref=pref,
-        nbrs=inst.neighbors,
-        scale=scale,
-        w=w,
-        max_size=cfg.separator_max_size,
-        limit=cfg.guess_limit,
-        deadline=cfg.deadline,
-    )
+    count = 0
+    memo: dict = {}
+    # The decomposition depends only on the agent subset, never on the
+    # feasibility data, so it is cached apart from the subproblems.
+    splits: dict = {}
+
+    def split(agents):
+        """Separator ``(S, A1, A2)`` of ``agents``, the positions of S, A1
+        and A2 in ``agents``, the ``(position, indices in S of its separator
+        neighbours)`` of every agent that has some, and per separator agent
+        the positions of its neighbours in A1 and in A2."""
+        agset = set(agents)
+        adj = {a: tuple(b for b in nbrs[a] if b in agset) for a in agents}
+        cap = len(agents) if max_size is None else min(max_size, len(agents))
+        found = balanced_separator_of_subgraph(agents, adj, cap, deadline)
+        if found is None:
+            raise SeparatorNotFound(
+                f"no balanced separator of size <= {cap} on {len(agents)} agents; "
+                "use the automatic size policy"
+            )
+        S, A1, A2 = found
+        pos = {a: p for p, a in enumerate(agents)}
+        in_s = {a: j for j, a in enumerate(S)}
+        in_1 = {a: i for i, a in enumerate(A1)}
+        in_2 = {a: i for i, a in enumerate(A2)}
+        watchers = []
+        for p, a in enumerate(agents):
+            seen = tuple(in_s[b] for b in nbrs[a] if b in in_s)
+            if seen:
+                watchers.append((p, seen))
+        return (
+            S, A1, A2,
+            [pos[a] for a in S], [pos[a] for a in A1], [pos[a] for a in A2],
+            watchers,
+            [tuple(in_1[b] for b in nbrs[a] if b in in_1) for a in S],
+            [tuple(in_2[b] for b in nbrs[a] if b in in_2) for a in S],
+        )
+
+    def best_of(sub):
+        """``(scaled value, witness pairs)`` of a subproblem, or ``None``
+        when no assignment respects its feasibility sets."""
+        nonlocal count
+        if not sub[0]:
+            return 0, ()
+        if sub in memo:
+            return memo[sub]
+        agents, hmask, F, P, angry = sub
+        got = splits.get(agents)
+        if got is None:
+            got = splits[agents] = split(agents)
+        S, A1, A2, iS, i1, i2, watchers, near1, near2 = got
+        k = len(S)
+        w_parts = w * (len(A1) + len(A2))
+        ps = [P[p] for p in iS]
+        best = None
+        for phi in product(*[_members(F[p]) for p in iS]):
+            if len(set(phi)) < k:
+                continue
+            check_deadline(deadline)
+            # Agents that prefer a house a separator neighbour now holds:
+            # envious in S unless happy, angry in the parts.
+            marked = angry
+            for p, seen in watchers:
+                pp = P[p]
+                for j in seen:
+                    if pp >> phi[j] & 1:
+                        marked |= 1 << p
+                        break
+            n_c = 0
+            forced_env = 0
+            undecided = []
+            for j, p in enumerate(iS):
+                if ps[j] >> phi[j] & 1:
+                    n_c += 1
+                elif marked >> p & 1:
+                    forced_env += 1
+                else:
+                    undecided.append(j)
+            if best is not None and scale * forced_env - w * n_c - w_parts >= best[0]:
+                continue
+            b1 = _bits(i for i, p in enumerate(i1) if marked >> p & 1)
+            b2 = _bits(i for i, p in enumerate(i2) if marked >> p & 1)
+            rest = hmask & ~_bits(phi)
+            for h1 in combinations(_members(rest), len(A1)):
+                h1mask = _bits(h1)
+                h2mask = rest & ~h1mask
+                f1 = tuple(F[p] & h1mask for p in i1)
+                f2 = tuple(F[p] & h2mask for p in i2)
+                p1 = tuple(P[p] & h1mask for p in i1)
+                p2 = tuple(P[p] & h2mask for p in i2)
+                for kmask in range(1 << len(undecided)):
+                    count += 1
+                    if limit is not None and count > limit:
+                        raise BudgetExceeded(
+                            f"separator: guess count exceeded limit {limit}"
+                        )
+                    env_s = forced_env + len(undecided) - kmask.bit_count()
+                    contrib = scale * env_s - w * n_c
+                    if best is not None and contrib - w_parts >= best[0]:
+                        continue
+                    g1, g2 = f1, f2
+                    if kmask:
+                        # A non-envious separator agent's neighbours must
+                        # avoid the houses it prefers.
+                        l1, l2 = list(f1), list(f2)
+                        for i, j in enumerate(undecided):
+                            if kmask >> i & 1:
+                                off = ~ps[j]
+                                for q in near1[j]:
+                                    l1[q] &= off
+                                for q in near2[j]:
+                                    l2[q] &= off
+                        g1, g2 = tuple(l1), tuple(l2)
+                    if not all(g1) or not all(g2):
+                        continue
+                    sub1 = best_of((A1, h1mask, g1, p1, b1))
+                    if sub1 is None:
+                        continue
+                    sub2 = best_of((A2, h2mask, g2, p2, b2))
+                    if sub2 is None:
+                        continue
+                    value = contrib + sub1[0] + sub2[0]
+                    if best is None or value < best[0]:
+                        best = (value, tuple(zip(S, phi)) + sub1[1] + sub2[1])
+        memo[sub] = best
+        return best
+
+    pref = _pref_masks(inst)
+    feas = [_bits(f) for f in ann.feasible]
     agents = tuple(range(n))
+    angry = _bits(ann.angry)
     best = None
-    for used_houses in combinations(range(m), n):
-        umask = 0
-        for h in used_houses:
-            umask |= 1 << h
-        f0 = {a: feas[a] & umask for a in agents}
-        if any(not v for v in f0.values()):
-            continue
-        p0 = {a: pref[a] & umask for a in agents}
-        res = _ohaanr(st, agents, umask, f0, p0, ann.angry)
-        if res is not None and (best is None or res[0] < best[0]):
-            best = res
+    try:
+        for used_houses in combinations(range(m), n):
+            umask = _bits(used_houses)
+            f0 = tuple(f & umask for f in feas)
+            if not all(f0):
+                continue
+            p0 = tuple(p & umask for p in pref)
+            res = best_of((agents, umask, f0, p0, angry))
+            if res is not None and (best is None or res[0] < best[0]):
+                best = res
+    finally:
+        # ``best_of`` refers to itself through its closure; dropping the
+        # name breaks that cycle, so the memo is freed now rather than at
+        # the next cyclic garbage collection.
+        del best_of
     if best is None:
         raise NoFeasibleAllocation(
             "no allocation respects the feasibility sets"
@@ -613,7 +596,7 @@ def solve_separator(
         happiness=report.n_happy,
         allocation=alloc,
         solver_id="separator",
-        guesses_explored=st.count,
+        guesses_explored=count,
     )
 
 
@@ -631,15 +614,13 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None, int]:
     rest_pos = {a: i for i, a in enumerate(rest)}
     cover_nbrs = {a: [b for b in nbrs[a] if b not in rest_pos] for a in cover}
     # Per cover agent: its rest neighbours as a bitmask over rest positions.
-    rest_nbrs = {a: sum(1 << rest_pos[b] for b in nbrs[a] if b in rest_pos)
+    rest_nbrs = {a: _bits(rest_pos[b] for b in nbrs[a] if b in rest_pos)
                  for a in cover}
     for phi in _injective(m, k, first):
         if deadline is not None:
-            _check_deadline(deadline)
+            check_deadline(deadline)
         phi_of = dict(zip(cover, phi))
-        used_mask = 0
-        for h in phi:
-            used_mask |= 1 << h
+        used_mask = _bits(phi)
         happy_flags = {a: bool(pref[a] >> h & 1) for a, h in phi_of.items()}
         happy_s = w * sum(happy_flags.values())
         eligible = []
@@ -655,8 +636,8 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None, int]:
         if (best_key is not None
                 and scale * (k - n_el) - happy_s - w * len(rest) >= best_key):
             continue
-        remaining = [h for h in range(m) if not used_mask >> h & 1]
         rem_mask = ((1 << m) - 1) & ~used_mask
+        remaining = _members(rem_mask)
         # Choosing a *free* eligible agent (happy, or forbidding no remaining
         # house to any rest agent) leaves every row as it is and lowers the
         # key by ``scale``, so only guesses that choose all free agents can
@@ -755,7 +736,7 @@ def solve_vertex_cover_xp(
     if m < n:
         raise InstanceInfeasible(f"{m} houses for {n} agents")
     if cover is None:
-        found = find_min_vertex_cover(inst, n)
+        found = find_min_vertex_cover(inst, n, cfg.deadline)
         assert found is not None
         cover_set = found
     else:
@@ -801,7 +782,7 @@ def solve(inst: Instance, algo: str = "auto",
         if inst.n_agents > 0 and all(len(p) == 1 for p in inst.preferences):
             algo = "d1"
         else:
-            cover = find_min_vertex_cover(inst, AUTO_VC_THRESHOLD)
+            cover = find_min_vertex_cover(inst, AUTO_VC_THRESHOLD, cfg.deadline)
             if cover is not None:
                 algo = "vc-xp"
             elif inst.n_agents + 2 * len(inst.edges) <= AUTO_ENVY_GUESS_BOUND:

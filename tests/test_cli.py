@@ -442,11 +442,30 @@ def test_workers_env_var_sets_default(tmp_path, capsys, monkeypatch):
 
 
 def test_invalid_workers_env_var_is_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HAAN_WORKERS", "abc")
+    path = str(write_triangle(tmp_path))
+    for value, message in [("abc", "invalid int value: 'abc'"),
+                           ("0", "must be at least 1, got 0")]:
+        monkeypatch.setenv("HAAN_WORKERS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve", "--workers", "0"),
+    ("bench", "--jobs", "0"),
+    ("bench", "--jobs", "-1"),
+    ("bench", "--workers", "-3"),
+])
+def test_count_below_one_is_usage_error(tmp_path, capsys, command, flag, value):
+    target = str(write_triangle(tmp_path)) if command == "solve" else str(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["solve", str(write_triangle(tmp_path))])
+        main([command, target, flag, value])
     assert exc.value.code == 2
-    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1, got" in captured.err
 
 
 def test_separator_size_cap_miss_exit_code(tmp_path, capsys):

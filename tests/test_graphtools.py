@@ -1,13 +1,15 @@
 import random
+import time
 from itertools import combinations
 
-from haan.graphtools import (
-    balanced_separator_of_subgraph,
-    find_min_vertex_cover,
-    is_bipartite,
-)
+import pytest
+
+from haan.cli.sources import named_source_graph
+from haan.errors import SolveTimeout
+from haan.graphtools import balanced_separator_of_subgraph, find_min_vertex_cover
 from haan.model import Instance
 from haan.reductions import SourceGraph
+from haan.solvers import SolverConfig, solve
 
 
 def graph(n, edges):
@@ -133,22 +135,22 @@ def test_is_regular():
     assert SourceGraph(0, []).regular_degree() == 0
 
 
-def test_is_bipartite_even_cycle():
-    c4 = graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    parts = is_bipartite(c4)
-    assert parts == (frozenset({0, 2}), frozenset({1, 3}))
-    assert is_bipartite(K3) is None
+DEADLINE_S = 0.2
+OVERRUN_S = 1.0
 
 
-def test_is_bipartite_consistency():
-    rng = random.Random(5)
-    for _ in range(60):
-        g = random_graph(rng)
-        parts = is_bipartite(g)
-        if parts is None:
-            continue
-        p1, p2 = parts
-        assert p1 | p2 == frozenset(range(g.n_agents))
-        assert not p1 & p2
-        for u, v in g.edges:
-            assert (u in p1) != (v in p1)
+@pytest.mark.parametrize("algo, spec", [
+    # The minimum balanced separator has 6 of the 26 agents: ~6 s of search.
+    ("separator", "random-regular:26:4:1"),
+    # The minimum vertex cover has 20 of the 30 agents: ~10 s of search.
+    ("vc-xp", "random-regular:30:6:1"),
+])
+def test_graph_searches_honour_the_deadline(algo, spec):
+    g = named_source_graph(spec)
+    n = g.n_vertices
+    inst = Instance(n, n, g.edges, [[0, 1]] * n)
+    start = time.monotonic()
+    cfg = SolverConfig(guess_limit=None, deadline=start + DEADLINE_S)
+    with pytest.raises(SolveTimeout):
+        solve(inst, algo, cfg)
+    assert time.monotonic() - start < DEADLINE_S + OVERRUN_S

@@ -11,7 +11,6 @@ from haan.errors import (
     NotAClique,
     NotRegular,
 )
-from haan.graphtools import is_bipartite
 from haan.model import evaluate
 from haan.reductions import (
     ReducedInstance,
@@ -20,7 +19,6 @@ from haan.reductions import (
     gen_clique_vc_bipartite,
     gen_clique_vc_split,
     gen_halfsep_3regular,
-    pad_separator_to_exact,
     witness_from_clique,
     witness_from_clique_vc,
     witness_from_separator,
@@ -48,7 +46,9 @@ def assert_complete_bipartite(inst, left, right):
     for u in left:
         for v in right:
             assert (min(u, v), max(u, v)) in edges
-    assert is_bipartite(inst) is not None
+    left, right = set(left), set(right)
+    for u, v in edges:
+        assert (u in left and v in right) or (u in right and v in left)
 
 
 def preferrer_counts(inst):
@@ -210,24 +210,6 @@ def test_halfsep_witness_on_double_diamond():
     w = witness_from_separator(red, [0, 5], [1, 2, 3], [4, 6, 7])
     rep = evaluate(red.instance, w)
     assert rep.n_envious <= red.target_envy
-
-
-def test_pad_separator_to_exact_matches_claim():
-    # Start from the empty separator of the disconnected halves at k = 4.
-    g = DOUBLE_DIAMOND
-    red = gen_halfsep_3regular(g, 4)
-    sep, x, y = pad_separator_to_exact(g, 4, [0, 5], [1, 2, 3], [4, 6, 7])
-    assert len(sep) == 2 * (4 // 2) == red.target_envy
-    assert len(x) == len(y) == red.provenance["params"]["t"]
-    w = witness_from_separator(red, sep, x, y)
-    assert evaluate(red.instance, w).n_envious <= red.target_envy
-
-
-def test_pad_separator_rejects_bad_triples():
-    with pytest.raises(BadPartition):
-        pad_separator_to_exact(K4, 2, [0], [1, 2], [3])  # unequal parts
-    with pytest.raises(BadPartition):
-        pad_separator_to_exact(K4, 2, [0, 1], [2], [3])  # cross edge in K4
 
 
 # -- vertex-cover clique reductions (bipartite and split) ---------------------

@@ -12,6 +12,7 @@ import haan
 
 from haan.errors import (
     BudgetExceeded,
+    HaanError,
     InstanceInfeasible,
     NoFeasibleAllocation,
     NotACover,
@@ -224,6 +225,88 @@ def test_separator_matches_envy_guess_on_plain_instances():
         a = solve_envy_guess(inst, HAPPY)
         b = solve_separator(AnnotatedInstance.plain(inst), HAPPY)
         assert (a.min_envy, a.happiness) == (b.min_envy, b.happiness)
+
+
+# Pinned (min_envy, happiness, allocation, guesses_explored) per objective
+# (envy, envy-happy), or the error class, for SEPARATOR_GOLDEN_CASES: the
+# separator's witness order and guess count are part of its contract.
+SEPARATOR_GOLDEN = [
+    [(0, 1, (0,), 2), (0, 1, (0,), 2)],
+    [(1, 0, (4, 2, 1, 0, 3), 332), (1, 2, (2, 0, 3, 5, 6), 332)],
+    [(0, 3, (4, 3, 2, 1, 0), 118), (0, 3, (4, 3, 2, 1, 0), 234)],
+    [(2, 2, (1, 5, 3, 2, 0, 7), 696), (2, 2, (1, 5, 3, 2, 0, 7), 696)],
+    [(0, 1, (2, 4, 0, 1, 3), 362), (0, 3, (2, 4, 1, 5, 0), 513)],
+    [(1, 1, (0, 3, 2, 4), 263), (1, 1, (0, 3, 2, 4), 264)],
+    [(0, 1, (3, 1, 0, 2), 155), (0, 2, (2, 1, 0, 5), 474)],
+    [(0, 0, (0, 2), 10), (0, 0, (0, 2), 10)],
+    [(0, 3, (2, 1, 0, 3), 189), (0, 4, (2, 1, 4, 3), 252)],
+    [(0, 1, (0,), 1), (0, 1, (0,), 1)],
+    [(0, 1, (0,), 2), (0, 1, (0,), 2)],
+    [(0, 3, (1, 4, 2, 0, 3), 496), (0, 3, (1, 4, 2, 0, 3), 768)],
+    [(0, 1, (2, 1, 0), 28), (0, 3, (0, 1, 3), 43)],
+    [(1, 2, (1, 0, 2, 3, 4, 5), 27), (1, 2, (1, 0, 2, 3, 4, 5), 27)],
+    [(0, 1, (0,), 2), (0, 1, (0,), 2)],
+    [(0, 2, (2, 0, 1), 16), (0, 2, (2, 0, 1), 16)],
+    [(0, 1, (1, 0), 22), (0, 2, (1, 2), 26)],
+    [(0, 4, (1, 0, 4, 3), 138), (0, 4, (1, 0, 4, 3), 180)],
+    [(0, 2, (1, 0), 4), (0, 2, (1, 0), 4)],
+    ['NoFeasibleAllocation', 'NoFeasibleAllocation'],
+    [(0, 0, (0,), 6), (0, 0, (0,), 6)],
+    [(0, 2, (3, 2, 0, 1), 44), (0, 2, (3, 2, 0, 1), 67)],
+    [(0, 1, (0, 3, 2, 1), 217), (0, 1, (0, 3, 2, 1), 1472)],
+    [(1, 3, (2, 0, 1, 5, 6), 370), (1, 4, (2, 0, 3, 5, 6), 376)],
+    [(0, 1, (1, 0), 12), (0, 1, (1, 0), 16)],
+    [(2, 1, (1, 4, 3, 2, 5), 155), (2, 1, (1, 4, 3, 2, 5), 155)],
+    [(0, 1, (1, 0), 13), (0, 1, (1, 0), 14)],
+    [(0, 2, (4, 0, 2, 1, 3), 86), (0, 2, (4, 0, 2, 1, 3), 109)],
+    [(0, 4, (5, 1, 3, 2, 0, 4), 165), (0, 4, (5, 1, 3, 2, 0, 4), 534)],
+    [(0, 1, (0,), 2), (0, 1, (0,), 2)],
+    [(0, 1, (0,), 1), (0, 1, (0,), 1)],
+    [(2, 0, (0, 1, 2), 7), (2, 0, (0, 1, 2), 7)],
+    [(0, 0, (0, 2, 1), 98), (0, 1, (3, 1, 0), 116)],
+    [(0, 1, (0, 3, 1, 2, 5, 4), 62), (0, 1, (0, 3, 1, 2, 5, 4), 110)],
+    [(0, 2, (3, 1, 0, 2), 256), (0, 3, (0, 1, 4, 2), 478)],
+    [(0, 4, (4, 0, 1, 5, 2, 3), 88), (0, 4, (4, 0, 1, 5, 2, 3), 110)],
+    [(0, 0, (0,), 2), (0, 0, (0,), 2)],
+    [(1, 1, (0, 1, 3, 2), 142), (1, 1, (0, 1, 3, 2), 146)],
+    [(0, 0, (0,), 2), (0, 0, (0,), 2)],
+    [(0, 1, (0,), 2), (0, 1, (0,), 2)],
+]
+
+
+def separator_golden_cases():
+    """40 seeded instances, odd ones annotated; every fifth capped at size 2."""
+    rng = random.Random(2026)
+    for i in range(40):
+        n = rng.randint(1, 6)
+        m = rng.randint(n, n + 2)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+        prefs = [rng.sample(range(m), rng.randint(0, min(2, m))) for _ in range(n)]
+        inst = Instance(n, m, edges, prefs)
+        if i % 2:
+            feas = [rng.sample(range(m), rng.randint(1, m)) for _ in range(n)]
+            angry = [a for a in range(n) if rng.random() < 0.3]
+            ann = AnnotatedInstance(inst, feas, angry)
+        else:
+            ann = AnnotatedInstance.plain(inst)
+        yield ann, (2 if i % 5 == 4 else None)
+
+
+def test_separator_golden_witnesses_and_guess_counts():
+    got = []
+    for ann, cap in separator_golden_cases():
+        row = []
+        for objective in Objective:
+            cfg = SolverConfig(objective=objective, separator_max_size=cap)
+            try:
+                r = solve_separator(ann, cfg)
+            except HaanError as exc:
+                row.append(type(exc).__name__)
+                continue
+            row.append((r.min_envy, r.happiness, r.allocation.assignment,
+                        r.guesses_explored))
+        got.append(row)
+    assert got == SEPARATOR_GOLDEN
 
 
 # -- vertex-cover solver -----------------------------------------------------
