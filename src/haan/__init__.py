@@ -21,7 +21,6 @@ from .errors import (
     NotAClique,
     NotACover,
     NotRegular,
-    SeparatorNotFound,
     SolveTimeout,
     UnknownAlgorithm,
     WrongSolver,

@@ -123,8 +123,9 @@ def parse_instance_text(text: str) -> InstanceDocument:
                 (target_envy,) = _exact_ints(rest[1:], 1, "meta target_envy")
             elif key == "provenance":
                 try:
-                    provenance = json.loads(" ".join(rest[1:]))
-                except json.JSONDecodeError as exc:
+                    # The rest of the line as written: strings may hold runs of spaces.
+                    provenance = json.loads("".join(ln.split(None, 2)[2:]))
+                except (ValueError, RecursionError) as exc:
                     raise FormatError("malformed provenance JSON") from exc
             else:
                 raise FormatError(f"unknown meta key {key!r}")
@@ -263,7 +264,7 @@ def parse_allocation_text(text: str) -> Allocation:
 def read_instance_file(path: str | Path) -> InstanceDocument:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     return parse_instance_text(text)
 

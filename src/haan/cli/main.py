@@ -2,10 +2,9 @@
 
 Exit codes are stable: 0 success, 2 usage (argparse), 3 parse/format
 error or a file that cannot be read or written, 4 infeasible instance,
-5 guess budget exceeded or no balanced separator within
-``--separator-max-size``, 6 wrong solver for the instance shape, 7 invalid
-allocation, 8 no feasible allocation (annotated), 9 generator
-precondition failure. Machine-readable output goes to stdout only; every
+5 guess budget exceeded, 6 wrong solver for the instance shape, 7 invalid
+allocation, 8 no feasible allocation (annotated), 9 generator precondition
+failure. Machine-readable output goes to stdout only; every
 diagnostic goes to stderr.
 """
 
@@ -27,7 +26,6 @@ from ..errors import (
     InvalidAllocation,
     InvalidInstance,
     NoFeasibleAllocation,
-    SeparatorNotFound,
     SolveTimeout,
     WrongSolver,
 )
@@ -47,7 +45,6 @@ from ..solvers import (
     Objective,
     SolverConfig,
     solve,
-    solve_separator,
 )
 from .files import (
     InstanceDocument,
@@ -73,7 +70,6 @@ _ERROR_EXITS = (
     (FormatError, EXIT_PARSE),
     (InstanceInfeasible, EXIT_INFEASIBLE),
     (BudgetExceeded, EXIT_BUDGET),
-    (SeparatorNotFound, EXIT_BUDGET),
     (WrongSolver, EXIT_WRONG_SOLVER),
     (InvalidAllocation, EXIT_INVALID_ALLOCATION),
     (NoFeasibleAllocation, EXIT_NO_FEASIBLE),
@@ -98,7 +94,6 @@ def _config_from_args(args, deadline: float | None = None) -> SolverConfig:
         objective=Objective(args.objective),
         workers=args.workers,
         guess_limit=None if limit == 0 else limit,
-        separator_max_size=args.separator_max_size,
         deadline=deadline,
     )
 
@@ -110,16 +105,6 @@ def _emit(text: str, output: str) -> None:
         Path(output).write_text(text)
 
 
-def _solve_document(doc: InstanceDocument, algo: str, cfg: SolverConfig):
-    if doc.annotated is not None:
-        if algo not in ("separator", "auto"):
-            raise WrongSolver(
-                "annotated instances are solved by the separator algorithm only"
-            )
-        return solve_separator(doc.annotated, cfg)
-    return solve(doc.instance, algo, cfg)
-
-
 def cmd_solve(args) -> int:
     if args.output != "-" and not Path(args.output).parent.is_dir():
         print(f"error: cannot write {args.output}: no such directory", file=sys.stderr)
@@ -128,7 +113,7 @@ def cmd_solve(args) -> int:
         doc = read_instance_file(args.instance)
         cfg = _config_from_args(args)
         start = time.monotonic()
-        result = _solve_document(doc, args.algo, cfg)
+        result = solve(doc.annotated or doc.instance, args.algo, cfg)
         elapsed_ms = 0 if args.omit_timing else int((time.monotonic() - start) * 1000)
     except HaanError as exc:
         return _fail(exc)
@@ -228,8 +213,8 @@ def cmd_verify(args) -> int:
     try:
         doc = read_instance_file(args.instance)
         alloc = parse_allocation_text(Path(args.allocation).read_text())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {args.allocation}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except HaanError as exc:
         return _fail(exc)
@@ -269,7 +254,8 @@ def _bench_one(job) -> tuple[str, ...]:
         deadline = time.monotonic() + args.timeout
     start = time.monotonic()
     try:
-        result = _solve_document(doc, algo, _config_from_args(args, deadline))
+        result = solve(doc.annotated or doc.instance, algo,
+                       _config_from_args(args, deadline))
     except SolveTimeout:
         return (name, algo, objective, "", "", "", "", "timeout")
     except HaanError as exc:
@@ -353,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=os.environ.get("HAAN_WORKERS") or "1")
         p.add_argument("--guess-limit", type=int, default=DEFAULT_GUESS_LIMIT,
                        help="maximum explored guesses; 0 lifts the cap")
-        p.add_argument("--separator-max-size", type=int, default=None)
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance")

@@ -8,6 +8,7 @@ Specs: ``k3``/``k4``/``k5`` (complete), ``prism`` (triangular prism),
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 from ..reductions import SourceGraph
@@ -40,28 +41,43 @@ def _petersen() -> SourceGraph:
     return SourceGraph(10, outer + inner + spokes)
 
 
+def _edge(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
+
+
 def _random_regular(n: int, d: int, seed: int) -> SourceGraph:
-    """Pairing-model sampler with rejection; deterministic given the seed."""
+    """Pairing-model sampler with switch repair; deterministic given the seed.
+
+    The n*d stubs are shuffled and paired. While some pair is a loop or
+    repeats an edge, the first such pair swaps partners with a random pair;
+    a swap is kept only when both new pairs are new edges, so it removes a
+    bad pair and keeps every degree. A pairing that resists repair is drawn
+    again. Dense graphs are the complements of sparse ones.
+    """
     if d < 0 or d >= n or (n * d) % 2:
         raise ValueError(f"no {d}-regular graph on {n} vertices")
+    if 2 * d > n - 1:
+        sparse = set(_random_regular(n, n - 1 - d, seed).edges)
+        return SourceGraph(n, [e for e in _complete(n).edges if e not in sparse])
     rng = random.Random(seed)
-    for _ in range(10000):
-        stubs = [v for v in range(n) for _ in range(d)]
+    stubs = [v for v in range(n) for _ in range(d)]
+    for _ in range(100):
         rng.shuffle(stubs)
-        edges: set[tuple[int, int]] = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
-            e = (u, v) if u < v else (v, u)
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if ok:
-            return SourceGraph(n, sorted(edges))
+        pairs = [_edge(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
+        count = Counter(pairs)
+        for _ in range(100 * len(pairs) + 1):
+            bad = [i for i, (u, v) in enumerate(pairs) if u == v or count[u, v] > 1]
+            if not bad:
+                return SourceGraph(n, sorted(pairs))
+            i, j = bad[0], rng.randrange(len(pairs))
+            (a, b), (c, e) = pairs[i], pairs[j]
+            if rng.random() < 0.5:
+                c, e = e, c
+            new = _edge(a, c), _edge(b, e)
+            if a != c and b != e and new[0] != new[1] and not (count[new[0]] or count[new[1]]):
+                count.subtract((pairs[i], pairs[j]))
+                count.update(new)
+                pairs[i], pairs[j] = new
     raise ValueError(f"failed to sample a {d}-regular graph on {n} vertices")
 
 

@@ -1,9 +1,8 @@
 """Exception hierarchy shared across the package, and the deadline check
 that raises :class:`SolveTimeout`.
 
-Search-style misses (no separator found within a size cap, no vertex cover
-within budget) are returned as ``None`` values, not raised; only contract
-violations and unsatisfiable solve requests raise.
+A search miss (no vertex cover within the budget) is returned as ``None``,
+not raised; only contract violations and unsatisfiable solve requests raise.
 """
 
 import time
@@ -39,10 +38,6 @@ class BudgetExceeded(HaanError):
 
 class NoFeasibleAllocation(HaanError):
     """Annotated instance admits no allocation respecting the feasibility sets."""
-
-
-class SeparatorNotFound(HaanError):
-    """No balanced separator within the explicitly configured size cap."""
 
 
 class SolveTimeout(HaanError):

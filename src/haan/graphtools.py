@@ -8,7 +8,6 @@ progress in the divide-and-conquer solver.
 
 from __future__ import annotations
 
-import logging
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -20,90 +19,86 @@ __all__ = [
     "find_min_vertex_cover",
 ]
 
-log = logging.getLogger(__name__)
 
-# Whole connected components are assigned to parts; beyond this many
-# components the 2^c grouping search is abandoned for that separator.
-MAX_GROUPING_COMPONENTS = 20
-
-
-def _components(vertices: Sequence[int], adj: Mapping[int, Iterable[int]],
-                removed: frozenset[int]) -> list[list[int]]:
-    """Connected components of the graph minus ``removed``, each sorted,
-    ordered by smallest vertex."""
-    remaining = [v for v in vertices if v not in removed]
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    keep = set(remaining)
-    for start in remaining:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w in keep and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
+def _components(nbr: Sequence[int], rest: int) -> list[int]:
+    """Connected components of the vertex bitmask ``rest`` as bitmasks,
+    ordered by lowest vertex; ``nbr[i]`` is vertex ``i``'s neighbour mask."""
+    comps = []
+    while rest:
+        comp = 0
+        new = rest & -rest
+        while new:
+            comp |= new
+            reach = 0
+            while new:
+                low = new & -new
+                reach |= nbr[low.bit_length() - 1]
+                new ^= low
+            new = reach & rest & ~comp
+        comps.append(comp)
+        rest &= ~comp
     return comps
 
 
 def balanced_separator_of_subgraph(
     vertices: Sequence[int],
-    adj: Mapping[int, Iterable[int]],
-    max_size: int,
+    adj: Mapping[int, Iterable[int]] | Sequence[Iterable[int]],
     deadline: float | None = None,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None:
-    """Smallest balanced separator of the given (sub)graph, or ``None``.
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Smallest balanced separator ``(S, A1, A2)`` of the subgraph induced
+    by ``vertices``; neighbours outside ``vertices`` are ignored.
 
+    The whole vertex set always qualifies, so the search always returns.
     Search order: separator size ascending; among separators of the same
-    size, the one admitting the most balanced valid grouping (smallest
-    larger part) wins, ties broken lexicographically by the separator.
-    The cross-edge-free bipartition groups whole connected components,
-    trying groupings in ascending bitmask order; a grouping is valid when
-    both parts satisfy 3*|part| <= 2*n. ``deadline`` is checked every
-    64 candidate separators and every 4096 groupings.
+    size, the first in ``combinations`` order admitting the most balanced
+    valid grouping (smallest larger part) wins. The cross-edge-free
+    bipartition groups whole connected components; a grouping is valid when
+    both parts satisfy 3*|part| <= 2*n. Groupings are weighed exactly, by
+    subset sums over the component sizes, and among those reaching the
+    least larger part the lowest bitmask over the components (bit set: the
+    component goes to A2) wins. ``deadline`` is checked every 64 candidate
+    separators.
     """
     verts = sorted(vertices)
     n = len(verts)
-    for size in range(min(max_size, n) + 1):
-        best: tuple[int, tuple[int, ...], int, list[list[int]]] | None = None
-        for i, sep in enumerate(combinations(verts, size)):
+    index = {v: i for i, v in enumerate(verts)}
+    nbr = [sum(1 << index[u] for u in set(adj[v]) if u in index) for v in verts]
+    limit = 2 * n // 3
+    for size in range(n + 1):
+        total = n - size
+        floor = (total + 1) // 2  # no grouping has a smaller larger part
+        best = None
+        for i, sep in enumerate(combinations(range(n), size)):
             if not i & 63:
                 check_deadline(deadline)
-            removed = frozenset(sep)
-            comps = _components(verts, adj, removed)
-            c = len(comps)
-            if c > MAX_GROUPING_COMPONENTS:
-                log.warning(
-                    "separator candidate with %d components exceeds the "
-                    "%d-component grouping cap; skipping it", c,
-                    MAX_GROUPING_COMPONENTS,
-                )
-                continue
-            sizes = [len(comp) for comp in comps]
-            total = n - size
-            for mask in range(1 << c):
-                if mask & 4095 == 4095:
-                    check_deadline(deadline)
-                size2 = sum(sizes[i] for i in range(c) if mask >> i & 1)
-                size1 = total - size2
-                if 3 * size1 <= 2 * n and 3 * size2 <= 2 * n:
-                    widest = max(size1, size2)
-                    if best is None or widest < best[0]:
-                        best = (widest, sep, mask, comps)
+            rest = (1 << n) - 1 - sum(1 << j for j in sep)
+            comps = _components(nbr, rest)
+            # Bit x of reach[k]: some of the first k components hold x vertices.
+            reach = [1]
+            for comp in comps:
+                reach.append(reach[-1] | reach[-1] << comp.bit_count())
+            for widest in range(floor, limit + 1 if best is None else best[0]):
+                if reach[-1] >> widest & 1 or reach[-1] >> (total - widest) & 1:
+                    best = (widest, rest, comps, reach)
+                    break
+            if best is not None and best[0] == floor:
+                break
         if best is not None:
-            _, sep, mask, comps = best
-            part1: list[int] = []
-            part2: list[int] = []
-            for i, comp in enumerate(comps):
-                (part2 if mask >> i & 1 else part1).extend(comp)
-            return sep, tuple(sorted(part1)), tuple(sorted(part2))
-    return None
+            break
+    widest, rest, comps, reach = best
+    # Lowest component mask holding widest or total - widest vertices: from
+    # the highest component down, leave a component out whenever the lower
+    # ones can still reach a target count.
+    targets = 1 << widest | 1 << (total - widest)
+    part2 = 0
+    for k in range(len(comps) - 1, -1, -1):
+        if targets & reach[k]:
+            targets &= reach[k]
+        else:
+            targets = targets >> comps[k].bit_count() & reach[k]
+            part2 |= comps[k]
+    return tuple(tuple(v for i, v in enumerate(verts) if mask >> i & 1)
+                 for mask in ((1 << n) - 1 - rest, rest & ~part2, part2))
 
 
 def find_min_vertex_cover(inst: Instance, budget: int,

@@ -29,7 +29,6 @@ from .errors import (
     InvalidInstance,
     NoFeasibleAllocation,
     NotACover,
-    SeparatorNotFound,
     UnknownAlgorithm,
     WrongSolver,
     check_deadline,
@@ -75,15 +74,12 @@ class Objective(Enum):
 class SolverConfig:
     """Shared solver knobs.
 
-    ``separator_max_size=None`` means the separator solver asks for the
-    minimum-size balanced separator at every recursion level.
     ``workers=None`` resolves to sequential execution. ``guess_limit=None``
     lifts the exploration cap. ``deadline`` is a ``time.monotonic()``
     cutoff checked cooperatively inside guess loops and graph searches.
     """
 
     objective: Objective = Objective.MIN_ENVY
-    separator_max_size: int | None = None
     workers: int | None = None
     guess_limit: int | None = DEFAULT_GUESS_LIMIT
     deadline: float | None = None
@@ -93,8 +89,6 @@ class SolverConfig:
             raise InvalidInstance("guess_limit must be at least 1")
         if self.workers is not None and self.workers < 1:
             raise InvalidInstance("workers must be at least 1")
-        if self.separator_max_size is not None and self.separator_max_size < 0:
-            raise InvalidInstance("separator_max_size must be non-negative")
 
 
 def _key_weights(cfg: SolverConfig, n: int) -> tuple[int, int]:
@@ -430,7 +424,6 @@ def solve_separator(
     if m < n:
         raise InstanceInfeasible(f"{m} houses for {n} agents")
     nbrs = inst.neighbors
-    max_size = cfg.separator_max_size
     limit = cfg.guess_limit
     deadline = cfg.deadline
     scale, w = _key_weights(cfg, n)
@@ -445,16 +438,7 @@ def solve_separator(
         and A2 in ``agents``, the ``(position, indices in S of its separator
         neighbours)`` of every agent that has some, and per separator agent
         the positions of its neighbours in A1 and in A2."""
-        agset = set(agents)
-        adj = {a: tuple(b for b in nbrs[a] if b in agset) for a in agents}
-        cap = len(agents) if max_size is None else min(max_size, len(agents))
-        found = balanced_separator_of_subgraph(agents, adj, cap, deadline)
-        if found is None:
-            raise SeparatorNotFound(
-                f"no balanced separator of size <= {cap} on {len(agents)} agents; "
-                "use the automatic size policy"
-            )
-        S, A1, A2 = found
+        S, A1, A2 = balanced_separator_of_subgraph(agents, nbrs, deadline)
         pos = {a: p for p, a in enumerate(agents)}
         in_s = {a: j for j, a in enumerate(S)}
         in_1 = {a: i for i, a in enumerate(A1)}
@@ -764,19 +748,27 @@ def solve_vertex_cover_xp(
 # Dispatcher
 # ---------------------------------------------------------------------------
 
-def solve(inst: Instance, algo: str = "auto",
+def solve(inst: Instance | AnnotatedInstance, algo: str = "auto",
           cfg: SolverConfig | None = None) -> SolveResult:
     """Dispatch to a solver by label.
 
-    ``auto`` picks the d=1 matching solver when every agent prefers
-    exactly one house, else the vertex-cover solver when a minimum cover
-    of size <= 8 exists, else the envy-guessing solver when n + 2|E| <= 30,
-    else the separator recursion. Plain instances are wrapped with
-    all-permissive feasibility sets for the separator solver.
+    Annotated instances are solved by the separator recursion, under
+    ``auto`` or ``separator``; any other label raises :class:`WrongSolver`.
+    For plain instances, ``auto`` picks the d=1 matching solver when every
+    agent prefers exactly one house, else the vertex-cover solver when a
+    minimum cover of size <= 8 exists, else the envy-guessing solver when
+    n + 2|E| <= 30, else the separator recursion. Plain instances are
+    wrapped with all-permissive feasibility sets for the separator solver.
     """
     cfg = cfg or SolverConfig()
     if algo not in ALGORITHMS:
         raise UnknownAlgorithm(f"unknown algorithm {algo!r}")
+    if isinstance(inst, AnnotatedInstance):
+        if algo not in ("separator", "auto"):
+            raise WrongSolver(
+                "annotated instances are solved by the separator algorithm only"
+            )
+        return solve_separator(inst, cfg)
     cover = None
     if algo == "auto":
         if inst.n_agents > 0 and all(len(p) == 1 for p in inst.preferences):

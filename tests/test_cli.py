@@ -1,7 +1,11 @@
 import subprocess
 import sys
+import time
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from haan.cli.files import (
     InstanceDocument,
@@ -9,6 +13,7 @@ from haan.cli.files import (
     parse_allocation_text,
     parse_instance_text,
     parse_result_text,
+    read_instance_file,
     render_instance_text,
     render_result_text,
 )
@@ -468,30 +473,12 @@ def test_count_below_one_is_usage_error(tmp_path, capsys, command, flag, value):
     assert "must be at least 1, got" in captured.err
 
 
-def test_separator_size_cap_miss_exit_code(tmp_path, capsys):
-    path = write_triangle(tmp_path)
-    code, out, err = run_cli_capture(capsys, "solve", str(path), "--algo", "separator",
-                                     "--separator-max-size", "0")
-    assert code == 5
-    assert out == ""
-    assert "no balanced separator" in err
-
-
-@pytest.mark.parametrize("command", ["solve", "bench"])
-def test_negative_separator_max_size_exit_code(tmp_path, capsys, command):
-    target = str(write_triangle(tmp_path)) if command == "solve" else str(tmp_path)
-    code, out, err = run_cli_capture(capsys, command, target, "--separator-max-size", "-2")
-    assert code == 3
-    assert out == ""
-    assert err == "error: separator_max_size must be non-negative\n"
-
-
 @pytest.mark.parametrize("command", ["generate-output", "generate-witness", "solve-output"])
 def test_output_in_missing_directory_exit_code(tmp_path, capsys, monkeypatch, command):
     def no_solve(*args):
         raise AssertionError("solved before checking the output directory")
 
-    monkeypatch.setattr(main_module, "_solve_document", no_solve)
+    monkeypatch.setattr(main_module, "solve", no_solve)
     missing = str(tmp_path / "no-such-dir" / "out.haan")
     generate = ["generate", "clique-bip-d2", "--graph", "k4", "--k", "3"]
     if command == "generate-output":
@@ -503,3 +490,161 @@ def test_output_in_missing_directory_exit_code(tmp_path, capsys, monkeypatch, co
     code, _, err = run_cli_capture(capsys, *argv)
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- non-UTF-8 input ----------------------------------------------------------
+
+BINARY = b"\xff\xfehaan/1 instance\x80\n"
+
+
+def test_solve_non_utf8_instance_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "binary.haan"
+    path.write_bytes(BINARY)
+    code, out, err = run_cli_capture(capsys, "solve", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("binary_arg", ["instance", "allocation"])
+def test_verify_non_utf8_file_is_a_format_error(tmp_path, capsys, binary_arg):
+    inst = write_triangle(tmp_path)
+    alloc = tmp_path / "alloc.haan"
+    alloc.write_text("haan/1 allocation\nallocation : 0 1 2\n")
+    (inst if binary_arg == "instance" else alloc).write_bytes(BINARY)
+    code, out, err = run_cli_capture(capsys, "verify", str(inst), str(alloc))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+
+def test_bench_row_for_non_utf8_file(tmp_path, capsys):
+    corpus = make_corpus(tmp_path, 1)
+    (corpus / "binary.haan").write_bytes(BINARY)
+    code, out, _ = run_cli_capture(capsys, "bench", str(corpus), "--algos", "brute")
+    assert code == 0
+    statuses = {
+        ln.split("\t")[0]: ln.split("\t")[7]
+        for ln in out.strip().splitlines()[1:]
+    }
+    assert statuses == {"binary.haan": "error:FormatError", "tri0.haan": "ok"}
+
+
+# -- removed options -------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_separator_max_size_is_not_an_option(tmp_path, capsys, command):
+    target = str(write_triangle(tmp_path)) if command == "solve" else str(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, target, "--separator-max-size", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --separator-max-size" in capsys.readouterr().err
+
+
+# -- dense random regular graphs ---------------------------------------------------
+
+@pytest.mark.parametrize("spec", [
+    "random-regular:16:6:1",
+    "random-regular:22:6:2",
+    "random-regular:24:6:1",
+])
+def test_dense_random_regular_specs_sample_quickly(spec):
+    start = time.monotonic()
+    g = named_source_graph(spec)
+    assert time.monotonic() - start < 0.5
+    n = int(spec.split(":")[1])
+    assert (g.n_vertices, g.regular_degree(), len(g.edges)) == (n, 6, 3 * n)
+    assert named_source_graph(spec) == g
+
+
+# -- parser properties ------------------------------------------------------------
+
+_TOKENS = st.one_of(
+    st.sampled_from([
+        "haan/1", "instance", "agents", "houses", "edge", "prefs", "feasible",
+        "angry", "meta", "target_envy", "provenance", ":", "{}", "[", '"', "1.5",
+    ]),
+    st.integers(-2, 6).map(str),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def instance_texts(draw):
+    """Mostly well-formed-looking instance files built from the grammar's
+    own tokens, with small numbers only."""
+    lines = draw(st.lists(st.lists(_TOKENS, max_size=6).map(" ".join), max_size=12))
+    if draw(st.booleans()):
+        lines.insert(0, "haan/1 instance")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.haan"
+
+
+def parses_or_format_error(parse, data):
+    try:
+        doc = parse(data)
+    except FormatError:
+        return
+    assert isinstance(doc, InstanceDocument)
+
+
+@given(st.one_of(st.text(), instance_texts()))
+@settings(max_examples=400, deadline=None)
+def test_any_text_parses_or_is_a_format_error(text):
+    parses_or_format_error(parse_instance_text, text)
+
+
+@given(st.one_of(
+    st.binary(),
+    st.builds(lambda text, junk: text.encode() + junk, instance_texts(), st.binary(max_size=4)),
+))
+@settings(max_examples=200, deadline=None)
+def test_any_file_reads_or_is_a_format_error(scratch_file, data):
+    scratch_file.write_bytes(data)
+    parses_or_format_error(read_instance_file, scratch_file)
+
+
+# Strings rich in the characters a line-oriented format may mangle.
+_STRINGS = st.text(" \t\n:\\\"a", max_size=6) | st.text(max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _STRINGS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_STRINGS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def documents(draw):
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(0, 6))
+    houses = st.sets(st.integers(0, m - 1)) if m else st.just(set())
+    edges = [e for e in combinations(range(n), 2) if draw(st.booleans())]
+    inst = Instance(n, m, edges, [draw(houses) for _ in range(n)])
+    annotated = None
+    if draw(st.booleans()):
+        angry = draw(st.sets(st.integers(0, n - 1))) if n else set()
+        annotated = AnnotatedInstance(inst, [draw(houses) for _ in range(n)], angry)
+    return InstanceDocument(
+        instance=inst,
+        annotated=annotated,
+        target_envy=draw(st.none() | st.integers(-3, 10)),
+        provenance=draw(st.none() | st.dictionaries(_STRINGS, _JSON, max_size=3)),
+    )
+
+
+@given(documents())
+@example(InstanceDocument(Instance(0, 0, [], []), provenance={"note": "two  spaces"}))
+@settings(max_examples=300, deadline=None)
+def test_canonical_render_parse_render_is_byte_identical(doc):
+    text = render_instance_text(doc)
+    assert render_instance_text(parse_instance_text(text)) == text
+
+
+def test_deeply_nested_provenance_is_a_format_error():
+    text = "haan/1 instance\nagents 0\nhouses 0\nmeta provenance " + "[" * 100_000 + "\n"
+    with pytest.raises(FormatError, match="malformed provenance JSON"):
+        parse_instance_text(text)

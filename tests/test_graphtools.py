@@ -28,38 +28,37 @@ def random_graph(rng, n_max=8, p=0.4):
     return graph(n, edges)
 
 
-def separator(g, max_size):
+def separator(g, deadline=None):
     """(S, A1, A2) of the whole agent graph, as the separator solver asks."""
-    adj = {a: g.neighbors[a] for a in range(g.n_agents)}
-    return balanced_separator_of_subgraph(range(g.n_agents), adj, max_size)
+    return balanced_separator_of_subgraph(range(g.n_agents), g.neighbors, deadline)
 
 
 def test_path_unique_size1_separator():
-    sep, part1, part2 = separator(P3, 1)
+    sep, part1, part2 = separator(P3)
     assert sep == (1,)
     assert {part1, part2} == {(0,), (2,)}
 
 
 def test_triangle_allows_empty_part():
-    assert separator(K3, 1) == ((0,), (1, 2), ())
+    assert separator(K3) == ((0,), (1, 2), ())
 
 
 def test_k4_has_no_size1_separator():
-    assert separator(K4, 1) is None
+    assert separator(K4) == ((0, 1), (2, 3), ())
 
 
 def test_full_separator_always_exists():
     rng = random.Random(0)
     for _ in range(50):
         g = random_graph(rng)
-        assert separator(g, g.n_agents) is not None
+        assert separator(g) is not None
 
 
 def test_returned_decomposition_satisfies_invariants():
     rng = random.Random(1)
     for _ in range(100):
         g = random_graph(rng)
-        sep, part1, part2 = separator(g, g.n_agents)
+        sep, part1, part2 = separator(g)
         n = g.n_agents
         parts = [sep, part1, part2]
         assert sum(len(p) for p in parts) == n
@@ -71,13 +70,49 @@ def test_returned_decomposition_satisfies_invariants():
                 assert (min(u, v), max(u, v)) not in set(g.edges)
 
 
+def balanced_grouping_exists(g, removed):
+    """Do the components of ``g`` minus ``removed`` group into two parts of
+    at most 2n/3 agents each? Brute force over every grouping."""
+    n = g.n_agents
+    comps = []
+    seen = set(removed)
+    for start in range(n):
+        if start in seen:
+            continue
+        comp, stack = 0, [start]
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            comp += 1
+            for u in g.neighbors[v]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        comps.append(comp)
+    total = sum(comps)
+    for mask in range(1 << len(comps)):
+        part2 = sum(c for i, c in enumerate(comps) if mask >> i & 1)
+        if 3 * part2 <= 2 * n and 3 * (total - part2) <= 2 * n:
+            return True
+    return False
+
+
 def test_separator_is_minimum_size():
     rng = random.Random(2)
     for _ in range(60):
         g = random_graph(rng, n_max=6)
-        size = len(separator(g, g.n_agents)[0])
-        for smaller in range(size):
-            assert separator(g, smaller) is None
+        sep = separator(g)[0]
+        assert balanced_grouping_exists(g, sep)
+        for smaller in range(len(sep)):
+            for removed in combinations(range(g.n_agents), smaller):
+                assert not balanced_grouping_exists(g, removed)
+
+
+def test_star_with_21_leaves_splits_at_its_centre():
+    n = 22
+    star = graph(n, [(0, leaf) for leaf in range(1, n)])
+    got = separator(star, deadline=time.monotonic() + 2.0)
+    assert got == ((0,), tuple(range(11, n)), tuple(range(1, 11)))
 
 
 def test_vertex_cover_edgeless():
@@ -140,9 +175,9 @@ OVERRUN_S = 1.0
 
 
 @pytest.mark.parametrize("algo, spec", [
-    # The minimum balanced separator has 6 of the 26 agents: ~6 s of search.
+    # The minimum balanced separator has 6 of the 26 agents: ~2.5 s of search.
     ("separator", "random-regular:26:4:1"),
-    # The minimum vertex cover has 20 of the 30 agents: ~10 s of search.
+    # The minimum vertex cover has 20 of the 30 agents: ~7 s of search.
     ("vc-xp", "random-regular:30:6:1"),
 ])
 def test_graph_searches_honour_the_deadline(algo, spec):

@@ -21,6 +21,7 @@ from haan.errors import (
 )
 from haan.model import AnnotatedInstance, Instance, evaluate, evaluate_annotated
 from haan.solvers import (
+    ALGORITHMS,
     Objective,
     SolverConfig,
     solve,
@@ -171,17 +172,20 @@ def test_separator_single_angry_agent():
     assert r.allocation.assignment == (1,)
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_solve_routes_annotated_input_to_the_separator(algo):
+    ann = AnnotatedInstance(Instance(1, 2, [], [[0]]), [[1]], [0])
+    if algo in ("auto", "separator"):
+        r = solve(ann, algo)
+        assert (r.solver_id, r.min_envy, r.allocation.assignment) == ("separator", 1, (1,))
+        assert r == solve_separator(ann)
+    else:
+        with pytest.raises(WrongSolver, match="separator algorithm only"):
+            solve(ann, algo)
+
+
 def test_separator_plain_triangle():
     assert solve_separator(AnnotatedInstance.plain(TRIANGLE)).min_envy == 2
-
-
-def test_separator_explicit_size_cap_can_fail():
-    from haan.errors import SeparatorNotFound
-    ann = AnnotatedInstance.plain(Instance(3, 3, [(0, 1), (1, 2)], [[0]] * 3))
-    with pytest.raises(SeparatorNotFound):
-        solve_separator(ann, SolverConfig(separator_max_size=0))
-    r = solve_separator(ann, SolverConfig(separator_max_size=1))
-    assert r.min_envy == solve_bruteforce(Instance(3, 3, [(0, 1), (1, 2)], [[0]] * 3)).min_envy
 
 
 def test_separator_no_feasible_allocation():
@@ -275,7 +279,7 @@ SEPARATOR_GOLDEN = [
 
 
 def separator_golden_cases():
-    """40 seeded instances, odd ones annotated; every fifth capped at size 2."""
+    """40 seeded instances, odd ones annotated."""
     rng = random.Random(2026)
     for i in range(40):
         n = rng.randint(1, 6)
@@ -289,15 +293,15 @@ def separator_golden_cases():
             ann = AnnotatedInstance(inst, feas, angry)
         else:
             ann = AnnotatedInstance.plain(inst)
-        yield ann, (2 if i % 5 == 4 else None)
+        yield ann
 
 
 def test_separator_golden_witnesses_and_guess_counts():
     got = []
-    for ann, cap in separator_golden_cases():
+    for ann in separator_golden_cases():
         row = []
         for objective in Objective:
-            cfg = SolverConfig(objective=objective, separator_max_size=cap)
+            cfg = SolverConfig(objective=objective)
             try:
                 r = solve_separator(ann, cfg)
             except HaanError as exc:
