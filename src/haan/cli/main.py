@@ -11,6 +11,7 @@ diagnostic goes to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -315,15 +316,24 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _count(text: str) -> int:
-    """argparse type of a worker or job count: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(convert, ok, requirement: str):
+    """argparse type that converts a flag value and requires ``ok`` of it."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+    return parse
+
+
+_count = _checked(int, lambda v: v >= 1, "at least 1")
+_guess_limit = _checked(int, lambda v: v >= 0, "at least 0")
+_seconds = _checked(float, lambda v: 0 < v < math.inf,
+                    "a finite number of seconds above 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--objective", choices=["envy", "envy-happy"], default="envy")
         p.add_argument("--workers", type=_count,
                        default=os.environ.get("HAAN_WORKERS") or "1")
-        p.add_argument("--guess-limit", type=int, default=DEFAULT_GUESS_LIMIT,
+        p.add_argument("--guess-limit", type=_guess_limit, default=DEFAULT_GUESS_LIMIT,
                        help="maximum explored guesses; 0 lifts the cap")
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
@@ -374,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run solvers over a corpus directory")
     p_bench.add_argument("corpus")
     p_bench.add_argument("--algos", default="brute,d1,envy-guess,separator,vc-xp")
-    p_bench.add_argument("--timeout", type=float, default=None,
+    p_bench.add_argument("--timeout", type=_seconds, default=None,
                          help="per-instance wall-clock timeout in seconds")
     p_bench.add_argument("--jobs", type=_count, default=1,
                          help="instances run sequentially by default; "

@@ -276,82 +276,63 @@ def solve_d1_matching(inst: Instance, cfg: SolverConfig | None = None) -> SolveR
 def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
     (n, m, pref, nbrs, scale, w, smask_lo, smask_hi, deadline) = args
     full_mask = (1 << m) - 1
-    # Per-agent tables: for each subset mask over the neighbor list, the
-    # guessed envied agents as an agent bitmask.
-    envied_bits = [
-        [_bits(nb[i] for i in _members(mask)) for mask in range(1 << len(nb))]
-        for nb in nbrs
-    ]
-
     best_key = None
     best = None
     count = 0
-    # Joint guesses are grouped by the support (which agents are envious
-    # at all); a support whose floor key cannot beat the incumbent is
-    # skipped wholesale with its guesses counted in bulk.
+    # Guesses are grouped by the support (which agents are envious at
+    # all); a support whose floor key cannot beat the incumbent is skipped
+    # wholesale with its guesses counted in bulk.
     for smask in range(smask_lo, smask_hi):
         if deadline is not None and not smask & 63:
             check_deadline(deadline)
         support = [a for a in range(n) if smask >> a & 1]
         env_count = len(support)
-        n_emp = n - env_count
-        block = 1 << n_emp
-        sub_total = block
-        for a in support:
-            sub_total *= (1 << len(nbrs[a])) - 1
+        empties = [a for a in range(n) if not smask >> a & 1]
+        block = 1 << len(empties)
+        sub_total = block * math.prod(len(nbrs[a]) for a in support)
         if sub_total == 0:
             continue
-        if best_key is not None and env_count * scale - w * n_emp >= best_key:
+        if best_key is not None and env_count * scale - w * len(empties) >= best_key:
             count += sub_total
             continue
-        empties = [a for a in range(n) if not smask >> a & 1]
-        emp_pos = {a: i for i, a in enumerate(empties)}
-        for combo in product(*[range(1, 1 << len(nbrs[a])) for a in support]):
-            env_rel = [0] * n
-            for a, mask in zip(support, combo):
-                env_rel[a] = envied_bits[a][mask]
-            # Guess-independent feasibility trims: for edge {a, b}, if b
-            # envies a then a's house must be preferred by b; otherwise,
-            # if b cannot be happy (it envies someone), a must avoid b's
-            # preferred houses.
-            fixed_parts = []
-            cdep: list[list[int]] = []
-            for a in range(n):
-                f = full_mask
-                dep = []
-                for b in nbrs[a]:
-                    if env_rel[b] >> a & 1:
-                        f &= pref[b]
-                    elif smask >> b & 1:
-                        f &= ~pref[b]
-                    else:
-                        dep.append(b)
-                fixed_parts.append(f)
-                cdep.append(dep)
+        # An envious agent is unhappy.
+        base = [full_mask & ~pref[a] if smask >> a & 1 else full_mask for a in range(n)]
+        for firsts in product(*[range(len(nbrs[a])) for a in support]):
+            # An envious agent's first envied neighbour holds a house it
+            # prefers, and the neighbours before that one hold none.
+            fixed = base[:]
+            for a, i in zip(support, firsts):
+                nb = nbrs[a]
+                avoid = ~pref[a]
+                for b in nb[:i]:
+                    fixed[b] &= avoid
+                fixed[nb[i]] &= pref[a]
+            if not all(fixed):
+                # No happy subset refills an empty set: count the block in
+                # bulk, checking the deadline past each multiple of 4096.
+                count += block
+                if deadline is not None and count & 4095 < block:
+                    check_deadline(deadline)
+                continue
             for cmask in range(block):
                 count += 1
-                hap = cmask.bit_count()
-                key = env_count * scale - w * hap
+                if deadline is not None and not count & 4095:
+                    check_deadline(deadline)
+                key = env_count * scale - w * cmask.bit_count()
                 if best_key is not None and key >= best_key:
                     continue
-                fmasks = []
-                ok = True
-                for a in range(n):
-                    f = fixed_parts[a]
-                    if smask >> a & 1:
-                        f &= ~pref[a]
-                    elif cmask >> emp_pos[a] & 1:
-                        f &= pref[a]
+                # A non-envious agent is happy iff its cmask bit is set; an
+                # unhappy one and its neighbours avoid its preferred houses.
+                fmasks = fixed[:]
+                for q, b in enumerate(empties):
+                    if cmask >> q & 1:
+                        fmasks[b] &= pref[b]
                     else:
-                        f &= ~pref[a]
-                    for b in cdep[a]:
-                        if not cmask >> emp_pos[b] & 1:
-                            f &= ~pref[b]
-                    if not f:
-                        ok = False
-                        break
-                    fmasks.append(f)
-                if not ok:
+                        avoid = ~pref[b]
+                        fmasks[b] &= avoid
+                        for a in nbrs[b]:
+                            fmasks[a] &= avoid
+                if not all(fmasks):
                     continue
                 assignment = left_perfect_matching_masks(fmasks, m)
                 if assignment is None:
@@ -362,12 +343,19 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
 
 
 def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
-    """Exact solver guessing, per agent, the envied-neighbor set.
+    """Exact solver guessing, per envious agent, its first envied neighbour.
 
-    For every joint guess and every choice of which guessed-non-envious
-    agents receive a preferred house, per-agent feasibility sets are
-    trimmed by the guess constraints and the guess is accepted iff a
-    perfect agent-side matching into the feasibility sets exists.
+    A guess names the envious agents (the support), the position of each
+    one's first envied neighbour in its sorted neighbour list, and which
+    other agents are happy. That neighbour holds a house the agent prefers
+    and the neighbours before it hold none; an unhappy non-envious agent
+    and its neighbours avoid its preferred houses. The guess is accepted
+    iff a perfect agent-side matching into the trimmed feasibility sets
+    exists; every allocation satisfies exactly one guess. Order: supports
+    ascending, witness positions lexicographic, happy subsets (cmask)
+    ascending; the first optimum is kept. ``guesses_explored`` is the
+    whole guess space, the product over agents of ``degree + 2``, with
+    guesses skipped by the key bound counted.
     """
     cfg = cfg or SolverConfig()
     n, m = inst.n_agents, inst.n_houses
@@ -384,7 +372,7 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
          cfg.deadline)
         for i in range(n_chunks)
     ]
-    total = math.prod((1 << inst.degree(a)) + 1 for a in range(n))
+    total = math.prod(inst.degree(a) + 2 for a in range(n))
     return _search(inst, cfg, "envy-guess", total, _eg_chunk, chunk_args)
 
 
@@ -400,20 +388,21 @@ def solve_separator(
     Each level fixes the houses of a minimum balanced separator, marks
     outside neighbors of happily-assigned houses angry, guesses which
     undecided separator agents stay non-envious, splits the remaining
-    houses between the two parts, and recurses independently. When there
-    are more houses than agents, the set of houses actually used is
-    guessed up front.
+    houses between the two parts, and recurses independently: A1 gets
+    exactly one house per agent and A2 all the rest, spare houses
+    included, so no set of used houses is guessed.
 
     A subproblem is the tuple ``(agents, houses, F, P, angry)``: a sorted
     agent tuple, the bitmask of the houses it shares out, each agent's
     feasible (F) and preferred (P) houses among them as bitmasks aligned
     with ``agents``, and its angry agents as a bitmask over positions in
-    ``agents``. That tuple is also the memo key. Separator houses are
-    tried in lexicographic order (each separator agent over its feasible
-    houses, ascending), house splits in ``combinations`` order and the
-    non-envious subsets of the undecided separator agents as ascending
-    bitmasks; the first optimum is kept. ``guesses_explored`` counts the
-    (separator houses, house split, non-envious subset) triples reached.
+    ``agents``. That tuple is also the memo key; the root shares out all
+    houses. Separator houses are tried in lexicographic order (each
+    separator agent over its feasible houses, ascending), A1's houses in
+    ``combinations`` order and the non-envious subsets of the undecided
+    separator agents as ascending bitmasks; the first optimum is kept.
+    ``guesses_explored`` counts the (separator houses, A1 houses,
+    non-envious subset) triples reached in distinct subproblems.
 
     Raises :class:`NoFeasibleAllocation` when the feasibility sets admit
     no allocation.
@@ -545,21 +534,10 @@ def solve_separator(
         memo[sub] = best
         return best
 
-    pref = _pref_masks(inst)
-    feas = [_bits(f) for f in ann.feasible]
-    agents = tuple(range(n))
-    angry = _bits(ann.angry)
-    best = None
+    root = (tuple(range(n)), (1 << m) - 1, tuple(_bits(f) for f in ann.feasible),
+            tuple(_pref_masks(inst)), _bits(ann.angry))
     try:
-        for used_houses in combinations(range(m), n):
-            umask = _bits(used_houses)
-            f0 = tuple(f & umask for f in feas)
-            if not all(f0):
-                continue
-            p0 = tuple(p & umask for p in pref)
-            res = best_of((agents, umask, f0, p0, angry))
-            if res is not None and (best is None or res[0] < best[0]):
-                best = res
+        best = best_of(root)
     finally:
         # ``best_of`` refers to itself through its closure; dropping the
         # name breaks that cycle, so the memo is freed now rather than at

@@ -473,6 +473,27 @@ def test_count_below_one_is_usage_error(tmp_path, capsys, command, flag, value):
     assert "must be at least 1, got" in captured.err
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("solve", "--guess-limit", "-1", "must be at least 0, got -1"),
+    ("bench", "--guess-limit", "-2", "must be at least 0, got -2"),
+    ("solve", "--guess-limit", "1e3", "invalid int value: '1e3'"),
+    ("bench", "--timeout", "nan", "must be a finite number of seconds above 0, got nan"),
+    ("bench", "--timeout", "inf", "must be a finite number of seconds above 0, got inf"),
+    ("bench", "--timeout", "-1", "must be a finite number of seconds above 0, got -1"),
+    ("bench", "--timeout", "0", "must be a finite number of seconds above 0, got 0"),
+    ("bench", "--timeout", "soon", "invalid float value: 'soon'"),
+])
+def test_bad_guess_limit_or_timeout_is_usage_error(tmp_path, capsys, command, flag,
+                                                   value, message):
+    target = str(write_triangle(tmp_path)) if command == "solve" else str(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, target, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: {message}" in captured.err
+
+
 @pytest.mark.parametrize("command", ["generate-output", "generate-witness", "solve-output"])
 def test_output_in_missing_directory_exit_code(tmp_path, capsys, monkeypatch, command):
     def no_solve(*args):

@@ -179,6 +179,8 @@ OVERRUN_S = 1.0
     ("separator", "random-regular:26:4:1"),
     # The minimum vertex cover has 20 of the 30 agents: ~7 s of search.
     ("vc-xp", "random-regular:30:6:1"),
+    # One envious support alone holds 3^14 = 4.8 million envy guesses.
+    ("envy-guess", "random-regular:14:3:1"),
 ])
 def test_graph_searches_honour_the_deadline(algo, spec):
     g = named_source_graph(spec)

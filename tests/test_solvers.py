@@ -139,10 +139,23 @@ def test_envy_guess_path_happiness():
 
 
 def test_envy_guess_budget_precheck():
-    # Guess space is prod(2^deg + 1) = 5^3 = 125 for a triangle.
+    # Guess space is prod(deg + 2) = 4^3 = 64 for a triangle.
     with pytest.raises(BudgetExceeded):
-        solve_envy_guess(TRIANGLE, SolverConfig(guess_limit=124))
-    solve_envy_guess(TRIANGLE, SolverConfig(guess_limit=125))
+        solve_envy_guess(TRIANGLE, SolverConfig(guess_limit=63))
+    solve_envy_guess(TRIANGLE, SolverConfig(guess_limit=64))
+
+
+def test_envy_guess_counts_first_envied_neighbour_guesses():
+    # Per agent: happy, non-envious and unhappy, or envious with its first
+    # envied neighbour at one of deg positions.
+    rng = random.Random(41)
+    for trial in range(30):
+        inst = random_instance(rng, n_max=6, extra_houses=2, d_max=3, p_edge=0.6)
+        want = math.prod(inst.degree(a) + 2 for a in range(inst.n_agents))
+        for objective in Objective:
+            for workers in (1, 2):
+                cfg = SolverConfig(workers=workers, objective=objective)
+                assert solve_envy_guess(inst, cfg).guesses_explored == want, trial
 
 
 # -- separator solver --------------------------------------------------------
@@ -195,17 +208,35 @@ def test_separator_no_feasible_allocation():
         solve_separator(ann)
 
 
-def test_separator_respects_feasibility_sets():
+def _random_annotation(rng, inst):
+    feas = [
+        set(rng.sample(range(inst.n_houses), rng.randint(1, inst.n_houses)))
+        if inst.n_houses else set()
+        for _ in range(inst.n_agents)
+    ]
+    angry = [a for a in range(inst.n_agents) if rng.random() < 0.3]
+    return AnnotatedInstance(inst, feas, angry)
+
+
+def _separator_oracle_cases():
+    """40 small annotated instances with at most one spare house, then 20
+    with 3-5 agents and up to as many spare houses, every other one
+    annotated: each split hands the houses its first part does not take
+    to the second part, through several levels."""
     rng = random.Random(21)
     for _ in range(40):
-        inst = random_instance(rng, n_max=4, extra_houses=1)
-        feas = [
-            set(rng.sample(range(inst.n_houses), rng.randint(1, inst.n_houses)))
-            if inst.n_houses else set()
-            for _ in range(inst.n_agents)
-        ]
-        angry = [a for a in range(inst.n_agents) if rng.random() < 0.3]
-        ann = AnnotatedInstance(inst, feas, angry)
+        yield _random_annotation(rng, random_instance(rng, n_max=4, extra_houses=1))
+    for i in range(20):
+        n = rng.randint(3, 5)
+        m = rng.randint(n + 1, 2 * n)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
+        prefs = [rng.sample(range(m), rng.randint(0, 3)) for _ in range(n)]
+        inst = Instance(n, m, edges, prefs)
+        yield _random_annotation(rng, inst) if i % 2 else AnnotatedInstance.plain(inst)
+
+
+def test_separator_respects_feasibility_sets():
+    for ann in _separator_oracle_cases():
         for happy in (False, True):
             cfg = HAPPY if happy else SolverConfig()
             want = annotated_optimum(ann, happy=happy)
@@ -235,46 +266,46 @@ def test_separator_matches_envy_guess_on_plain_instances():
 # (envy, envy-happy), or the error class, for SEPARATOR_GOLDEN_CASES: the
 # separator's witness order and guess count are part of its contract.
 SEPARATOR_GOLDEN = [
-    [(0, 1, (0,), 2), (0, 1, (0,), 2)],
-    [(1, 0, (4, 2, 1, 0, 3), 332), (1, 2, (2, 0, 3, 5, 6), 332)],
-    [(0, 3, (4, 3, 2, 1, 0), 118), (0, 3, (4, 3, 2, 1, 0), 234)],
-    [(2, 2, (1, 5, 3, 2, 0, 7), 696), (2, 2, (1, 5, 3, 2, 0, 7), 696)],
-    [(0, 1, (2, 4, 0, 1, 3), 362), (0, 3, (2, 4, 1, 5, 0), 513)],
-    [(1, 1, (0, 3, 2, 4), 263), (1, 1, (0, 3, 2, 4), 264)],
-    [(0, 1, (3, 1, 0, 2), 155), (0, 2, (2, 1, 0, 5), 474)],
-    [(0, 0, (0, 2), 10), (0, 0, (0, 2), 10)],
-    [(0, 3, (2, 1, 0, 3), 189), (0, 4, (2, 1, 4, 3), 252)],
     [(0, 1, (0,), 1), (0, 1, (0,), 1)],
-    [(0, 1, (0,), 2), (0, 1, (0,), 2)],
-    [(0, 3, (1, 4, 2, 0, 3), 496), (0, 3, (1, 4, 2, 0, 3), 768)],
-    [(0, 1, (2, 1, 0), 28), (0, 3, (0, 1, 3), 43)],
+    [(1, 0, (4, 2, 1, 0, 3), 227), (1, 2, (2, 0, 3, 5, 6), 257)],
+    [(0, 3, (4, 3, 2, 1, 0), 39), (0, 3, (4, 3, 2, 1, 0), 249)],
+    [(2, 2, (1, 5, 3, 2, 0, 7), 387), (2, 2, (1, 5, 3, 2, 0, 7), 387)],
+    [(0, 1, (2, 4, 0, 1, 3), 196), (0, 3, (2, 4, 1, 5, 0), 657)],
+    [(1, 0, (0, 5, 2, 3), 114), (1, 1, (0, 3, 2, 4), 116)],
+    [(0, 1, (2, 0, 4, 1), 38), (0, 2, (1, 0, 4, 5), 262)],
+    [(0, 0, (0, 2), 7), (0, 0, (0, 2), 7)],
+    [(0, 3, (0, 1, 4, 3), 24), (0, 4, (2, 1, 4, 3), 54)],
+    [(0, 1, (0,), 1), (0, 1, (0,), 1)],
+    [(0, 1, (0,), 1), (0, 1, (0,), 1)],
+    [(0, 3, (1, 4, 6, 0, 2), 39), (0, 3, (1, 4, 6, 0, 2), 137)],
+    [(0, 1, (2, 1, 0), 13), (0, 3, (0, 1, 3), 35)],
     [(1, 2, (1, 0, 2, 3, 4, 5), 27), (1, 2, (1, 0, 2, 3, 4, 5), 27)],
-    [(0, 1, (0,), 2), (0, 1, (0,), 2)],
-    [(0, 2, (2, 0, 1), 16), (0, 2, (2, 0, 1), 16)],
-    [(0, 1, (1, 0), 22), (0, 2, (1, 2), 26)],
-    [(0, 4, (1, 0, 4, 3), 138), (0, 4, (1, 0, 4, 3), 180)],
+    [(0, 1, (0,), 1), (0, 1, (0,), 1)],
+    [(0, 2, (2, 0, 1), 6), (0, 2, (2, 0, 1), 9)],
+    [(0, 1, (1, 0), 7), (0, 2, (1, 2), 15)],
+    [(0, 4, (1, 0, 4, 3), 37), (0, 4, (1, 0, 4, 3), 37)],
     [(0, 2, (1, 0), 4), (0, 2, (1, 0), 4)],
     ['NoFeasibleAllocation', 'NoFeasibleAllocation'],
-    [(0, 0, (0,), 6), (0, 0, (0,), 6)],
-    [(0, 2, (3, 2, 0, 1), 44), (0, 2, (3, 2, 0, 1), 67)],
-    [(0, 1, (0, 3, 2, 1), 217), (0, 1, (0, 3, 2, 1), 1472)],
-    [(1, 3, (2, 0, 1, 5, 6), 370), (1, 4, (2, 0, 3, 5, 6), 376)],
-    [(0, 1, (1, 0), 12), (0, 1, (1, 0), 16)],
-    [(2, 1, (1, 4, 3, 2, 5), 155), (2, 1, (1, 4, 3, 2, 5), 155)],
-    [(0, 1, (1, 0), 13), (0, 1, (1, 0), 14)],
+    [(0, 0, (0,), 2), (0, 0, (0,), 2)],
+    [(0, 2, (3, 2, 0, 1), 20), (0, 2, (3, 2, 0, 1), 50)],
+    [(0, 1, (0, 3, 2, 1), 19), (0, 1, (0, 3, 2, 1), 550)],
+    [(1, 3, (2, 0, 1, 5, 6), 159), (1, 4, (2, 0, 3, 5, 6), 165)],
+    [(0, 1, (1, 0), 6), (0, 1, (1, 0), 16)],
+    [(2, 1, (1, 4, 3, 2, 5), 80), (2, 1, (1, 4, 3, 2, 5), 80)],
+    [(0, 1, (1, 0), 10), (0, 1, (1, 0), 14)],
     [(0, 2, (4, 0, 2, 1, 3), 86), (0, 2, (4, 0, 2, 1, 3), 109)],
     [(0, 4, (5, 1, 3, 2, 0, 4), 165), (0, 4, (5, 1, 3, 2, 0, 4), 534)],
-    [(0, 1, (0,), 2), (0, 1, (0,), 2)],
+    [(0, 1, (0,), 1), (0, 1, (0,), 1)],
     [(0, 1, (0,), 1), (0, 1, (0,), 1)],
     [(2, 0, (0, 1, 2), 7), (2, 0, (0, 1, 2), 7)],
-    [(0, 0, (0, 2, 1), 98), (0, 1, (3, 1, 0), 116)],
+    [(0, 0, (0, 2, 1), 14), (0, 1, (3, 1, 0), 64)],
     [(0, 1, (0, 3, 1, 2, 5, 4), 62), (0, 1, (0, 3, 1, 2, 5, 4), 110)],
-    [(0, 2, (3, 1, 0, 2), 256), (0, 3, (0, 1, 4, 2), 478)],
+    [(0, 2, (3, 1, 0, 2), 71), (0, 3, (0, 1, 4, 2), 109)],
     [(0, 4, (4, 0, 1, 5, 2, 3), 88), (0, 4, (4, 0, 1, 5, 2, 3), 110)],
     [(0, 0, (0,), 2), (0, 0, (0,), 2)],
-    [(1, 1, (0, 1, 3, 2), 142), (1, 1, (0, 1, 3, 2), 146)],
+    [(1, 1, (5, 1, 3, 0), 133), (1, 1, (5, 1, 3, 0), 137)],
     [(0, 0, (0,), 2), (0, 0, (0,), 2)],
-    [(0, 1, (0,), 2), (0, 1, (0,), 2)],
+    [(0, 1, (0,), 1), (0, 1, (0,), 1)],
 ]
 
 
