@@ -20,7 +20,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -117,6 +117,19 @@ def _members(mask: int) -> list[int]:
 
 def _pref_masks(inst: Instance) -> list[int]:
     return [_bits(p) for p in inst.preferences]
+
+
+def _house_classes(m: int, masks: Iterable[int]) -> list[int]:
+    """Partition of ``range(m)`` into house classes, as bitmasks: two
+    houses share a class exactly when each of ``masks`` holds both or
+    neither. With the agents' preferred and feasible houses as ``masks``,
+    the houses of a class are interchangeable."""
+    classes = [(1 << m) - 1] if m else []
+    for mask in masks:
+        if len(classes) == m:
+            break
+        classes = [part for c in classes for part in (c & mask, c & ~mask) if part]
+    return classes
 
 
 def _result(inst: Instance, assignment: Sequence[int], solver_id: str,
@@ -380,6 +393,35 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
 # Separator recursion (annotated problem)
 # ---------------------------------------------------------------------------
 
+def _lowest_tuples(cands: list[list[int]], below: list[int], avail: int,
+                   j: int = 0, prefix: tuple = ()) -> Iterator[tuple[int, ...]]:
+    """Injective tuples with entry ``j`` from ``cands[j]`` (ascending), in
+    lexicographic order, where each entry is the lowest house of its class
+    not yet used: ``below[h]`` is the mask of the houses of ``h``'s class
+    below ``h``, and ``avail`` the houses still free."""
+    if j == len(cands):
+        yield prefix
+        return
+    for h in cands[j]:
+        bit = 1 << h
+        if avail & bit and not below[h] & avail:
+            yield from _lowest_tuples(cands, below, avail ^ bit, j + 1, prefix + (h,))
+
+
+def _lowest_subsets(houses: list[int], below: list[int], rest: int, r: int,
+                    start: int = 0, chosen: int = 0) -> Iterator[int]:
+    """Masks of the r-subsets of ``houses`` (the members of ``rest``,
+    ascending) that hold the lowest houses of each class in ``rest``, in
+    ``combinations`` order."""
+    if r == 0:
+        yield chosen
+        return
+    for i in range(start, len(houses) - r + 1):
+        h = houses[i]
+        if not below[h] & rest & ~chosen:
+            yield from _lowest_subsets(houses, below, rest, r - 1, i + 1, chosen | 1 << h)
+
+
 def solve_separator(
     ann: AnnotatedInstance, cfg: SolverConfig | None = None
 ) -> SolveResult:
@@ -397,12 +439,21 @@ def solve_separator(
     feasible (F) and preferred (P) houses among them as bitmasks aligned
     with ``agents``, and its angry agents as a bitmask over positions in
     ``agents``. That tuple is also the memo key; the root shares out all
-    houses. Separator houses are tried in lexicographic order (each
-    separator agent over its feasible houses, ascending), A1's houses in
-    ``combinations`` order and the non-envious subsets of the undecided
-    separator agents as ascending bitmasks; the first optimum is kept.
-    ``guesses_explored`` counts the (separator houses, A1 houses,
-    non-envious subset) triples reached in distinct subproblems.
+    houses.
+
+    Houses that the same agents prefer and may receive form a class
+    (computed once, at the root), and swapping houses within a class
+    maps a guess onto one of equal value. So only canonical guesses are
+    tried, each the lexicographic least of the guesses such swaps reach:
+    separator houses in lexicographic order, each separator agent over
+    its feasible houses ascending but only the lowest unused house of
+    each class; A1's houses as the lowest houses of each class in every
+    class multiplicity, in ``combinations`` order; and the non-envious
+    subsets of the undecided separator agents as ascending bitmasks. The
+    first optimum is kept, so the witness is the one the full
+    enumeration keeps. ``guesses_explored`` counts the canonical
+    (separator houses, A1 houses, non-envious subset) triples reached in
+    distinct subproblems.
 
     Raises :class:`NoFeasibleAllocation` when the feasibility sets admit
     no allocation.
@@ -458,13 +509,10 @@ def solve_separator(
         if got is None:
             got = splits[agents] = split(agents)
         S, A1, A2, iS, i1, i2, watchers, near1, near2 = got
-        k = len(S)
         w_parts = w * (len(A1) + len(A2))
         ps = [P[p] for p in iS]
         best = None
-        for phi in product(*[_members(F[p]) for p in iS]):
-            if len(set(phi)) < k:
-                continue
+        for phi in _lowest_tuples([_members(F[p]) for p in iS], below, hmask):
             check_deadline(deadline)
             # Agents that prefer a house a separator neighbour now holds:
             # envious in S unless happy, angry in the parts.
@@ -490,8 +538,7 @@ def solve_separator(
             b1 = _bits(i for i, p in enumerate(i1) if marked >> p & 1)
             b2 = _bits(i for i, p in enumerate(i2) if marked >> p & 1)
             rest = hmask & ~_bits(phi)
-            for h1 in combinations(_members(rest), len(A1)):
-                h1mask = _bits(h1)
+            for h1mask in _lowest_subsets(_members(rest), below, rest, len(A1)):
                 h2mask = rest & ~h1mask
                 f1 = tuple(F[p] & h1mask for p in i1)
                 f2 = tuple(F[p] & h2mask for p in i2)
@@ -536,6 +583,12 @@ def solve_separator(
 
     root = (tuple(range(n)), (1 << m) - 1, tuple(_bits(f) for f in ann.feasible),
             tuple(_pref_masks(inst)), _bits(ann.angry))
+    # Root classes stay classes of every subproblem: each mask the
+    # recursion ANDs in is a union of classes or the subproblem's houses.
+    below = [0] * m
+    for c in _house_classes(m, root[2] + root[3]):
+        for h in _members(c):
+            below[h] = c & ((1 << h) - 1)
     try:
         best = best_of(root)
     finally:

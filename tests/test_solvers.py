@@ -1,8 +1,10 @@
+import json
 import math
 import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -10,16 +12,25 @@ import pytest
 
 import haan
 
+from haan.cli.sources import named_source_graph
 from haan.errors import (
     BudgetExceeded,
     HaanError,
     InstanceInfeasible,
     NoFeasibleAllocation,
     NotACover,
+    SolveTimeout,
     UnknownAlgorithm,
     WrongSolver,
 )
+from haan.graphtools import balanced_separator_of_subgraph
 from haan.model import AnnotatedInstance, Instance, evaluate, evaluate_annotated
+from haan.reductions import (
+    SourceGraph,
+    gen_clique_bipartite_d2,
+    gen_clique_vc_bipartite,
+    gen_halfsep_3regular,
+)
 from haan.solvers import (
     ALGORITHMS,
     Objective,
@@ -218,11 +229,39 @@ def _random_annotation(rng, inst):
     return AnnotatedInstance(inst, feas, angry)
 
 
+def _class_key_cases():
+    """Annotated instances with 1-3 spare houses and few house classes.
+
+    Agents draw their preferences from two sets, so many houses have the
+    same likers; each agent may not receive up to two random houses, so
+    some of those houses differ only in who may receive them and must not
+    share a class. Neighbours of the top-level separator are angry at
+    random. The first case goes wrong if the class key ignores
+    feasibility: its optimum gives agent 0 house 2, which is liked by
+    nobody, like house 1, but only house 2 is feasible for agent 0.
+    """
+    yield AnnotatedInstance(Instance(2, 3, [(0, 1)], [[], [0]]), [[0, 2], [0, 1, 2]], [])
+    rng = random.Random(1107)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        m = n + rng.randint(1, 3)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+        pool = [rng.sample(range(m), rng.randint(1, 2)) for _ in range(2)]
+        inst = Instance(n, m, edges, [rng.choice(pool) for _ in range(n)])
+        feas = [sorted(set(range(m)) - set(rng.sample(range(m), rng.randint(0, 2))))
+                for _ in range(n)]
+        S, _, _ = balanced_separator_of_subgraph(tuple(range(n)), inst.neighbors)
+        near = sorted({b for a in S for b in inst.neighbors[a]})
+        angry = [a for a in near if rng.random() < 0.5]
+        yield AnnotatedInstance(inst, feas, angry)
+
+
 def _separator_oracle_cases():
     """40 small annotated instances with at most one spare house, then 20
     with 3-5 agents and up to as many spare houses, every other one
     annotated: each split hands the houses its first part does not take
-    to the second part, through several levels."""
+    to the second part, through several levels. Then the house-class
+    cases."""
     rng = random.Random(21)
     for _ in range(40):
         yield _random_annotation(rng, random_instance(rng, n_max=4, extra_houses=1))
@@ -233,6 +272,7 @@ def _separator_oracle_cases():
         prefs = [rng.sample(range(m), rng.randint(0, 3)) for _ in range(n)]
         inst = Instance(n, m, edges, prefs)
         yield _random_annotation(rng, inst) if i % 2 else AnnotatedInstance.plain(inst)
+    yield from _class_key_cases()
 
 
 def test_separator_respects_feasibility_sets():
@@ -268,13 +308,13 @@ def test_separator_matches_envy_guess_on_plain_instances():
 SEPARATOR_GOLDEN = [
     [(0, 1, (0,), 1), (0, 1, (0,), 1)],
     [(1, 0, (4, 2, 1, 0, 3), 227), (1, 2, (2, 0, 3, 5, 6), 257)],
-    [(0, 3, (4, 3, 2, 1, 0), 39), (0, 3, (4, 3, 2, 1, 0), 249)],
-    [(2, 2, (1, 5, 3, 2, 0, 7), 387), (2, 2, (1, 5, 3, 2, 0, 7), 387)],
-    [(0, 1, (2, 4, 0, 1, 3), 196), (0, 3, (2, 4, 1, 5, 0), 657)],
+    [(0, 3, (4, 3, 2, 1, 0), 33), (0, 3, (4, 3, 2, 1, 0), 172)],
+    [(2, 2, (1, 5, 3, 2, 0, 7), 239), (2, 2, (1, 5, 3, 2, 0, 7), 239)],
+    [(0, 1, (2, 4, 0, 1, 3), 86), (0, 3, (2, 4, 1, 5, 0), 210)],
     [(1, 0, (0, 5, 2, 3), 114), (1, 1, (0, 3, 2, 4), 116)],
-    [(0, 1, (2, 0, 4, 1), 38), (0, 2, (1, 0, 4, 5), 262)],
-    [(0, 0, (0, 2), 7), (0, 0, (0, 2), 7)],
-    [(0, 3, (0, 1, 4, 3), 24), (0, 4, (2, 1, 4, 3), 54)],
+    [(0, 1, (2, 0, 4, 1), 21), (0, 2, (1, 0, 4, 5), 66)],
+    [(0, 0, (0, 2), 6), (0, 0, (0, 2), 6)],
+    [(0, 3, (0, 1, 4, 3), 24), (0, 4, (2, 1, 4, 3), 50)],
     [(0, 1, (0,), 1), (0, 1, (0,), 1)],
     [(0, 1, (0,), 1), (0, 1, (0,), 1)],
     [(0, 3, (1, 4, 6, 0, 2), 39), (0, 3, (1, 4, 6, 0, 2), 137)],
@@ -282,25 +322,25 @@ SEPARATOR_GOLDEN = [
     [(1, 2, (1, 0, 2, 3, 4, 5), 27), (1, 2, (1, 0, 2, 3, 4, 5), 27)],
     [(0, 1, (0,), 1), (0, 1, (0,), 1)],
     [(0, 2, (2, 0, 1), 6), (0, 2, (2, 0, 1), 9)],
-    [(0, 1, (1, 0), 7), (0, 2, (1, 2), 15)],
-    [(0, 4, (1, 0, 4, 3), 37), (0, 4, (1, 0, 4, 3), 37)],
+    [(0, 1, (1, 0), 6), (0, 2, (1, 2), 14)],
+    [(0, 4, (1, 0, 4, 3), 30), (0, 4, (1, 0, 4, 3), 30)],
     [(0, 2, (1, 0), 4), (0, 2, (1, 0), 4)],
     ['NoFeasibleAllocation', 'NoFeasibleAllocation'],
     [(0, 0, (0,), 2), (0, 0, (0,), 2)],
     [(0, 2, (3, 2, 0, 1), 20), (0, 2, (3, 2, 0, 1), 50)],
-    [(0, 1, (0, 3, 2, 1), 19), (0, 1, (0, 3, 2, 1), 550)],
+    [(0, 1, (0, 3, 2, 1), 11), (0, 1, (0, 3, 2, 1), 24)],
     [(1, 3, (2, 0, 1, 5, 6), 159), (1, 4, (2, 0, 3, 5, 6), 165)],
-    [(0, 1, (1, 0), 6), (0, 1, (1, 0), 16)],
+    [(0, 1, (1, 0), 5), (0, 1, (1, 0), 10)],
     [(2, 1, (1, 4, 3, 2, 5), 80), (2, 1, (1, 4, 3, 2, 5), 80)],
-    [(0, 1, (1, 0), 10), (0, 1, (1, 0), 14)],
+    [(0, 1, (1, 0), 8), (0, 1, (1, 0), 10)],
     [(0, 2, (4, 0, 2, 1, 3), 86), (0, 2, (4, 0, 2, 1, 3), 109)],
     [(0, 4, (5, 1, 3, 2, 0, 4), 165), (0, 4, (5, 1, 3, 2, 0, 4), 534)],
     [(0, 1, (0,), 1), (0, 1, (0,), 1)],
     [(0, 1, (0,), 1), (0, 1, (0,), 1)],
     [(2, 0, (0, 1, 2), 7), (2, 0, (0, 1, 2), 7)],
-    [(0, 0, (0, 2, 1), 14), (0, 1, (3, 1, 0), 64)],
+    [(0, 0, (0, 2, 1), 10), (0, 1, (3, 1, 0), 20)],
     [(0, 1, (0, 3, 1, 2, 5, 4), 62), (0, 1, (0, 3, 1, 2, 5, 4), 110)],
-    [(0, 2, (3, 1, 0, 2), 71), (0, 3, (0, 1, 4, 2), 109)],
+    [(0, 2, (3, 1, 0, 2), 43), (0, 3, (0, 1, 4, 2), 71)],
     [(0, 4, (4, 0, 1, 5, 2, 3), 88), (0, 4, (4, 0, 1, 5, 2, 3), 110)],
     [(0, 0, (0,), 2), (0, 0, (0,), 2)],
     [(1, 1, (5, 1, 3, 0), 133), (1, 1, (5, 1, 3, 0), 137)],
@@ -342,6 +382,95 @@ def test_separator_golden_witnesses_and_guess_counts():
                         r.guesses_explored))
         got.append(row)
     assert got == SEPARATOR_GOLDEN
+
+
+# Reductions whose agents all prefer the same houses, so their houses fall
+# into two or three classes. (min_envy, happiness, allocation) per
+# objective (envy, envy-happy), pinned from the separator's full
+# enumeration of every house tuple and every split: handing out each
+# class's houses lowest first must keep the same witnesses.
+CLASS_HEAVY_WITNESSES = {
+    ("halfsep-3reg", "k4", 0): [(2, 2, (0, 1, 2, 3)), (2, 2, (0, 1, 2, 3))],
+    ("halfsep-3reg", "k4", 1): [(2, 2, (0, 1, 2, 3)), (2, 2, (0, 1, 2, 3))],
+    ("halfsep-3reg", "k4", 2): [(3, 1, (0, 1, 2, 3)), (3, 1, (0, 1, 2, 3))],
+    ("halfsep-3reg", "k4", 3): [(3, 1, (0, 1, 2, 3)), (3, 1, (0, 1, 2, 3))],
+    ("halfsep-3reg", "k4", 4): [(0, 0, (0, 1, 2, 3)), (0, 0, (0, 1, 2, 3))],
+    ("halfsep-3reg", "prism", 0): [(3, 3, (0, 1, 5, 3, 4, 2)), (3, 3, (0, 1, 5, 3, 4, 2))],
+    ("halfsep-3reg", "prism", 1): [(3, 3, (0, 1, 5, 3, 4, 2)), (3, 3, (0, 1, 5, 3, 4, 2))],
+    ("halfsep-3reg", "prism", 2): [(3, 2, (0, 1, 5, 3, 4, 2)), (3, 2, (0, 1, 5, 3, 4, 2))],
+    ("halfsep-3reg", "prism", 3): [(3, 2, (0, 1, 5, 3, 4, 2)), (3, 2, (0, 1, 5, 3, 4, 2))],
+    ("halfsep-3reg", "prism", 4): [(3, 1, (0, 1, 5, 3, 4, 2)), (3, 1, (0, 1, 5, 3, 4, 2))],
+    ("halfsep-3reg", "prism", 5): [(3, 1, (0, 1, 5, 3, 4, 2)), (3, 1, (0, 1, 5, 3, 4, 2))],
+    ("halfsep-3reg", "prism", 6): [(0, 0, (0, 1, 5, 3, 4, 2)), (0, 0, (0, 1, 5, 3, 4, 2))],
+    ("halfsep-3reg", "k33", 0): [(3, 3, (0, 1, 2, 5, 4, 3)), (3, 3, (0, 1, 2, 5, 4, 3))],
+    ("halfsep-3reg", "k33", 1): [(3, 3, (0, 1, 2, 5, 4, 3)), (3, 3, (0, 1, 2, 5, 4, 3))],
+    ("halfsep-3reg", "k33", 2): [(3, 2, (0, 1, 2, 5, 4, 3)), (3, 2, (0, 1, 2, 5, 4, 3))],
+    ("halfsep-3reg", "k33", 3): [(3, 2, (0, 1, 2, 5, 4, 3)), (3, 2, (0, 1, 2, 5, 4, 3))],
+    ("halfsep-3reg", "k33", 4): [(3, 1, (0, 1, 2, 5, 4, 3)), (3, 1, (0, 1, 2, 5, 4, 3))],
+    ("halfsep-3reg", "k33", 5): [(3, 1, (0, 1, 2, 5, 4, 3)), (3, 1, (0, 1, 2, 5, 4, 3))],
+    ("halfsep-3reg", "k33", 6): [(0, 0, (0, 1, 2, 5, 4, 3)), (0, 0, (0, 1, 2, 5, 4, 3))],
+    ("clique-vc-bip", "k3", 2): [(2, 1, (0, 3, 4, 10, 9, 8, 7, 6, 5)),
+                                 (2, 1, (0, 3, 4, 10, 9, 8, 7, 6, 5))],
+    ("clique-bip-d2", "k3", 2): [(3, 1, (9, 8, 7, 6, 5, 1, 0, 3, 4)),
+                                 (3, 3, (8, 0, 7, 1, 6, 2, 3, 4, 5))],
+}
+
+# Optima under envy-happy that the benchmark's class enumeration, vc-xp
+# and the separator agreed on when they were committed.
+EXPECTED_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+def _reduction(family, graph, k):
+    if graph == "k33":
+        g = SourceGraph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    else:
+        g = named_source_graph(graph)
+    make = {
+        "halfsep-3reg": gen_halfsep_3regular,
+        "clique-vc-bip": gen_clique_vc_bipartite,
+        "clique-bip-d2": gen_clique_bipartite_d2,
+    }[family]
+    return make(g, k).instance
+
+
+@pytest.mark.parametrize("case", list(CLASS_HEAVY_WITNESSES),
+                         ids=lambda case: ":".join(map(str, case)))
+def test_separator_class_heavy_witnesses(case):
+    inst = _reduction(*case)
+    ann = AnnotatedInstance.plain(inst)
+    rows = [solve_separator(ann, SolverConfig(objective=objective)) for objective in Objective]
+    got = [(r.min_envy, r.happiness, r.allocation.assignment) for r in rows]
+    assert got == CLASS_HEAVY_WITNESSES[case]
+    if inst.n_agents <= 6:
+        want = brute_optimum(inst, happy=True)[:2]
+    else:
+        expected = json.loads(EXPECTED_JSON.read_text())
+        want = tuple(expected[":".join(map(str, case))]["optimum"])
+    assert (rows[0].min_envy, (rows[1].min_envy, rows[1].happiness)) == (want[0], want)
+
+
+def test_separator_deadline_on_a_class_heavy_reduction():
+    # The untimed solve takes about a second; the canonical house tuples
+    # are generated lazily, so the deadline check once per separator
+    # house tuple still stops it.
+    inst = _reduction("clique-bip-d2", "k4", 3)
+    start = time.monotonic()
+    with pytest.raises(SolveTimeout):
+        solve_separator(AnnotatedInstance.plain(inst), SolverConfig(deadline=start + 0.05))
+    assert time.monotonic() - start < 1.0
+
+
+# (min_envy, happiness, guesses_explored) per objective (envy, envy-happy)
+# under the default guess limit: a full enumeration explored 563,283 and
+# 2,331,079 guesses under envy on these.
+@pytest.mark.parametrize("spec, want", [
+    ("petersen", [(4, 4, 588), (4, 4, 605)]),
+    ("random-regular:12:3:1", [(3, 5, 1193), (3, 5, 1288)]),
+])
+def test_separator_guess_count_on_cubic_halfsep(spec, want):
+    ann = AnnotatedInstance.plain(gen_halfsep_3regular(named_source_graph(spec), 2).instance)
+    rows = [solve_separator(ann, SolverConfig(objective=objective)) for objective in Objective]
+    assert [(r.min_envy, r.happiness, r.guesses_explored) for r in rows] == want
 
 
 # -- vertex-cover solver -----------------------------------------------------
