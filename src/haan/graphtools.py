@@ -1,4 +1,4 @@
-"""Graph subroutines for the solvers and reduction generators.
+"""Graph subroutines for the solvers.
 
 Balanced separators use the exact rational balance rule 3*|part| <= 2*n,
 checked in integer arithmetic. That bound keeps both parts strictly
@@ -106,54 +106,43 @@ def find_min_vertex_cover(inst: Instance, budget: int,
     """Minimum vertex cover if its size is <= budget, else ``None``.
 
     Among minimum covers, returns the lexicographically smallest (as a
-    sorted index list), built greedily against the decision subroutine.
-    The bounded search tree checks ``deadline`` every 1024 branches.
+    sorted index list). For each size k from 0 up to the budget, one
+    include-first search visits the vertices in index order. At vertex v
+    it first puts v in the cover; otherwise it leaves v out, which forces
+    every higher neighbour of v into the cover. A vertex already forced
+    costs nothing more, and a vertex whose higher neighbours are all in
+    the cover is left out at no cost (a cover holding it and all its
+    neighbours is not minimum). The first cover found within size k is
+    the answer. ``deadline`` is checked every 1024 branches.
     """
+    n = inst.n_agents
+    # Bit u of up[v]: u is a neighbour of v above it.
+    up = [0] * n
+    for u, v in inst.edges:
+        up[u] |= 1 << v
     branches = 0
 
-    def cover_exists(edges: list[tuple[int, int]], k: int,
-                     excluded: frozenset[int]) -> bool:
-        """Is there a vertex cover of ``edges`` of size <= k avoiding
-        ``excluded``?"""
+    def search(v: int, chosen: int, k: int) -> int | None:
+        """Cover mask extending ``chosen`` (the vertices below v put in the
+        cover, and those forced in) by at most k more vertices, or ``None``."""
         nonlocal branches
         branches += 1
         if not branches & 1023:
             check_deadline(deadline)
-        if not edges:
-            return True
-        if k == 0:
-            return False
-        u, v = edges[0]
-        for pick in (u, v):
-            if pick in excluded:
-                continue
-            rest = [e for e in edges if pick not in e]
-            if cover_exists(rest, k - 1, excluded):
-                return True
-        return False
+        while v < n and (chosen >> v & 1 or not up[v] & ~chosen):
+            v += 1
+        if v == n:
+            return chosen
+        if k:
+            found = search(v + 1, chosen | 1 << v, k - 1)
+            if found is not None:
+                return found
+        forced = up[v] & ~chosen
+        cost = forced.bit_count()
+        return search(v + 1, chosen | forced, k - cost) if cost <= k else None
 
-    edges = list(inst.edges)
-    if not edges:
-        return frozenset()
-    best_k = None
-    for k in range(min(budget, inst.n_agents) + 1):
-        if cover_exists(edges, k, frozenset()):
-            best_k = k
-            break
-    if best_k is None:
-        return None
-
-    cover: list[int] = []
-    remaining = edges
-    for v in range(inst.n_agents):
-        if not remaining:
-            break
-        if len(cover) == best_k:
-            break
-        without_v = [e for e in remaining if v not in e]
-        # Future cover vertices must be > v to keep the list lexicographic.
-        excluded = frozenset(range(v + 1))
-        if cover_exists(without_v, best_k - len(cover) - 1, excluded):
-            cover.append(v)
-            remaining = without_v
-    return frozenset(cover)
+    for k in range(min(budget, n) + 1):
+        cover = search(0, 0, k)
+        if cover is not None:
+            return frozenset(v for v in range(n) if cover >> v & 1)
+    return None

@@ -57,8 +57,6 @@ __all__ = [
 ]
 
 DEFAULT_GUESS_LIMIT = 1 << 24
-AUTO_VC_THRESHOLD = 8
-AUTO_ENVY_GUESS_BOUND = 30
 
 ALGORITHMS = ("brute", "d1", "envy-guess", "separator", "vc-xp", "auto")
 
@@ -702,9 +700,9 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None, int]:
             if left_perfect_matching_masks([rem_mask & ~f for f in forbid], m) is None:
                 continue
             rows: list[list[int | None]] = [
-                [None if f >> h & 1 else liked_cost if lk >> h & 1 else w
+                [None if f >> h & 1 else liked_cost if lk >> h & 1 else cost
                  for h in remaining]
-                for lk, w, f in zip(liked, miss, forbid)
+                for lk, cost, f in zip(liked, miss, forbid)
             ]
             zeta, assign_local = min_cost_saturating_assignment(rows)
             key = base + zeta
@@ -717,6 +715,12 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None, int]:
                 best_key = key
                 best = tuple(assignment)
     return best_key, best, count
+
+
+def _vc_space(m: int, k: int) -> int:
+    """vc-xp's guess space for a k-agent cover: house tuples times
+    non-envious subsets."""
+    return math.perm(m, k) << k
 
 
 def solve_vertex_cover_xp(
@@ -771,8 +775,7 @@ def solve_vertex_cover_xp(
         (n, m, pref, inst.neighbors, cover_t, rest, scale, w, first, cfg.deadline)
         for first in _first_houses(m, k, cfg)
     ]
-    total = math.perm(m, k) * (1 << k)
-    return _search(inst, cfg, "vc-xp", total, _vc_chunk, chunk_args)
+    return _search(inst, cfg, "vc-xp", _vc_space(m, k), _vc_chunk, chunk_args)
 
 
 # ---------------------------------------------------------------------------
@@ -786,10 +789,11 @@ def solve(inst: Instance | AnnotatedInstance, algo: str = "auto",
     Annotated instances are solved by the separator recursion, under
     ``auto`` or ``separator``; any other label raises :class:`WrongSolver`.
     For plain instances, ``auto`` picks the d=1 matching solver when every
-    agent prefers exactly one house, else the vertex-cover solver when a
-    minimum cover of size <= 8 exists, else the envy-guessing solver when
-    n + 2|E| <= 30, else the separator recursion. Plain instances are
-    wrapped with all-permissive feasibility sets for the separator solver.
+    agent prefers exactly one house; else the vertex-cover solver when a
+    minimum cover is small enough that its guess space perm(m, k)·2^k
+    fits the guess limit (the default limit when the cap is lifted); else
+    the separator recursion. Plain instances are wrapped with
+    all-permissive feasibility sets for the separator solver.
     """
     cfg = cfg or SolverConfig()
     if algo not in ALGORITHMS:
@@ -802,16 +806,16 @@ def solve(inst: Instance | AnnotatedInstance, algo: str = "auto",
         return solve_separator(inst, cfg)
     cover = None
     if algo == "auto":
-        if inst.n_agents > 0 and all(len(p) == 1 for p in inst.preferences):
+        n, m = inst.n_agents, inst.n_houses
+        if n > 0 and all(len(p) == 1 for p in inst.preferences):
             algo = "d1"
         else:
-            cover = find_min_vertex_cover(inst, AUTO_VC_THRESHOLD, cfg.deadline)
-            if cover is not None:
-                algo = "vc-xp"
-            elif inst.n_agents + 2 * len(inst.edges) <= AUTO_ENVY_GUESS_BOUND:
-                algo = "envy-guess"
-            else:
-                algo = "separator"
+            limit = DEFAULT_GUESS_LIMIT if cfg.guess_limit is None else cfg.guess_limit
+            budget = 0
+            while budget < n and _vc_space(m, budget + 1) <= limit:
+                budget += 1
+            cover = find_min_vertex_cover(inst, budget, cfg.deadline)
+            algo = "separator" if cover is None else "vc-xp"
     if algo == "brute":
         return solve_bruteforce(inst, cfg)
     if algo == "d1":

@@ -183,6 +183,19 @@ def test_solve_envy_happy_objective(tmp_path, capsys):
     assert doc.objective == "envy-happy"
 
 
+def test_solve_auto_takes_the_separator_past_vc_xp_guess_limit(tmp_path, capsys):
+    # The 12-agent instance has a 7-cover: perm(12, 7)·2^7 vc-xp guesses
+    # are over the default limit, so auto runs the separator instead.
+    path = tmp_path / "rr12.haan"
+    assert run_cli("generate", "halfsep-3reg", "--graph", "random-regular:12:3:1",
+                   "--k", "2", "--output", str(path)) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli_capture(capsys, "solve", str(path), "--omit-timing")
+    assert code == 0
+    doc = parse_result_text(out)
+    assert (doc.solver_id, doc.min_envy) == ("separator", 3)
+
+
 def test_solve_infeasible_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.haan"
     path.write_text("haan/1 instance\nagents 2\nhouses 1\nprefs 0 :\nprefs 1 :\n")

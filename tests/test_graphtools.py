@@ -130,9 +130,32 @@ def test_vertex_cover_c5_needs_three():
     assert find_min_vertex_cover(C5, 2) is None
 
 
+def least_minimum_cover(g):
+    """Lexicographically least minimum cover, as a sorted list, by brute force."""
+    for k in range(g.n_agents + 1):
+        covers = [list(c) for c in combinations(range(g.n_agents), k)
+                  if all(u in c or v in c for u, v in g.edges)]
+        if covers:
+            return min(covers)
+
+
+def check_every_budget(g):
+    """Below the minimum cover size no cover; from it on, the least one."""
+    least = least_minimum_cover(g)
+    for budget in range(g.n_agents + 1):
+        cover = find_min_vertex_cover(g, budget)
+        if budget < len(least):
+            assert cover is None
+        else:
+            assert sorted(cover) == least
+
+
 def test_vertex_cover_budget_respected():
     assert find_min_vertex_cover(K4, 2) is None
     assert find_min_vertex_cover(K4, 3) == frozenset({0, 1, 2})
+    rng = random.Random(4)
+    for _ in range(60):
+        check_every_budget(random_graph(rng, n_max=8))
 
 
 def test_vertex_cover_brute_force_minimality():
@@ -152,15 +175,7 @@ def test_vertex_cover_brute_force_minimality():
 def test_vertex_cover_lexicographic_among_minima():
     rng = random.Random(9)
     for _ in range(40):
-        g = random_graph(rng, n_max=7)
-        cover = find_min_vertex_cover(g, g.n_agents)
-        edges = set(g.edges)
-        k = len(cover)
-        candidates = [
-            sorted(c) for c in combinations(range(g.n_agents), k)
-            if all(u in c or v in c for u, v in edges)
-        ]
-        assert sorted(cover) == min(candidates)
+        check_every_budget(random_graph(rng, n_max=7))
 
 
 def test_is_regular():
@@ -177,8 +192,8 @@ OVERRUN_S = 1.0
 @pytest.mark.parametrize("algo, spec", [
     # The minimum balanced separator has 6 of the 26 agents: ~2.5 s of search.
     ("separator", "random-regular:26:4:1"),
-    # The minimum vertex cover has 20 of the 30 agents: ~7 s of search.
-    ("vc-xp", "random-regular:30:6:1"),
+    # The minimum vertex cover has 40 of the 60 agents: ~2.4 s of search.
+    ("vc-xp", "random-regular:60:6:1"),
     # One envious support alone holds 3^14 = 4.8 million envy guesses.
     ("envy-guess", "random-regular:14:3:1"),
 ])

@@ -529,6 +529,18 @@ def test_solve_routes_vc_xp():
     assert solve(inst, "auto").solver_id == "vc-xp"
 
 
+def test_solve_routes_separator_when_vc_xp_is_over_the_limit():
+    # Minimum 7-cover on 12 houses: perm(12, 7)·2^7 = 510,935,040 guesses.
+    inst = gen_halfsep_3regular(named_source_graph("random-regular:12:3:1"), 2).instance
+    r = solve(inst, "auto")
+    assert (r.solver_id, r.min_envy) == ("separator", 3)
+    # Minimum 6-cover on 19 houses: perm(19, 6)·2^6 = 1,675,514,880 guesses.
+    red = gen_clique_bipartite_d2(SourceGraph(4, list(combinations(range(4), 2))), 3)
+    r = solve(red.instance, "auto")
+    assert r.solver_id == "separator"
+    assert r.min_envy <= red.target_envy
+
+
 def test_solve_unknown_algorithm():
     with pytest.raises(UnknownAlgorithm):
         solve(TRIANGLE, "magic")
