@@ -30,6 +30,7 @@ from ..errors import (
     SolveTimeout,
     WrongSolver,
 )
+from ..graphtools import _components, _lowest_grouping
 from ..model import evaluate, evaluate_annotated
 from ..reductions import (
     gen_clique_bipartite_d2,
@@ -143,17 +144,21 @@ def _first_clique(source, k: int):
 
 
 def _first_half_separator(source, size: int, t: int):
-    vertices = range(source.n_vertices)
-    edge_set = set(source.edges)
-    for sep in combinations(vertices, size):
-        rest = [v for v in vertices if v not in sep]
-        for part1 in combinations(rest, t):
-            p1 = set(part1)
-            part2 = [v for v in rest if v not in p1]
-            if not any(
-                (min(u, v), max(u, v)) in edge_set for u in part1 for v in part2
-            ):
-                return list(sep), list(part1), list(part2)
+    """First ``(S, part1, part2)`` with ``|S| = size``, ``|part1| = t`` and
+    no edge between the parts, in ``combinations`` order of S, then part1."""
+    n = source.n_vertices
+    nbr = [0] * n
+    for u, v in source.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    for sep in combinations(range(n), size):
+        rest = (1 << n) - 1 - sum(1 << v for v in sep)
+        # Highest component first, so part2's lowest grouping leaves lower
+        # components to part1 whenever it can: part1 comes first.
+        part2 = _lowest_grouping(_components(nbr, rest)[::-1], 1 << (n - size - t))
+        if part2 is not None:
+            return [list(sep)] + [[v for v in range(n) if mask >> v & 1]
+                                  for mask in (rest & ~part2, part2)]
     return None
 
 

@@ -40,6 +40,25 @@ def _components(nbr: Sequence[int], rest: int) -> list[int]:
     return comps
 
 
+def _lowest_grouping(comps: Sequence[int], targets: int) -> int | None:
+    """Union of the lowest set of the vertex masks ``comps`` (a bitmask
+    over their indices) whose vertex count is a bit of ``targets``, or
+    ``None`` when no set has such a count."""
+    reach = [1]  # bit x of reach[k]: the first k components can hold x
+    for comp in comps:
+        reach.append(reach[-1] | reach[-1] << comp.bit_count())
+    if not targets & reach[-1]:
+        return None
+    part = 0  # from the last component down, take one only when needed
+    for k in range(len(comps) - 1, -1, -1):
+        if targets & reach[k]:
+            targets &= reach[k]
+        else:
+            targets = targets >> comps[k].bit_count() & reach[k]
+            part |= comps[k]
+    return part
+
+
 def balanced_separator_of_subgraph(
     vertices: Sequence[int],
     adj: Mapping[int, Iterable[int]] | Sequence[Iterable[int]],
@@ -73,30 +92,19 @@ def balanced_separator_of_subgraph(
                 check_deadline(deadline)
             rest = (1 << n) - 1 - sum(1 << j for j in sep)
             comps = _components(nbr, rest)
-            # Bit x of reach[k]: some of the first k components hold x vertices.
-            reach = [1]
+            sums = 1  # bit x: some components together hold x vertices
             for comp in comps:
-                reach.append(reach[-1] | reach[-1] << comp.bit_count())
+                sums |= sums << comp.bit_count()
             for widest in range(floor, limit + 1 if best is None else best[0]):
-                if reach[-1] >> widest & 1 or reach[-1] >> (total - widest) & 1:
-                    best = (widest, rest, comps, reach)
+                if sums >> widest & 1 or sums >> (total - widest) & 1:
+                    best = (widest, rest, comps)
                     break
             if best is not None and best[0] == floor:
                 break
         if best is not None:
             break
-    widest, rest, comps, reach = best
-    # Lowest component mask holding widest or total - widest vertices: from
-    # the highest component down, leave a component out whenever the lower
-    # ones can still reach a target count.
-    targets = 1 << widest | 1 << (total - widest)
-    part2 = 0
-    for k in range(len(comps) - 1, -1, -1):
-        if targets & reach[k]:
-            targets &= reach[k]
-        else:
-            targets = targets >> comps[k].bit_count() & reach[k]
-            part2 |= comps[k]
+    widest, rest, comps = best
+    part2 = _lowest_grouping(comps, 1 << widest | 1 << (total - widest))
     return tuple(tuple(v for i, v in enumerate(verts) if mask >> i & 1)
                  for mask in ((1 << n) - 1 - rest, rest & ~part2, part2))
 

@@ -20,7 +20,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -286,70 +286,69 @@ def solve_d1_matching(inst: Instance, cfg: SolverConfig | None = None) -> SolveR
 
 def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
     (n, m, pref, nbrs, scale, w, smask_lo, smask_hi, deadline) = args
-    full_mask = (1 << m) - 1
     best_key = None
     best = None
     count = 0
-    # Guesses are grouped by the support (which agents are envious at
-    # all); a support whose floor key cannot beat the incumbent is skipped
-    # wholesale with its guesses counted in bulk.
+    # Each decision's choices as (happiness lost, [(agent, mask to AND)]).
+    # An envious agent whose first envied neighbour is nbrs[a][i] is
+    # unhappy, that neighbour holds a house it prefers and those before it
+    # hold none; a non-envious agent is unhappy (it and its neighbours avoid
+    # its preferred houses) or happy.
+    envious = [[(0, [(b, ~pref[a]) for b in (a, *nb[:i])] + [(nb[i], pref[a])])
+                for i in range(len(nb))] for a, nb in enumerate(nbrs)]
+    calm = [[(1, [(b, ~pref[a]) for b in (a, *nb)]), (0, [(a, pref[a])])]
+            for a, nb in enumerate(nbrs)]
+    isolated = _bits(a for a in range(n) if not nbrs[a])
+
+    def visit(level, masks, lost, space):
+        # Below a node with no empty mask and a key bound that can win;
+        # ``space`` counts the guesses below it.
+        nonlocal best_key, best, count
+        if level == n:
+            count += 1
+            if deadline is not None and not count & 4095:
+                check_deadline(deadline)
+            assignment = left_perfect_matching_masks(masks, m)
+            if assignment is not None:
+                best_key = floor + w * lost
+                best = tuple(assignment)
+            return
+        size = space // len(levels[level])
+        for loss, updates in levels[level]:
+            child = None
+            if best_key is None or floor + w * (lost + loss) < best_key:
+                child = masks[:]
+                for b, keep in updates:
+                    child[b] &= keep
+                    if not child[b]:
+                        child = None
+                        break
+            if child is None:
+                # Masks only shrink and the bound only rises below: count
+                # the subtree in bulk, checking the deadline past each 4096.
+                count += size
+                if deadline is not None and count & 4095 < size:
+                    check_deadline(deadline)
+            else:
+                visit(level + 1, child, lost + loss, size)
+
     for smask in range(smask_lo, smask_hi):
         if deadline is not None and not smask & 63:
             check_deadline(deadline)
-        support = [a for a in range(n) if smask >> a & 1]
-        env_count = len(support)
-        empties = [a for a in range(n) if not smask >> a & 1]
-        block = 1 << len(empties)
-        sub_total = block * math.prod(len(nbrs[a]) for a in support)
-        if sub_total == 0:
+        if smask & isolated:
+            continue  # an agent without neighbours envies nobody: no guesses
+        env = smask.bit_count()
+        floor = env * scale - w * (n - env)
+        space = math.prod(len(nbrs[a]) for a in _members(smask)) << (n - env)
+        if best_key is not None and floor >= best_key:
+            count += space
             continue
-        if best_key is not None and env_count * scale - w * len(empties) >= best_key:
-            count += sub_total
-            continue
-        # An envious agent is unhappy.
-        base = [full_mask & ~pref[a] if smask >> a & 1 else full_mask for a in range(n)]
-        for firsts in product(*[range(len(nbrs[a])) for a in support]):
-            # An envious agent's first envied neighbour holds a house it
-            # prefers, and the neighbours before that one hold none.
-            fixed = base[:]
-            for a, i in zip(support, firsts):
-                nb = nbrs[a]
-                avoid = ~pref[a]
-                for b in nb[:i]:
-                    fixed[b] &= avoid
-                fixed[nb[i]] &= pref[a]
-            if not all(fixed):
-                # No happy subset refills an empty set: count the block in
-                # bulk, checking the deadline past each multiple of 4096.
-                count += block
-                if deadline is not None and count & 4095 < block:
-                    check_deadline(deadline)
-                continue
-            for cmask in range(block):
-                count += 1
-                if deadline is not None and not count & 4095:
-                    check_deadline(deadline)
-                key = env_count * scale - w * cmask.bit_count()
-                if best_key is not None and key >= best_key:
-                    continue
-                # A non-envious agent is happy iff its cmask bit is set; an
-                # unhappy one and its neighbours avoid its preferred houses.
-                fmasks = fixed[:]
-                for q, b in enumerate(empties):
-                    if cmask >> q & 1:
-                        fmasks[b] &= pref[b]
-                    else:
-                        avoid = ~pref[b]
-                        fmasks[b] &= avoid
-                        for a in nbrs[b]:
-                            fmasks[a] &= avoid
-                if not all(fmasks):
-                    continue
-                assignment = left_perfect_matching_masks(fmasks, m)
-                if assignment is None:
-                    continue
-                best_key = key
-                best = tuple(assignment)
+        # Depth first: the envious agents' first envied neighbours (support
+        # order, positions ascending), then the other agents from last to
+        # first, unhappy before happy, so leaves come in cmask order.
+        levels = [envious[a] for a in range(n) if smask >> a & 1]
+        levels += [calm[a] for a in range(n - 1, -1, -1) if not smask >> a & 1]
+        visit(0, [(1 << m) - 1] * n, 0, space)
     return best_key, best, count
 
 
@@ -362,11 +361,15 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
     and the neighbours before it hold none; an unhappy non-envious agent
     and its neighbours avoid its preferred houses. The guess is accepted
     iff a perfect agent-side matching into the trimmed feasibility sets
-    exists; every allocation satisfies exactly one guess. Order: supports
-    ascending, witness positions lexicographic, happy subsets (cmask)
-    ascending; the first optimum is kept. ``guesses_explored`` is the
-    whole guess space, the product over agents of ``degree + 2``, with
-    guesses skipped by the key bound counted.
+    exists; every allocation satisfies exactly one guess. Supports run
+    ascending; per support, one depth-first search decides the witness
+    positions (support order, positions ascending), then the other agents
+    from last to first, unhappy before happy, so happy subsets come
+    ascending. The first optimum is kept. One rule prunes: a node whose
+    trimmed sets hold an empty one, or whose key bound (all undecided
+    agents happy) cannot beat the incumbent, has its subtree counted in
+    bulk, so ``guesses_explored`` is the whole guess space, the product
+    over agents of ``degree + 2``.
     """
     cfg = cfg or SolverConfig()
     n, m = inst.n_agents, inst.n_houses
@@ -620,75 +623,63 @@ def solve_separator(
 def _vc_chunk(args) -> tuple[int | None, tuple | None, int]:
     (n, m, pref, nbrs, cover, rest, scale, w, first, deadline) = args
     k = len(cover)
-    liked_cost = -w
     best_key = None
     best = None
     count = 0
-    rest_pos = {a: i for i, a in enumerate(rest)}
-    cover_nbrs = {a: [b for b in nbrs[a] if b not in rest_pos] for a in cover}
-    # Per cover agent: its rest neighbours as a bitmask over rest positions.
-    rest_nbrs = {a: _bits(rest_pos[b] for b in nbrs[a] if b in rest_pos)
-                 for a in cover}
+    # Per cover agent: preferred houses, and positions of its neighbours in
+    # the cover and in the rest. Per rest agent: preferred houses, and
+    # positions of its neighbours, all in the cover.
+    pos = {a: i for part in (cover, rest) for i, a in enumerate(part)}
+    cover_rows = [(pref[a], [pos[b] for b in nbrs[a] if b in cover],
+                   [pos[b] for b in nbrs[a] if b not in cover]) for a in cover]
+    rest_rows = [(pref[a], [pos[b] for b in nbrs[a]]) for a in rest]
     for phi in _injective(m, k, first):
         if deadline is not None:
             check_deadline(deadline)
-        phi_of = dict(zip(cover, phi))
-        used_mask = _bits(phi)
-        happy_flags = {a: bool(pref[a] >> h & 1) for a, h in phi_of.items()}
-        happy_s = w * sum(happy_flags.values())
-        eligible = []
-        for a in cover:
-            if happy_flags[a]:
-                eligible.append(a)
+        rem_mask = (1 << m) - 1 & ~_bits(phi)
+        # Eligible: cover agents not already envious within the cover. One
+        # chosen non-envious forbids its liked remaining houses to its rest
+        # neighbours; a *free* one (happy, or forbidding nothing) leaves every
+        # row as it is and lowers the key by ``scale``, so only guesses that
+        # choose all free agents can be optimal; the rest are counted but
+        # never evaluated.
+        happy_s = 0
+        n_el = 0
+        forbids = []
+        for (pa, near, far), h in zip(cover_rows, phi):
+            if pa >> h & 1:
+                happy_s += w
+            elif any(pa >> phi[i] & 1 for i in near):
                 continue
-            if any(pref[a] >> phi_of[b] & 1 for b in cover_nbrs[a]):
-                continue  # already envious within the cover
-            eligible.append(a)
-        n_el = len(eligible)
+            elif pa & rem_mask and far:
+                forbids.append((pa & rem_mask, far))
+            n_el += 1
         count += 1 << n_el
         if (best_key is not None
                 and scale * (k - n_el) - happy_s - w * len(rest) >= best_key):
             continue
-        rem_mask = ((1 << m) - 1) & ~used_mask
         remaining = _members(rem_mask)
-        # Choosing a *free* eligible agent (happy, or forbidding no remaining
-        # house to any rest agent) leaves every row as it is and lowers the
-        # key by ``scale``, so only guesses that choose all free agents can
-        # be optimal; the rest are counted above but never evaluated.
-        n_free = 0
-        forbids = []
-        for a in eligible:
-            hit = pref[a] & rem_mask
-            if happy_flags[a] or not hit or not rest_nbrs[a]:
-                n_free += 1
-            else:
-                forbids.append((hit, rest_nbrs[a]))
-        # Cmask-independent data per rest agent: its liked remaining houses
-        # and the cost of an unliked house (``scale`` when it sees a cover
-        # neighbour holding a house it likes, else 0).
-        liked = []
-        miss = []
-        for a in rest:
-            pa = pref[a]
-            liked.append(pa & rem_mask)
-            miss.append(scale if any(pa >> phi_of[b] & 1 for b in nbrs[a]) else 0)
+        n_free = n_el - len(forbids)
+        # Cmask-independent cost per rest agent of a house it does not like:
+        # ``scale`` when it sees a cover neighbour holding one it likes.
+        # Admissible houses are remaining ones, so ``pa & ok`` are liked.
+        miss = [scale if any(pa >> phi[i] & 1 for i in near) else 0
+                for pa, near in rest_rows]
         for sub in range(1 << len(forbids)):
             base = scale * (k - n_free - sub.bit_count()) - happy_s
-            forbid = [0] * len(rest)
-            for i, (hit, nb) in enumerate(forbids):
+            admissible = [rem_mask] * len(rest)
+            for i, (hit, far) in enumerate(forbids):
                 if sub >> i & 1:
-                    while nb:
-                        low = nb & -nb
-                        forbid[low.bit_length() - 1] |= hit
-                        nb ^= low
+                    for p in far:
+                        admissible[p] &= ~hit
             # Row-minimum bound: every rest agent pays at least its
             # cheapest admissible house.
             bound = base
-            for p, f in enumerate(forbid):
-                if liked[p] & ~f:
-                    bound += liked_cost
-                elif rem_mask & ~f:
-                    bound += miss[p]
+            for (pa, _), cost, ok in zip(rest_rows, miss, admissible):
+                if pa & ok:
+                    bound -= w
+                elif ok:
+                    bound += cost
                 else:
                     bound = None
                     break
@@ -697,23 +688,19 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None, int]:
             # Most guesses that pass the bound admit no extension at all;
             # the bitmask Hall check rejects them cheaper than the min-cost
             # engine would.
-            if left_perfect_matching_masks([rem_mask & ~f for f in forbid], m) is None:
+            if left_perfect_matching_masks(admissible, m) is None:
                 continue
             rows: list[list[int | None]] = [
-                [None if f >> h & 1 else liked_cost if lk >> h & 1 else cost
+                [(-w if pa >> h & 1 else cost) if ok >> h & 1 else None
                  for h in remaining]
-                for lk, cost, f in zip(liked, miss, forbid)
+                for (pa, _), cost, ok in zip(rest_rows, miss, admissible)
             ]
             zeta, assign_local = min_cost_saturating_assignment(rows)
             key = base + zeta
             if best_key is None or key < best_key:
-                assignment = [-1] * n
-                for a, h in phi_of.items():
-                    assignment[a] = h
-                for i, a in enumerate(rest):
-                    assignment[a] = remaining[assign_local[i]]
+                houses = phi + tuple(remaining[j] for j in assign_local)
                 best_key = key
-                best = tuple(assignment)
+                best = tuple(h for _, h in sorted(zip(cover + rest, houses)))
     return best_key, best, count
 
 
@@ -755,9 +742,8 @@ def solve_vertex_cover_xp(
     if m < n:
         raise InstanceInfeasible(f"{m} houses for {n} agents")
     if cover is None:
-        found = find_min_vertex_cover(inst, n, cfg.deadline)
-        assert found is not None
-        cover_set = found
+        cover_set = find_min_vertex_cover(inst, n, cfg.deadline)
+        assert cover_set is not None  # a budget of n always suffices
     else:
         cover_set = frozenset(cover)
         for a in cover_set:

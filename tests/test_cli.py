@@ -1,6 +1,9 @@
+import io
+import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
 import pytest
@@ -22,6 +25,8 @@ from haan.cli.main import main
 from haan.cli.sources import named_source_graph
 from haan.errors import FormatError
 from haan.model import AnnotatedInstance, Instance
+from haan.reductions import SourceGraph
+from haan.solvers import ALGORITHMS
 
 TRIANGLE_TEXT = """\
 haan/1 instance
@@ -280,6 +285,46 @@ def test_generate_same_seed_is_byte_identical(tmp_path, capsys):
                        "--output", str(out)) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_generate_halfsep_witness_on_a_20_vertex_cubic_graph(tmp_path, capsys):
+    # Separators of 4 of the 20 vertices, each split into two 8-vertex
+    # parts by grouping the components of the rest.
+    inst_path = tmp_path / "rr20.haan"
+    wit_path = tmp_path / "wit.haan"
+    assert run_cli("generate", "halfsep-3reg", "--graph", "random-regular:20:3:1", "--k", "4",
+                   "--output", str(inst_path), "--witness", str(wit_path)) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli_capture(capsys, "verify", str(inst_path), str(wit_path))
+    assert code == 0
+    assert "envy 4" in out.splitlines()
+
+
+def test_generate_halfsep_witness_without_a_separator_triple(tmp_path, capsys):
+    code, _, err = run_cli_capture(
+        capsys, "generate", "halfsep-3reg", "--graph", "petersen", "--k", "2",
+        "--output", str(tmp_path / "p.haan"), "--witness", str(tmp_path / "w.haan"),
+    )
+    assert code == 9
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_first_half_separator_is_first_in_combinations_order():
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(0, 7)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.3]
+        for size in range(n + 1):
+            for t in range(n - size + 1):
+                want = next((
+                    [list(sep), list(part1), [v for v in range(n) if v not in sep + part1]]
+                    for sep in combinations(range(n), size)
+                    for part1 in combinations([v for v in range(n) if v not in sep], t)
+                    if not any((u in part1) != (v in part1)
+                               for u, v in edges if u not in sep and v not in sep)
+                ), None)
+                got = main_module._first_half_separator(SourceGraph(n, edges), size, t)
+                assert got == want, (n, edges, size, t)
 
 
 def test_generate_k0_halfsep(tmp_path, capsys):
@@ -676,6 +721,36 @@ def documents(draw):
 def test_canonical_render_parse_render_is_byte_identical(doc):
     text = render_instance_text(doc)
     assert render_instance_text(parse_instance_text(text)) == text
+
+
+# The codes of the README's exit-code table.
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6, 7, 8, 9}
+
+
+@st.composite
+def allocation_texts(draw):
+    houses = draw(st.lists(st.integers(-2, 7), max_size=7))
+    text = "haan/1 allocation\nallocation :" + "".join(f" {h}" for h in houses) + "\n"
+    return draw(st.sampled_from([text, text[len("haan/1 allocation\n"):]]) | st.text(max_size=12))
+
+
+@given(instance_texts() | documents().map(render_instance_text), allocation_texts())
+@settings(max_examples=150, deadline=None)
+def test_solve_and_verify_exit_with_a_documented_code(scratch_file, text, alloc_text):
+    scratch_file.write_text(text)
+    alloc_file = scratch_file.with_name("allocation.haan")
+    alloc_file.write_text(alloc_text)
+    argvs = [["solve", str(scratch_file), "--algo", algo, "--guess-limit", "1000",
+              "--omit-timing"] for algo in ALGORITHMS]
+    argvs.append(["verify", str(scratch_file), str(alloc_file)])
+    for argv in argvs:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in DOCUMENTED_EXITS, argv
+        if code:
+            assert err.getvalue().startswith("error: "), argv
+            assert err.getvalue().count("\n") == 1, argv
 
 
 def test_deeply_nested_provenance_is_a_format_error():

@@ -194,8 +194,8 @@ OVERRUN_S = 1.0
     ("separator", "random-regular:26:4:1"),
     # The minimum vertex cover has 40 of the 60 agents: ~2.4 s of search.
     ("vc-xp", "random-regular:60:6:1"),
-    # One envious support alone holds 3^14 = 4.8 million envy guesses.
-    ("envy-guess", "random-regular:14:3:1"),
+    # 5^20 ≈ 9.5e13 envy guesses: a full solve takes 5-10 s on a 2-core host.
+    ("envy-guess", "random-regular:20:3:1"),
 ])
 def test_graph_searches_honour_the_deadline(algo, spec):
     g = named_source_graph(spec)

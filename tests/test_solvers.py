@@ -517,6 +517,122 @@ def test_vc_xp_non_minimal_cover_allowed():
     assert r.min_envy == 2
 
 
+# Pinned (min_envy, happiness, allocation, guesses_explored) per objective
+# (envy, envy-happy) of envy-guess and vc-xp (minimum cover) on
+# guess_golden_cases(): their witness order and guess counts are part of
+# their contract.
+GUESS_GOLDEN = {
+    "envy-guess": [
+        [(0, 0, (1,), 2), (0, 1, (0,), 2)],
+        [(2, 2, (5, 4, 0, 3, 1, 2), 45360), (2, 2, (5, 4, 0, 3, 1, 2), 45360)],
+        [(2, 2, (4, 3, 2, 0, 1), 2400), (2, 2, (4, 3, 2, 0, 1), 2400)],
+        [(0, 0, (4, 3, 2, 1), 400), (0, 0, (4, 3, 2, 1), 400)],
+        [(0, 0, (6, 5, 4, 3, 2, 1), 44100), (0, 0, (6, 5, 4, 3, 2, 1), 44100)],
+        [(0, 0, (5, 4, 3, 2, 1), 5400), (0, 0, (5, 4, 3, 2, 1), 5400)],
+        [(0, 0, (2, 1), 9), (0, 0, (2, 1), 9)],
+        [(1, 1, (3, 2, 0, 1), 240), (1, 1, (3, 2, 0, 1), 240)],
+        [(0, 1, (0,), 2), (0, 1, (0,), 2)],
+        [(0, 1, (0,), 2), (0, 1, (0,), 2)],
+        [(0, 0, (1,), 2), (0, 1, (0,), 2)],
+        [(0, 0, (4, 3, 2, 1), 240), (0, 0, (4, 3, 2, 1), 240)],
+        [(0, 0, (6, 5, 4, 3, 2, 1), 61740), (0, 0, (6, 5, 4, 3, 2, 1), 61740)],
+        [(0, 0, (3, 0, 2), 36), (0, 1, (0, 3, 2), 36)],
+        [(2, 1, (0, 4, 3, 2, 1), 3600), (2, 1, (0, 4, 3, 2, 1), 3600)],
+        [(1, 2, (3, 0, 2, 1), 128), (1, 2, (3, 0, 2, 1), 128)],
+        [(1, 1, (0, 4, 3, 2, 1), 1440), (1, 1, (0, 4, 3, 2, 1), 1440)],
+        [(0, 0, (2, 1), 9), (0, 0, (2, 1), 9)],
+        [(1, 0, (4, 0, 3, 2), 400), (1, 2, (0, 3, 1, 2), 400)],
+        [(1, 2, (0, 2, 1), 64), (1, 2, (0, 2, 1), 64)],
+        [(0, 1, (0,), 2), (0, 1, (0,), 2)],
+        [(0, 0, (1, 0), 4), (0, 1, (0, 1), 4)],
+        [(1, 2, (2, 1, 0), 36), (1, 2, (2, 1, 0), 36)],
+        [(3, 1, (5, 4, 0, 3, 2, 1), 61740), (3, 1, (5, 4, 0, 3, 2, 1), 61740)],
+        [(0, 0, (5, 4, 3, 2, 1), 3600), (0, 0, (5, 4, 3, 2, 1), 3600)],
+        [(3, 1, (3, 2, 1, 0), 625), (3, 1, (3, 2, 1, 0), 625)],
+        [(1, 1, (6, 1, 5, 4, 3, 2), 20160), (1, 1, (6, 1, 5, 4, 3, 2), 20160)],
+        [(0, 1, (0, 1), 4), (0, 1, (0, 1), 4)],
+        [(0, 0, (1,), 2), (0, 1, (0,), 2)],
+        [(1, 1, (1, 2, 0), 36), (1, 2, (2, 1, 0), 36)],
+        [(0, 1, (0,), 2), (0, 1, (0,), 2)],
+        [(0, 0, (5, 4, 3, 2, 1), 3600), (0, 0, (5, 4, 3, 2, 1), 3600)],
+        [(2, 2, (5, 1, 0, 4, 3, 2), 31500), (2, 2, (5, 1, 0, 4, 3, 2), 31500)],
+        [(0, 1, (0, 1, 2), 36), (0, 2, (2, 1, 0), 36)],
+        [(2, 2, (3, 2, 1, 0), 400), (2, 2, (3, 2, 1, 0), 400)],
+        [(0, 0, (6, 5, 4, 3, 2, 1), 14000), (0, 0, (6, 5, 4, 3, 2, 1), 14000)],
+        [(0, 1, (1, 0), 9), (0, 1, (1, 0), 9)],
+        [(2, 1, (4, 3, 0, 2, 1), 1600), (2, 1, (4, 3, 0, 2, 1), 1600)],
+        [(0, 1, (0,), 2), (0, 1, (0,), 2)],
+        [(0, 2, (1, 0), 9), (0, 2, (1, 0), 9)],
+    ],
+    "vc-xp": [
+        [(0, 0, (1,), 1), (0, 1, (0,), 1)],
+        [(2, 2, (2, 0, 3, 4, 1, 5), 2400), (2, 2, (2, 0, 3, 4, 1, 5), 2400)],
+        [(2, 2, (0, 4, 2, 3, 1), 288), (2, 2, (0, 4, 2, 3, 1), 288)],
+        [(0, 0, (1, 4, 2, 3), 64), (0, 0, (1, 4, 2, 3), 64)],
+        [(0, 0, (1, 2, 6, 5, 3, 4), 8400), (0, 0, (1, 2, 6, 5, 3, 4), 8400)],
+        [(0, 0, (5, 1, 2, 3, 4), 600), (0, 0, (5, 1, 2, 3, 4), 600)],
+        [(0, 0, (1, 2), 6), (0, 0, (1, 2), 6)],
+        [(1, 1, (1, 2, 0, 3), 36), (1, 1, (1, 2, 0, 3), 36)],
+        [(0, 1, (0,), 1), (0, 1, (0,), 1)],
+        [(0, 1, (0,), 1), (0, 1, (0,), 1)],
+        [(0, 0, (1,), 1), (0, 1, (0,), 1)],
+        [(0, 0, (1, 4, 2, 3), 64), (0, 0, (1, 4, 2, 3), 64)],
+        [(0, 0, (1, 2, 6, 5, 3, 4), 6720), (0, 0, (1, 2, 6, 5, 3, 4), 6720)],
+        [(0, 0, (3, 0, 2), 8), (0, 1, (0, 3, 2), 8)],
+        [(2, 1, (0, 1, 2, 3, 4), 264), (2, 1, (0, 1, 2, 3, 4), 264)],
+        [(1, 2, (1, 3, 0, 2), 37), (1, 2, (1, 3, 0, 2), 37)],
+        [(1, 1, (0, 3, 4, 1, 2), 64), (1, 1, (0, 4, 3, 1, 2), 64)],
+        [(0, 0, (1, 2), 6), (0, 0, (1, 2), 6)],
+        [(1, 2, (0, 4, 1, 2), 60), (1, 2, (0, 4, 1, 2), 60)],
+        [(1, 2, (0, 1, 2), 17), (1, 2, (0, 1, 2), 17)],
+        [(0, 1, (0,), 1), (0, 1, (0,), 1)],
+        [(0, 0, (2, 1), 1), (0, 1, (0, 2), 1)],
+        [(1, 2, (1, 0, 3), 8), (1, 2, (1, 0, 3), 8)],
+        [(3, 1, (1, 2, 0, 3, 4, 5), 2400), (3, 1, (1, 2, 0, 3, 4, 5), 2400)],
+        [(0, 0, (5, 1, 4, 2, 3), 600), (0, 0, (5, 1, 4, 2, 3), 600)],
+        [(3, 1, (0, 1, 2, 3), 84), (3, 1, (0, 1, 2, 3), 84)],
+        [(1, 1, (2, 6, 5, 1, 4, 3), 900), (1, 1, (2, 6, 5, 1, 4, 3), 900)],
+        [(0, 1, (1, 0), 1), (0, 1, (0, 1), 1)],
+        [(0, 0, (1,), 1), (0, 1, (0,), 1)],
+        [(1, 1, (3, 2, 0), 8), (1, 2, (3, 1, 0), 8)],
+        [(0, 1, (0,), 1), (0, 1, (0,), 1)],
+        [(0, 0, (1, 2, 3, 5, 4), 680), (0, 0, (1, 2, 3, 5, 4), 680)],
+        [(2, 2, (2, 1, 0, 3, 5, 4), 1704), (2, 2, (2, 1, 0, 3, 5, 4), 1704)],
+        [(0, 1, (3, 1, 2), 8), (0, 2, (3, 1, 0), 8)],
+        [(2, 2, (0, 3, 2, 1), 32), (2, 2, (0, 3, 2, 1), 32)],
+        [(0, 0, (1, 6, 2, 5, 3, 4), 1260), (0, 0, (1, 6, 2, 5, 3, 4), 1260)],
+        [(0, 1, (1, 0), 4), (0, 1, (1, 0), 4)],
+        [(2, 1, (0, 1, 2, 4, 3), 312), (2, 1, (0, 1, 2, 4, 3), 312)],
+        [(0, 1, (0,), 1), (0, 1, (0,), 1)],
+        [(0, 2, (0, 1), 4), (0, 2, (0, 1), 4)],
+    ],
+}
+
+
+def guess_golden_cases():
+    """40 seeded plain instances whose agents draw preferences from one or
+    two shared houses, so that many optima hold envious agents."""
+    rng = random.Random(2027)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        m = rng.randint(n, n + 1)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.7]
+        pool = rng.randint(1, min(2, m))
+        prefs = [rng.sample(range(pool), rng.randint(rng.random() < 0.8, pool))
+                 for _ in range(n)]
+        yield Instance(n, m, edges, prefs)
+
+
+@pytest.mark.parametrize("label", list(GUESS_GOLDEN))
+def test_guess_solver_golden_witnesses_and_guess_counts(label):
+    got = []
+    for inst in guess_golden_cases():
+        rows = [solve(inst, label, SolverConfig(objective=objective)) for objective in Objective]
+        got.append([(r.min_envy, r.happiness, r.allocation.assignment, r.guesses_explored)
+                    for r in rows])
+    assert got == GUESS_GOLDEN[label]
+
+
 # -- dispatcher --------------------------------------------------------------
 
 def test_solve_routes_d1():
