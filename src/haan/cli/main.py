@@ -4,7 +4,7 @@ Exit codes are stable: 0 success, 2 usage (argparse), 3 parse/format
 error or a file that cannot be read or written, 4 infeasible instance,
 5 guess budget exceeded, 6 wrong solver for the instance shape, 7 invalid
 allocation, 8 no feasible allocation (annotated), 9 generator precondition
-failure. Machine-readable output goes to stdout only; every
+failure, 10 solve timeout. Machine-readable output goes to stdout only; every
 diagnostic goes to stderr.
 """
 
@@ -67,6 +67,7 @@ EXIT_WRONG_SOLVER = 6
 EXIT_INVALID_ALLOCATION = 7
 EXIT_NO_FEASIBLE = 8
 EXIT_GENERATOR = 9
+EXIT_TIMEOUT = 10
 
 _ERROR_EXITS = (
     (FormatError, EXIT_PARSE),
@@ -76,6 +77,7 @@ _ERROR_EXITS = (
     (InvalidAllocation, EXIT_INVALID_ALLOCATION),
     (NoFeasibleAllocation, EXIT_NO_FEASIBLE),
     (GeneratorError, EXIT_GENERATOR),
+    (SolveTimeout, EXIT_TIMEOUT),
     (InvalidInstance, EXIT_PARSE),
 )
 
@@ -113,8 +115,9 @@ def cmd_solve(args) -> int:
         return EXIT_PARSE
     try:
         doc = read_instance_file(args.instance)
-        cfg = _config_from_args(args)
         start = time.monotonic()
+        deadline = None if args.timeout is None else start + args.timeout
+        cfg = _config_from_args(args, deadline)
         result = solve(doc.annotated or doc.instance, args.algo, cfg)
         elapsed_ms = 0 if args.omit_timing else int((time.monotonic() - start) * 1000)
     except HaanError as exc:
@@ -354,6 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=os.environ.get("HAAN_WORKERS") or "1")
         p.add_argument("--guess-limit", type=_guess_limit, default=DEFAULT_GUESS_LIMIT,
                        help="maximum explored guesses; 0 lifts the cap")
+        p.add_argument("--timeout", type=_seconds, default=None,
+                       help="wall-clock timeout in seconds, per instance")
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance")
@@ -389,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run solvers over a corpus directory")
     p_bench.add_argument("corpus")
     p_bench.add_argument("--algos", default="brute,d1,envy-guess,separator,vc-xp")
-    p_bench.add_argument("--timeout", type=_seconds, default=None,
-                         help="per-instance wall-clock timeout in seconds")
     p_bench.add_argument("--jobs", type=_count, default=1,
                          help="instances run sequentially by default; "
                               "values > 1 opt into a process pool")

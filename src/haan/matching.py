@@ -5,7 +5,10 @@ Two entry points, both deterministic:
 - ``left_perfect_matching_masks``: Kuhn's augmenting-path search on
   bitmask adjacency; answers "can every left vertex be matched?" with a
   witness. Envy-guess uses it to accept a guess, vc-xp to reject a guess
-  that no matching can extend before pricing it.
+  that no matching can extend before pricing it. The same search, run
+  past unmatched vertices, gives ``max_matching_size_masks``: the most
+  agents that can hold a preferred house at once, which bounds every
+  solver's key from below.
 - ``min_cost_saturating_assignment``: the shortest-augmenting-path
   Hungarian method (Kuhn; Jonker-Volgenant) on a dense cost table with
   ``None`` for an inadmissible pair. The d1 and vc-xp solvers use it to
@@ -19,16 +22,18 @@ from typing import Sequence
 
 __all__ = [
     "left_perfect_matching_masks",
+    "max_matching_size_masks",
     "min_cost_saturating_assignment",
 ]
 
 
-def left_perfect_matching_masks(fmasks: Sequence[int], n_right: int) -> list[int] | None:
-    """Match every left vertex into its admissible-right bitmask, or ``None``.
+def _kuhn(fmasks: Sequence[int], n_right: int, perfect: bool) -> list[int] | None:
+    """``match_right`` of a maximum matching of the left vertices into their
+    admissible-right bitmasks (``-1`` for an unmatched right vertex), or
+    ``None`` as soon as ``perfect`` and some left vertex stays unmatched.
 
-    ``fmasks[a]`` has bit ``h`` set iff right vertex ``h`` is admissible for
-    left vertex ``a``. Deterministic: agents in order, lowest admissible bit
-    first. This is the feasibility check behind guess acceptance.
+    Agents in order, lowest admissible bit first. A failed augmenting
+    search changes no pair, so one pass over the agents is maximum.
     """
     match_right = [-1] * n_right
 
@@ -51,13 +56,32 @@ def left_perfect_matching_masks(fmasks: Sequence[int], n_right: int) -> list[int
 
     for a in range(len(fmasks)):
         ok, _ = attempt(a, 0)
-        if not ok:
+        if not ok and perfect:
             return None
+    return match_right
+
+
+def left_perfect_matching_masks(fmasks: Sequence[int], n_right: int) -> list[int] | None:
+    """Match every left vertex into its admissible-right bitmask, or ``None``.
+
+    ``fmasks[a]`` has bit ``h`` set iff right vertex ``h`` is admissible for
+    left vertex ``a``. Deterministic: agents in order, lowest admissible bit
+    first. This is the feasibility check behind guess acceptance.
+    """
+    match_right = _kuhn(fmasks, n_right, True)
+    if match_right is None:
+        return None
     out = [-1] * len(fmasks)
     for r, a in enumerate(match_right):
         if a != -1:
             out[a] = r
     return out
+
+
+def max_matching_size_masks(fmasks: Sequence[int], n_right: int) -> int:
+    """Size of a maximum matching of the left vertices into their
+    admissible-right bitmasks (same layout as above)."""
+    return n_right - _kuhn(fmasks, n_right, False).count(-1)
 
 
 def min_cost_saturating_assignment(

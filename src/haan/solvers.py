@@ -12,6 +12,13 @@ Objectives are encoded as single integer keys
 ``envy-happy`` and ``(1, 0)`` under ``envy``. Total happiness never
 exceeds n, so the scaling preserves the lexicographic envy-then-happiness
 order in exact integer arithmetic.
+
+No key is below the *floor* ``-w*H``, where H is the most agents that
+can hold a preferred (and feasible) house at once: a maximum matching,
+the optimum of classical House Allocation. Brute force, envy-guess and
+the separator's top level stop once their incumbent reaches it; nothing
+after the first floor-key guess could replace it, so witnesses do not
+change.
 """
 
 from __future__ import annotations
@@ -34,7 +41,11 @@ from .errors import (
     check_deadline,
 )
 from .graphtools import balanced_separator_of_subgraph, find_min_vertex_cover
-from .matching import left_perfect_matching_masks, min_cost_saturating_assignment
+from .matching import (
+    left_perfect_matching_masks,
+    max_matching_size_masks,
+    min_cost_saturating_assignment,
+)
 from .model import (
     Allocation,
     AnnotatedInstance,
@@ -130,6 +141,12 @@ def _house_classes(m: int, masks: Iterable[int]) -> list[int]:
     return classes
 
 
+def _key_floor(masks: Sequence[int], m: int, w: int) -> int:
+    """The floor ``-w*H`` of the key, with H a maximum matching of the
+    agents into ``masks``; 0 under ``envy``, where no matching runs."""
+    return -w * max_matching_size_masks(masks, m) if w else 0
+
+
 def _result(inst: Instance, assignment: Sequence[int], solver_id: str,
             guesses: int) -> SolveResult:
     alloc = Allocation(assignment)
@@ -197,7 +214,7 @@ def _first_houses(m: int, k: int, cfg: SolverConfig) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _bf_chunk(args) -> tuple[int | None, tuple | None, int]:
-    (n, m, pref, nbrs, scale, w, first, deadline) = args
+    (n, m, pref, nbrs, scale, w, floor, first, deadline) = args
     best_key = None
     best = None
     count = 0
@@ -221,6 +238,9 @@ def _bf_chunk(args) -> tuple[int | None, tuple | None, int]:
         if best_key is None or key < best_key:
             best_key = key
             best = asg
+            if key == floor:
+                # Nothing later can beat it: report the chunk's whole count.
+                return key, asg, math.perm(m, n) if first < 0 else math.perm(m - 1, n - 1)
     return best_key, best, count
 
 
@@ -228,7 +248,9 @@ def solve_bruteforce(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
     """Exhaustive enumeration of all injective assignments.
 
     The witness is the first optimum in lexicographic assignment order;
-    every other solver is checked against this one.
+    every other solver is checked against this one. The enumeration stops
+    at the first assignment whose key is the floor, and
+    ``guesses_explored`` is still perm(m, n).
     """
     cfg = cfg or SolverConfig()
     n, m = inst.n_agents, inst.n_houses
@@ -236,8 +258,9 @@ def solve_bruteforce(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
         raise InstanceInfeasible(f"{m} houses for {n} agents")
     pref = _pref_masks(inst)
     scale, w = _key_weights(cfg, n)
+    floor = _key_floor(pref, m, w)
     chunk_args = [
-        (n, m, pref, inst.neighbors, scale, w, first, cfg.deadline)
+        (n, m, pref, inst.neighbors, scale, w, floor, first, cfg.deadline)
         for first in _first_houses(m, n, cfg)
     ]
     return _search(inst, cfg, "brute", math.perm(m, n), _bf_chunk, chunk_args)
@@ -285,7 +308,7 @@ def solve_d1_matching(inst: Instance, cfg: SolverConfig | None = None) -> SolveR
 # ---------------------------------------------------------------------------
 
 def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
-    (n, m, pref, nbrs, scale, w, smask_lo, smask_hi, deadline) = args
+    (n, m, pref, nbrs, scale, w, floor, smask_lo, smask_hi, deadline) = args
     best_key = None
     best = None
     count = 0
@@ -310,13 +333,13 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
                 check_deadline(deadline)
             assignment = left_perfect_matching_masks(masks, m)
             if assignment is not None:
-                best_key = floor + w * lost
+                best_key = top + w * lost
                 best = tuple(assignment)
             return
         size = space // len(levels[level])
         for loss, updates in levels[level]:
             child = None
-            if best_key is None or floor + w * (lost + loss) < best_key:
+            if best_key is None or max(top + w * (lost + loss), cap) < best_key:
                 child = masks[:]
                 for b, keep in updates:
                     child[b] &= keep
@@ -338,9 +361,11 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
         if smask & isolated:
             continue  # an agent without neighbours envies nobody: no guesses
         env = smask.bit_count()
-        floor = env * scale - w * (n - env)
+        # Key bounds: every undecided agent happy, and at most H happy.
+        top = env * scale - w * (n - env)
+        cap = env * scale + floor
         space = math.prod(len(nbrs[a]) for a in _members(smask)) << (n - env)
-        if best_key is not None and floor >= best_key:
+        if best_key is not None and max(top, cap) >= best_key:
             count += space
             continue
         # Depth first: the envious agents' first envied neighbours (support
@@ -366,10 +391,13 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
     positions (support order, positions ascending), then the other agents
     from last to first, unhappy before happy, so happy subsets come
     ascending. The first optimum is kept. One rule prunes: a node whose
-    trimmed sets hold an empty one, or whose key bound (all undecided
-    agents happy) cannot beat the incumbent, has its subtree counted in
-    bulk, so ``guesses_explored`` is the whole guess space, the product
-    over agents of ``degree + 2``.
+    trimmed sets hold an empty one, or whose key bound cannot beat the
+    incumbent, has its subtree counted in bulk, so ``guesses_explored`` is
+    the whole guess space, the product over agents of ``degree + 2``. The
+    bound is the larger of two: all undecided agents happy, and the floor
+    plus ``scale`` per envious agent of the support (no more than H agents
+    are happy). Once the incumbent is at the floor, every later node is
+    counted in bulk.
     """
     cfg = cfg or SolverConfig()
     n, m = inst.n_agents, inst.n_houses
@@ -381,8 +409,9 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
     # Contiguous ranges of envious-support bitmasks form the chunks.
     n_chunks = 1 if workers <= 1 else min(1 << n, 4 * workers)
     bounds = [(1 << n) * i // n_chunks for i in range(n_chunks + 1)]
+    floor = _key_floor(pref, m, w)
     chunk_args = [
-        (n, m, pref, inst.neighbors, scale, w, bounds[i], bounds[i + 1],
+        (n, m, pref, inst.neighbors, scale, w, floor, bounds[i], bounds[i + 1],
          cfg.deadline)
         for i in range(n_chunks)
     ]
@@ -452,9 +481,11 @@ def solve_separator(
     class multiplicity, in ``combinations`` order; and the non-envious
     subsets of the undecided separator agents as ascending bitmasks. The
     first optimum is kept, so the witness is the one the full
-    enumeration keeps. ``guesses_explored`` counts the canonical
-    (separator houses, A1 houses, non-envious subset) triples reached in
-    distinct subproblems.
+    enumeration keeps. The top level stops at its first allocation whose
+    key is the floor (H is a maximum matching into the preferred feasible
+    houses); subproblems always finish. ``guesses_explored`` counts the
+    canonical (separator houses, A1 houses, non-envious subset) triples
+    reached in distinct subproblems before that stop.
 
     Raises :class:`NoFeasibleAllocation` when the feasibility sets admit
     no allocation.
@@ -497,9 +528,10 @@ def solve_separator(
             [tuple(in_2[b] for b in nbrs[a] if b in in_2) for a in S],
         )
 
-    def best_of(sub):
+    def best_of(sub, stop=None):
         """``(scaled value, witness pairs)`` of a subproblem, or ``None``
-        when no assignment respects its feasibility sets."""
+        when no assignment respects its feasibility sets; returns at once
+        when the value reaches ``stop``, a lower bound."""
         nonlocal count
         if not sub[0]:
             return 0, ()
@@ -579,6 +611,8 @@ def solve_separator(
                     value = contrib + sub1[0] + sub2[0]
                     if best is None or value < best[0]:
                         best = (value, tuple(zip(S, phi)) + sub1[1] + sub2[1])
+                        if value == stop:
+                            return best
         memo[sub] = best
         return best
 
@@ -591,7 +625,7 @@ def solve_separator(
         for h in _members(c):
             below[h] = c & ((1 << h) - 1)
     try:
-        best = best_of(root)
+        best = best_of(root, _key_floor([p & f for p, f in zip(root[3], root[2])], m, w))
     finally:
         # ``best_of`` refers to itself through its closure; dropping the
         # name breaks that cycle, so the memo is freed now rather than at

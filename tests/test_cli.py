@@ -451,6 +451,20 @@ def test_bench_timeout_recorded(tmp_path, capsys):
     assert rows and rows[0].split("\t")[7] == "timeout"
 
 
+def test_solve_timeout_exits_10_with_one_error_line(tmp_path, capsys):
+    # Envy-guess needs about 9 s on this instance without a timeout.
+    path = tmp_path / "rr20.haan"
+    assert run_cli("generate", "halfsep-3reg", "--graph", "random-regular:20:3:1",
+                   "--k", "4", "--output", str(path)) == 0
+    capsys.readouterr()
+    start = time.monotonic()
+    code, out, err = run_cli_capture(capsys, "solve", str(path), "--algo", "envy-guess",
+                                     "--guess-limit", "0", "--timeout", "0.2")
+    assert time.monotonic() - start < 5
+    assert (code, out) == (10, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- entry point ----------------------------------------------------------------
 
 def test_console_script_runs():
@@ -540,6 +554,8 @@ def test_count_below_one_is_usage_error(tmp_path, capsys, command, flag, value):
     ("bench", "--timeout", "-1", "must be a finite number of seconds above 0, got -1"),
     ("bench", "--timeout", "0", "must be a finite number of seconds above 0, got 0"),
     ("bench", "--timeout", "soon", "invalid float value: 'soon'"),
+    ("solve", "--timeout", "0", "must be a finite number of seconds above 0, got 0"),
+    ("solve", "--timeout", "nan", "must be a finite number of seconds above 0, got nan"),
 ])
 def test_bad_guess_limit_or_timeout_is_usage_error(tmp_path, capsys, command, flag,
                                                    value, message):
@@ -724,7 +740,7 @@ def test_canonical_render_parse_render_is_byte_identical(doc):
 
 
 # The codes of the README's exit-code table.
-DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6, 7, 8, 9}
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 
 
 @st.composite

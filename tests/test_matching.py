@@ -1,6 +1,10 @@
 import random
 
-from haan.matching import left_perfect_matching_masks, min_cost_saturating_assignment
+from haan.matching import (
+    left_perfect_matching_masks,
+    max_matching_size_masks,
+    min_cost_saturating_assignment,
+)
 
 from oracles import matching_optimum
 
@@ -49,6 +53,16 @@ def test_max_cardinality_shared_right_vertex():
 def test_max_cardinality_complete():
     assignment = left_perfect_matching_masks([0b111] * 3, 3)
     assert sorted(assignment) == [0, 1, 2]
+
+
+def test_max_matching_size_equals_enumerated_maximum():
+    rng = random.Random(3)
+    for _ in range(300):
+        n_left, n_right = rng.randint(0, 6), rng.randint(0, 7)
+        pairs = {(l, r): 0 for l in range(n_left) for r in range(n_right)
+                 if rng.random() < rng.choice((0.2, 0.5))}
+        size, _ = matching_optimum(n_left, n_right, pairs)
+        assert max_matching_size_masks(masks(n_left, n_right, pairs), n_right) == size
 
 
 def test_min_cost_2x2_example():

@@ -43,7 +43,13 @@ from haan.solvers import (
     solve_vertex_cover_xp,
 )
 
-from oracles import all_optima_happiness, annotated_optimum, brute_optimum, random_instance
+from oracles import (
+    all_optima_happiness,
+    annotated_optimum,
+    brute_optimum,
+    matching_optimum,
+    random_instance,
+)
 
 HAPPY = SolverConfig(objective=Objective.MIN_ENVY_THEN_MAX_HAPPY)
 
@@ -304,44 +310,46 @@ def test_separator_matches_envy_guess_on_plain_instances():
 
 # Pinned (min_envy, happiness, allocation, guesses_explored) per objective
 # (envy, envy-happy), or the error class, for SEPARATOR_GOLDEN_CASES: the
-# separator's witness order and guess count are part of its contract.
+# separator's witness order and guess count are part of its contract. Rows
+# whose optimum is at the key floor count only the triples tried before
+# the top level reached it.
 SEPARATOR_GOLDEN = [
     [(0, 1, (0,), 1), (0, 1, (0,), 1)],
     [(1, 0, (4, 2, 1, 0, 3), 227), (1, 2, (2, 0, 3, 5, 6), 257)],
-    [(0, 3, (4, 3, 2, 1, 0), 33), (0, 3, (4, 3, 2, 1, 0), 172)],
+    [(0, 3, (4, 3, 2, 1, 0), 20), (0, 3, (4, 3, 2, 1, 0), 35)],
     [(2, 2, (1, 5, 3, 2, 0, 7), 239), (2, 2, (1, 5, 3, 2, 0, 7), 239)],
-    [(0, 1, (2, 4, 0, 1, 3), 86), (0, 3, (2, 4, 1, 5, 0), 210)],
+    [(0, 1, (2, 4, 0, 1, 3), 76), (0, 3, (2, 4, 1, 5, 0), 210)],
     [(1, 0, (0, 5, 2, 3), 114), (1, 1, (0, 3, 2, 4), 116)],
-    [(0, 1, (2, 0, 4, 1), 21), (0, 2, (1, 0, 4, 5), 66)],
+    [(0, 1, (2, 0, 4, 1), 17), (0, 2, (1, 0, 4, 5), 28)],
     [(0, 0, (0, 2), 6), (0, 0, (0, 2), 6)],
-    [(0, 3, (0, 1, 4, 3), 24), (0, 4, (2, 1, 4, 3), 50)],
+    [(0, 3, (0, 1, 4, 3), 20), (0, 4, (2, 1, 4, 3), 50)],
     [(0, 1, (0,), 1), (0, 1, (0,), 1)],
     [(0, 1, (0,), 1), (0, 1, (0,), 1)],
-    [(0, 3, (1, 4, 6, 0, 2), 39), (0, 3, (1, 4, 6, 0, 2), 137)],
-    [(0, 1, (2, 1, 0), 13), (0, 3, (0, 1, 3), 35)],
+    [(0, 3, (1, 4, 6, 0, 2), 34), (0, 3, (1, 4, 6, 0, 2), 124)],
+    [(0, 1, (2, 1, 0), 8), (0, 3, (0, 1, 3), 34)],
     [(1, 2, (1, 0, 2, 3, 4, 5), 27), (1, 2, (1, 0, 2, 3, 4, 5), 27)],
     [(0, 1, (0,), 1), (0, 1, (0,), 1)],
-    [(0, 2, (2, 0, 1), 6), (0, 2, (2, 0, 1), 9)],
-    [(0, 1, (1, 0), 6), (0, 2, (1, 2), 14)],
+    [(0, 2, (2, 0, 1), 4), (0, 2, (2, 0, 1), 4)],
+    [(0, 1, (1, 0), 4), (0, 2, (1, 2), 14)],
     [(0, 4, (1, 0, 4, 3), 30), (0, 4, (1, 0, 4, 3), 30)],
-    [(0, 2, (1, 0), 4), (0, 2, (1, 0), 4)],
+    [(0, 2, (1, 0), 3), (0, 2, (1, 0), 3)],
     ['NoFeasibleAllocation', 'NoFeasibleAllocation'],
     [(0, 0, (0,), 2), (0, 0, (0,), 2)],
-    [(0, 2, (3, 2, 0, 1), 20), (0, 2, (3, 2, 0, 1), 50)],
-    [(0, 1, (0, 3, 2, 1), 11), (0, 1, (0, 3, 2, 1), 24)],
+    [(0, 2, (3, 2, 0, 1), 17), (0, 2, (3, 2, 0, 1), 43)],
+    [(0, 1, (0, 3, 2, 1), 7), (0, 1, (0, 3, 2, 1), 7)],
     [(1, 3, (2, 0, 1, 5, 6), 159), (1, 4, (2, 0, 3, 5, 6), 165)],
-    [(0, 1, (1, 0), 5), (0, 1, (1, 0), 10)],
+    [(0, 1, (1, 0), 4), (0, 1, (1, 0), 4)],
     [(2, 1, (1, 4, 3, 2, 5), 80), (2, 1, (1, 4, 3, 2, 5), 80)],
-    [(0, 1, (1, 0), 8), (0, 1, (1, 0), 10)],
-    [(0, 2, (4, 0, 2, 1, 3), 86), (0, 2, (4, 0, 2, 1, 3), 109)],
-    [(0, 4, (5, 1, 3, 2, 0, 4), 165), (0, 4, (5, 1, 3, 2, 0, 4), 534)],
+    [(0, 1, (1, 0), 7), (0, 1, (1, 0), 7)],
+    [(0, 2, (4, 0, 2, 1, 3), 83), (0, 2, (4, 0, 2, 1, 3), 90)],
+    [(0, 4, (5, 1, 3, 2, 0, 4), 159), (0, 4, (5, 1, 3, 2, 0, 4), 306)],
     [(0, 1, (0,), 1), (0, 1, (0,), 1)],
     [(0, 1, (0,), 1), (0, 1, (0,), 1)],
     [(2, 0, (0, 1, 2), 7), (2, 0, (0, 1, 2), 7)],
-    [(0, 0, (0, 2, 1), 10), (0, 1, (3, 1, 0), 20)],
-    [(0, 1, (0, 3, 1, 2, 5, 4), 62), (0, 1, (0, 3, 1, 2, 5, 4), 110)],
-    [(0, 2, (3, 1, 0, 2), 43), (0, 3, (0, 1, 4, 2), 71)],
-    [(0, 4, (4, 0, 1, 5, 2, 3), 88), (0, 4, (4, 0, 1, 5, 2, 3), 110)],
+    [(0, 0, (0, 2, 1), 8), (0, 1, (3, 1, 0), 15)],
+    [(0, 1, (0, 3, 1, 2, 5, 4), 54), (0, 1, (0, 3, 1, 2, 5, 4), 110)],
+    [(0, 2, (3, 1, 0, 2), 37), (0, 3, (0, 1, 4, 2), 71)],
+    [(0, 4, (4, 0, 1, 5, 2, 3), 86), (0, 4, (4, 0, 1, 5, 2, 3), 102)],
     [(0, 0, (0,), 2), (0, 0, (0,), 2)],
     [(1, 1, (5, 1, 3, 0), 133), (1, 1, (5, 1, 3, 0), 137)],
     [(0, 0, (0,), 2), (0, 0, (0,), 2)],
@@ -760,6 +768,59 @@ def test_worker_count_does_not_change_results():
                 (r.min_envy, r.happiness, r.allocation.assignment, r.guesses_explored)
                 for r in results
             }) == 1
+
+
+def _most_happy(inst: Instance) -> int:
+    """H, the most agents that can hold a preferred house at once."""
+    pairs = {(a, h): 0 for a, p in enumerate(inst.preferences) for h in p}
+    return matching_optimum(inst.n_agents, inst.n_houses, pairs)[0]
+
+
+def _at_floor(inst: Instance, r) -> bool:
+    """Whether a result's key is the floor under envy-happy: no envy and H
+    happy agents (its envy part alone is the floor under envy)."""
+    return r.min_envy == 0 and r.happiness == _most_happy(inst)
+
+
+def test_brute_and_envy_guess_keep_witnesses_and_counts_at_the_floor():
+    rng = random.Random(37)
+    hits = {False: 0, True: 0}
+    for _ in range(60):
+        inst = random_instance(rng, n_max=5, extra_houses=1, d_max=3)
+        n, m = inst.n_agents, inst.n_houses
+        for happy in (False, True):
+            cfg = HAPPY if happy else SolverConfig()
+            envy, hap, witness = brute_optimum(inst, happy)
+            brute = solve_bruteforce(inst, cfg)
+            assert (brute.min_envy, brute.happiness, brute.allocation.assignment) == (
+                envy, hap, witness)
+            assert brute.guesses_explored == math.perm(m, n)
+            guess = solve_envy_guess(inst, cfg)
+            check_witness(inst, guess)
+            assert guess.min_envy == envy
+            if happy:
+                assert guess.happiness == hap
+            assert guess.guesses_explored == math.prod(inst.degree(a) + 2 for a in range(n))
+            hits[happy] += envy == 0 and (not happy or _at_floor(inst, brute))
+    assert min(hits.values()) >= 15, hits
+
+
+def test_floor_stop_gives_the_same_results_for_every_worker_count():
+    rng = random.Random(41)
+    instances = []
+    while len(instances) < 4:
+        inst = random_instance(rng, n_max=5, extra_houses=1)
+        if inst.n_agents >= 3 and _at_floor(inst, solve_bruteforce(inst, HAPPY)):
+            instances.append(inst)
+    for inst in instances:
+        for fn in (solve_bruteforce, solve_envy_guess):
+            for objective in Objective:
+                results = {
+                    (r.min_envy, r.happiness, r.allocation.assignment, r.guesses_explored)
+                    for r in (fn(inst, SolverConfig(workers=w, objective=objective))
+                              for w in (1, 2, 3))
+                }
+                assert len(results) == 1, (fn.__name__, objective, inst)
 
 
 def test_all_solvers_reject_infeasible():
