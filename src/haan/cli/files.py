@@ -4,7 +4,8 @@ Every file starts with a ``haan/1 <kind>`` tag line. Set-valued lines use
 a `` : `` delimiter so empty sets stay visible. Writers emit a canonical
 form (sorted edges, one ``prefs`` line per agent, deterministic metadata
 JSON), and parsing a canonical file then writing it back is
-byte-identical. Parsers accept lines in any order after the tag.
+byte-identical. Parsers accept lines in any order after the tag; a
+repeated line that can appear only once is a format error.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ __all__ = [
 ]
 
 _TAG = "haan/1"
+
+# Instance lines that may appear at most once; "meta" lines by their key.
+_ONCE = {"agents", "houses", "angry", "meta target_envy", "meta provenance"}
 
 
 @dataclass(frozen=True)
@@ -90,9 +94,15 @@ def parse_instance_text(text: str) -> InstanceDocument:
     angry: list[int] | None = None
     target_envy = None
     provenance = None
+    seen: set[str] = set()
     for ln in lines[1:]:
         tokens = ln.split()
         kind, rest = tokens[0], tokens[1:]
+        once = " ".join(tokens[:2]) if kind == "meta" else kind
+        if once in _ONCE:
+            if once in seen:
+                raise FormatError(f"duplicate {once} line")
+            seen.add(once)
         if kind == "agents":
             (n_agents,) = _exact_ints(rest, 1, "agents")
         elif kind == "houses":

@@ -131,9 +131,8 @@ class Allocation:
 
 @dataclass(frozen=True)
 class EnvyReport:
-    """Per-agent envy sets and flags plus aggregate counts."""
+    """Per-agent envy and happiness flags plus aggregate counts."""
 
-    envy_sets: tuple[frozenset[int], ...]
     envious: tuple[bool, ...]
     happy: tuple[bool, ...]
     n_envious: int
@@ -229,18 +228,11 @@ def evaluate(inst: Instance, alloc: Allocation) -> EnvyReport:
     assignment = alloc.assignment
     prefs = inst.preferences
     happy = tuple(assignment[a] in prefs[a] for a in range(inst.n_agents))
-    envy_sets = []
-    for a in range(inst.n_agents):
-        if happy[a]:
-            envy_sets.append(frozenset())
-            continue
-        pref = prefs[a]
-        envy_sets.append(
-            frozenset(b for b in inst.neighbors[a] if assignment[b] in pref)
-        )
-    envious = tuple(bool(s) for s in envy_sets)
+    envious = tuple(
+        not happy[a] and any(assignment[b] in prefs[a] for b in inst.neighbors[a])
+        for a in range(inst.n_agents)
+    )
     return EnvyReport(
-        envy_sets=tuple(envy_sets),
         envious=envious,
         happy=happy,
         n_envious=sum(envious),
@@ -254,11 +246,9 @@ def evaluate_annotated(
     """Annotated report: feasibility flag plus envy under angry semantics.
 
     The report is :func:`evaluate`'s on the base instance, except that
-    angry agents are envious iff unassigned a preferred house; for them the
-    ``envious`` flag is authoritative and ``envy_sets`` (still the envied
-    neighbors, possibly empty) is informative only. With no angry agents
-    and all-permissive feasibility sets this coincides with
-    :func:`evaluate`.
+    angry agents are envious iff unassigned a preferred house, whatever
+    their neighbors hold. With no angry agents and all-permissive
+    feasibility sets this coincides with :func:`evaluate`.
     """
     report = evaluate(ann.base, alloc)
     feasible_ok = all(h in f for h, f in zip(alloc.assignment, ann.feasible))

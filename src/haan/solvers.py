@@ -3,9 +3,9 @@
 All solvers share the result contract: the reported optimum is exactly
 what evaluating the returned witness reproduces. Guess enumerations run
 in a fixed, documented order and keep the first optimum encountered, so
-results are bit-identical for any worker count: parallel runs partition
-the guess space into ranked chunks and the reduction keeps the
-lowest-ranked optimum.
+results are bit-identical for any worker count: envy-guess and vc-xp
+partition their guess space into ranked chunks and the reduction keeps
+the lowest-ranked optimum; the other solvers run sequentially.
 
 Objectives are encoded as single integer keys
 ``scale*envy - w*happiness``: ``(scale, w) = (n+1, 1)`` under
@@ -18,7 +18,8 @@ can hold a preferred (and feasible) house at once: a maximum matching,
 the optimum of classical House Allocation. Brute force, envy-guess and
 the separator's top level stop once their incumbent reaches it; nothing
 after the first floor-key guess could replace it, so witnesses do not
-change.
+change. Brute force and envy-guess report their whole guess space as
+``guesses_explored``, by formula.
 """
 
 from __future__ import annotations
@@ -83,20 +84,21 @@ class Objective(Enum):
 class SolverConfig:
     """Shared solver knobs.
 
-    ``workers=None`` resolves to sequential execution. ``guess_limit=None``
-    lifts the exploration cap. ``deadline`` is a ``time.monotonic()``
-    cutoff checked cooperatively inside guess loops and graph searches.
+    ``workers`` processes share envy-guess and vc-xp; the other solvers
+    ignore it. ``guess_limit=None`` lifts the exploration cap.
+    ``deadline`` is a ``time.monotonic()`` cutoff checked cooperatively
+    inside guess loops and graph searches.
     """
 
     objective: Objective = Objective.MIN_ENVY
-    workers: int | None = None
+    workers: int = 1
     guess_limit: int | None = DEFAULT_GUESS_LIMIT
     deadline: float | None = None
 
     def __post_init__(self):
         if self.guess_limit is not None and self.guess_limit < 1:
             raise InvalidInstance("guess_limit must be at least 1")
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise InvalidInstance("workers must be at least 1")
 
 
@@ -105,10 +107,6 @@ def _key_weights(cfg: SolverConfig, n: int) -> tuple[int, int]:
     if cfg.objective is Objective.MIN_ENVY_THEN_MAX_HAPPY:
         return n + 1, 1
     return 1, 0
-
-
-def _resolve_workers(cfg: SolverConfig) -> int:
-    return 1 if cfg.workers is None else cfg.workers
 
 
 def _bits(items: Iterable[int]) -> int:
@@ -174,7 +172,7 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
         raise BudgetExceeded(
             f"{label}: guess space {total} exceeds limit {cfg.guess_limit}"
         )
-    workers = min(_resolve_workers(cfg), len(chunk_args))
+    workers = min(cfg.workers, len(chunk_args))
     if workers <= 1:
         results = map(worker, chunk_args)
     else:
@@ -192,36 +190,17 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
     return _result(inst, best, label, guesses)
 
 
-def _injective(m: int, k: int, first: int) -> Iterator[tuple[int, ...]]:
-    """Injective k-tuples over ``range(m)`` in lexicographic order; with
-    ``first >= 0``, only those whose first house is ``first``."""
-    if first < 0:
-        return permutations(range(m), k)
-    others = [h for h in range(m) if h != first]
-    return ((first,) + t for t in permutations(others, k - 1))
-
-
-def _first_houses(m: int, k: int, cfg: SolverConfig) -> list[int]:
-    """Chunks of an injective k-tuple enumeration: one unpinned chunk, or
-    one chunk per first house when several workers share it."""
-    if k == 0 or _resolve_workers(cfg) <= 1:
-        return [-1]
-    return list(range(m))
-
-
 # ---------------------------------------------------------------------------
 # Brute force
 # ---------------------------------------------------------------------------
 
 def _bf_chunk(args) -> tuple[int | None, tuple | None, int]:
-    (n, m, pref, nbrs, scale, w, floor, first, deadline) = args
+    (n, m, pref, nbrs, scale, w, floor, deadline) = args
     best_key = None
     best = None
-    count = 0
     agents = range(n)
-    for asg in _injective(m, n, first):
-        count += 1
-        if deadline is not None and not count & 4095:
+    for i, asg in enumerate(permutations(range(m), n)):
+        if deadline is not None and not i & 4095:
             check_deadline(deadline)
         env = 0
         hap = 0
@@ -239,18 +218,18 @@ def _bf_chunk(args) -> tuple[int | None, tuple | None, int]:
             best_key = key
             best = asg
             if key == floor:
-                # Nothing later can beat it: report the chunk's whole count.
-                return key, asg, math.perm(m, n) if first < 0 else math.perm(m - 1, n - 1)
-    return best_key, best, count
+                break  # nothing later can beat it
+    return best_key, best, math.perm(m, n)
 
 
 def solve_bruteforce(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     """Exhaustive enumeration of all injective assignments.
 
     The witness is the first optimum in lexicographic assignment order;
-    every other solver is checked against this one. The enumeration stops
-    at the first assignment whose key is the floor, and
-    ``guesses_explored`` is still perm(m, n).
+    every other solver is checked against this one, so the enumeration is
+    one sequential loop whatever ``cfg.workers`` says. It stops at the
+    first assignment whose key is the floor; ``guesses_explored`` is the
+    guess space perm(m, n).
     """
     cfg = cfg or SolverConfig()
     n, m = inst.n_agents, inst.n_houses
@@ -259,10 +238,7 @@ def solve_bruteforce(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
     pref = _pref_masks(inst)
     scale, w = _key_weights(cfg, n)
     floor = _key_floor(pref, m, w)
-    chunk_args = [
-        (n, m, pref, inst.neighbors, scale, w, floor, first, cfg.deadline)
-        for first in _first_houses(m, n, cfg)
-    ]
+    chunk_args = [(n, m, pref, inst.neighbors, scale, w, floor, cfg.deadline)]
     return _search(inst, cfg, "brute", math.perm(m, n), _bf_chunk, chunk_args)
 
 
@@ -311,7 +287,8 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
     (n, m, pref, nbrs, scale, w, floor, smask_lo, smask_hi, deadline) = args
     best_key = None
     best = None
-    count = 0
+    share = 0  # of the guess space, from this chunk's supports
+    nodes = 0
     # Each decision's choices as (happiness lost, [(agent, mask to AND)]).
     # An envious agent whose first envied neighbour is nbrs[a][i] is
     # unhappy, that neighbour holds a house it prefers and those before it
@@ -323,37 +300,30 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
             for a, nb in enumerate(nbrs)]
     isolated = _bits(a for a in range(n) if not nbrs[a])
 
-    def visit(level, masks, lost, space):
-        # Below a node with no empty mask and a key bound that can win;
-        # ``space`` counts the guesses below it.
-        nonlocal best_key, best, count
+    def visit(level, masks, lost):
+        # A node with no empty mask and a key bound that can win. Masks
+        # only shrink and the bound only rises below, so a child that
+        # fails either is skipped with its subtree.
+        nonlocal best_key, best, nodes
+        nodes += 1
+        if deadline is not None and not nodes & 4095:
+            check_deadline(deadline)
         if level == n:
-            count += 1
-            if deadline is not None and not count & 4095:
-                check_deadline(deadline)
             assignment = left_perfect_matching_masks(masks, m)
             if assignment is not None:
                 best_key = top + w * lost
                 best = tuple(assignment)
             return
-        size = space // len(levels[level])
         for loss, updates in levels[level]:
-            child = None
-            if best_key is None or max(top + w * (lost + loss), cap) < best_key:
-                child = masks[:]
-                for b, keep in updates:
-                    child[b] &= keep
-                    if not child[b]:
-                        child = None
-                        break
-            if child is None:
-                # Masks only shrink and the bound only rises below: count
-                # the subtree in bulk, checking the deadline past each 4096.
-                count += size
-                if deadline is not None and count & 4095 < size:
-                    check_deadline(deadline)
+            if best_key is not None and max(top + w * (lost + loss), cap) >= best_key:
+                continue
+            child = masks[:]
+            for b, keep in updates:
+                child[b] &= keep
+                if not child[b]:
+                    break
             else:
-                visit(level + 1, child, lost + loss, size)
+                visit(level + 1, child, lost + loss)
 
     for smask in range(smask_lo, smask_hi):
         if deadline is not None and not smask & 63:
@@ -364,17 +334,16 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
         # Key bounds: every undecided agent happy, and at most H happy.
         top = env * scale - w * (n - env)
         cap = env * scale + floor
-        space = math.prod(len(nbrs[a]) for a in _members(smask)) << (n - env)
+        share += math.prod(len(nbrs[a]) for a in _members(smask)) << (n - env)
         if best_key is not None and max(top, cap) >= best_key:
-            count += space
             continue
         # Depth first: the envious agents' first envied neighbours (support
         # order, positions ascending), then the other agents from last to
         # first, unhappy before happy, so leaves come in cmask order.
         levels = [envious[a] for a in range(n) if smask >> a & 1]
         levels += [calm[a] for a in range(n - 1, -1, -1) if not smask >> a & 1]
-        visit(0, [(1 << m) - 1] * n, 0, space)
-    return best_key, best, count
+        visit(0, [(1 << m) - 1] * n, 0)
+    return best_key, best, share
 
 
 def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
@@ -392,12 +361,13 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
     from last to first, unhappy before happy, so happy subsets come
     ascending. The first optimum is kept. One rule prunes: a node whose
     trimmed sets hold an empty one, or whose key bound cannot beat the
-    incumbent, has its subtree counted in bulk, so ``guesses_explored`` is
-    the whole guess space, the product over agents of ``degree + 2``. The
-    bound is the larger of two: all undecided agents happy, and the floor
-    plus ``scale`` per envious agent of the support (no more than H agents
-    are happy). Once the incumbent is at the floor, every later node is
-    counted in bulk.
+    incumbent, is skipped with its subtree. The bound is the larger of
+    two: all undecided agents happy, and the floor plus ``scale`` per
+    envious agent of the support (no more than H agents are happy). Once
+    the incumbent is at the floor, every later node is skipped.
+    ``guesses_explored`` is the guess space by formula, the product over
+    agents of ``degree + 2``; when ``cfg.workers`` processes split the
+    supports into chunks, each chunk reports its share.
     """
     cfg = cfg or SolverConfig()
     n, m = inst.n_agents, inst.n_houses
@@ -405,9 +375,8 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
         raise InstanceInfeasible(f"{m} houses for {n} agents")
     pref = _pref_masks(inst)
     scale, w = _key_weights(cfg, n)
-    workers = _resolve_workers(cfg)
     # Contiguous ranges of envious-support bitmasks form the chunks.
-    n_chunks = 1 if workers <= 1 else min(1 << n, 4 * workers)
+    n_chunks = 1 if cfg.workers <= 1 else min(1 << n, 4 * cfg.workers)
     bounds = [(1 << n) * i // n_chunks for i in range(n_chunks + 1)]
     floor = _key_floor(pref, m, w)
     chunk_args = [
@@ -667,7 +636,12 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None, int]:
     cover_rows = [(pref[a], [pos[b] for b in nbrs[a] if b in cover],
                    [pos[b] for b in nbrs[a] if b not in cover]) for a in cover]
     rest_rows = [(pref[a], [pos[b] for b in nbrs[a]]) for a in rest]
-    for phi in _injective(m, k, first):
+    if first < 0:
+        phis = permutations(range(m), k)
+    else:  # the chunk of the tuples whose first house is ``first``
+        others = [h for h in range(m) if h != first]
+        phis = ((first,) + t for t in permutations(others, k - 1))
+    for phi in phis:
         if deadline is not None:
             check_deadline(deadline)
         rem_mask = (1 << m) - 1 & ~_bits(phi)
@@ -791,9 +765,10 @@ def solve_vertex_cover_xp(
     rest = tuple(a for a in range(n) if a not in cover_set)
     pref = _pref_masks(inst)
     scale, w = _key_weights(cfg, n)
+    # One chunk, or one per first house when several workers share it.
     chunk_args = [
         (n, m, pref, inst.neighbors, cover_t, rest, scale, w, first, cfg.deadline)
-        for first in _first_houses(m, k, cfg)
+        for first in (range(m) if k and cfg.workers > 1 else [-1])
     ]
     return _search(inst, cfg, "vc-xp", _vc_space(m, k), _vc_chunk, chunk_args)
 

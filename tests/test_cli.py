@@ -121,6 +121,26 @@ def test_malformed_line_is_a_format_error(tmp_path, capsys, bad_line):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("repeated", [
+    "agents 3",
+    "houses 4",
+    "angry :\nangry : 1",
+    "meta target_envy 0\nmeta target_envy 1",
+    'meta provenance {}\nmeta provenance {"k": 1}',
+])
+def test_repeated_singleton_line_is_a_format_error(tmp_path, capsys, repeated):
+    # TRIANGLE_TEXT already holds one agents and one houses line.
+    text = TRIANGLE_TEXT + repeated + "\n"
+    with pytest.raises(FormatError, match="duplicate"):
+        parse_instance_text(text)
+    path = tmp_path / "repeated.haan"
+    path.write_text(text)
+    code, out, err = run_cli_capture(capsys, "solve", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: duplicate") and err.count("\n") == 1
+
+
 def test_result_round_trip():
     doc = ResultDocument("brute", "envy", 2, 1, 6, 0, (0, 1, 2))
     text = render_result_text(doc)

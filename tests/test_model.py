@@ -77,7 +77,6 @@ def test_evaluate_path_example():
     # a0 - a1, both want h0; a0 holds it.
     inst = Instance(2, 2, [(0, 1)], [[0], [0]])
     rep = evaluate(inst, Allocation((0, 1)))
-    assert rep.envy_sets == (frozenset(), frozenset({0}))
     assert rep.envious == (False, True)
     assert rep.happy == (True, False)
     assert rep.n_envious == 1 and rep.n_happy == 1
@@ -86,7 +85,7 @@ def test_evaluate_path_example():
 def test_evaluate_triangle_example():
     inst = Instance(3, 3, [(0, 1), (0, 2), (1, 2)], [[0], [0], [0]])
     rep = evaluate(inst, Allocation((0, 1, 2)))
-    assert rep.envy_sets == (frozenset(), frozenset({0}), frozenset({0}))
+    assert rep.envious == (False, True, True)
     assert rep.n_envious == 2
     # 2 is also the minimum over all 6 allocations.
     assert brute_optimum(inst)[0] == 2
@@ -145,19 +144,18 @@ def test_annotated_plain_wrapper_matches_plain_evaluate(case):
 
 @given(instances_with_allocations())
 @settings(max_examples=150)
-def test_envy_set_membership_conditions(case):
+def test_envy_flags_follow_the_definition(case):
+    # a envies b iff they share an edge, a holds no house it prefers and b
+    # holds one that a prefers.
     inst, alloc = case
     rep = evaluate(inst, alloc)
-    edges = set(inst.edges)
+    held = alloc.assignment
+    likes = inst.preferences
     for a in range(inst.n_agents):
-        assert rep.envious[a] == bool(rep.envy_sets[a])
-        assert rep.happy[a] == (alloc.assignment[a] in inst.preferences[a])
-        if rep.happy[a]:
-            assert not rep.envy_sets[a]
-        for b in rep.envy_sets[a]:
-            assert (min(a, b), max(a, b)) in edges
-            assert alloc.assignment[a] not in inst.preferences[a]
-            assert alloc.assignment[b] in inst.preferences[a]
+        assert rep.happy[a] == (held[a] in likes[a])
+        nbrs = [v if u == a else u for u, v in inst.edges if a in (u, v)]
+        assert rep.envious[a] == (
+            held[a] not in likes[a] and any(held[b] in likes[a] for b in nbrs))
     assert rep.n_envious == sum(rep.envious)
     assert rep.n_happy == sum(rep.happy)
 

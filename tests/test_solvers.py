@@ -823,6 +823,37 @@ def test_floor_stop_gives_the_same_results_for_every_worker_count():
                 assert len(results) == 1, (fn.__name__, objective, inst)
 
 
+def test_brute_never_starts_a_pool(monkeypatch):
+    # Every agent of this path prefers its own house, so the first
+    # assignment is at the floor under envy-happy.
+    inst = Instance(8, 9, [(a, a + 1) for a in range(7)], [[a] for a in range(8)])
+    want = solve_bruteforce(inst, HAPPY)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("brute force started a process pool")
+
+    monkeypatch.setattr("haan.solvers.ProcessPoolExecutor", no_pool)
+    got = solve_bruteforce(
+        inst, SolverConfig(workers=2, objective=Objective.MIN_ENVY_THEN_MAX_HAPPY))
+    assert got == want
+
+
+# Untimed, on a shared 2-core host, each takes 13-17 s (no assignment of
+# the 10-clique reaches brute's floor). Envy-guess spends seconds between
+# two of its every-64-supports checks here, so only the check every 4096
+# nodes stops it in time.
+@pytest.mark.parametrize("label", ["brute", "envy-guess", "vc-xp"])
+def test_guess_solvers_honour_the_deadline(label):
+    if label == "brute":
+        inst = Instance(10, 10, list(combinations(range(10), 2)), [[0]] * 10)
+    else:
+        inst = _reduction("clique-vc-bip", "k4", 3)
+    start = time.monotonic()
+    with pytest.raises(SolveTimeout):
+        dict(ALL_SOLVERS)[label](inst, SolverConfig(guess_limit=None, deadline=start + 0.05))
+    assert time.monotonic() - start < 1.0
+
+
 def test_all_solvers_reject_infeasible():
     inst = Instance(3, 2, [], [[], [], []])
     for name, fn in ALL_SOLVERS:
