@@ -15,11 +15,11 @@ order in exact integer arithmetic.
 
 No key is below the *floor* ``-w*H``, where H is the most agents that
 can hold a preferred (and feasible) house at once: a maximum matching,
-the optimum of classical House Allocation. Brute force, envy-guess and
-the separator's top level stop once their incumbent reaches it; nothing
-after the first floor-key guess could replace it, so witnesses do not
-change. Brute force and envy-guess report their whole guess space as
-``guesses_explored``, by formula.
+the optimum of classical House Allocation. Brute force, envy-guess,
+vc-xp and the separator's top level stop once their incumbent reaches
+it; nothing after the first floor-key guess could replace it, so
+witnesses do not change. Brute force, envy-guess and vc-xp report their
+whole guess space as ``guesses_explored``, by formula.
 """
 
 from __future__ import annotations
@@ -165,8 +165,8 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
     Checks the guess space ``total`` against the budget, runs the chunk
     jobs in rank order (in-process, or on a pool when several workers and
     chunks), keeps the best key of the lowest-ranked chunk that reaches it,
-    sums the guess counts, and evaluates the witness. Each job returns
-    ``(best key or None, witness, guesses)``.
+    and evaluates the witness; ``total`` is the reported guess count. Each
+    job returns ``(best key or None, witness)``.
     """
     if cfg.guess_limit is not None and total > cfg.guess_limit:
         raise BudgetExceeded(
@@ -180,21 +180,19 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
             results = list(pool.map(worker, chunk_args))
     best_key = None
     best = None
-    guesses = 0
-    for key, witness, count in results:
-        guesses += count
+    for key, witness in results:
         if key is not None and (best_key is None or key < best_key):
             best_key = key
             best = witness
     assert best is not None  # m >= n: some allocation always exists
-    return _result(inst, best, label, guesses)
+    return _result(inst, best, label, total)
 
 
 # ---------------------------------------------------------------------------
 # Brute force
 # ---------------------------------------------------------------------------
 
-def _bf_chunk(args) -> tuple[int | None, tuple | None, int]:
+def _bf_chunk(args) -> tuple[int | None, tuple | None]:
     (n, m, pref, nbrs, scale, w, floor, deadline) = args
     best_key = None
     best = None
@@ -219,7 +217,7 @@ def _bf_chunk(args) -> tuple[int | None, tuple | None, int]:
             best = asg
             if key == floor:
                 break  # nothing later can beat it
-    return best_key, best, math.perm(m, n)
+    return best_key, best
 
 
 def solve_bruteforce(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
@@ -283,11 +281,10 @@ def solve_d1_matching(inst: Instance, cfg: SolverConfig | None = None) -> SolveR
 # Envy-guessing solver
 # ---------------------------------------------------------------------------
 
-def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
+def _eg_chunk(args) -> tuple[int | None, tuple | None]:
     (n, m, pref, nbrs, scale, w, floor, smask_lo, smask_hi, deadline) = args
     best_key = None
     best = None
-    share = 0  # of the guess space, from this chunk's supports
     nodes = 0
     # Each decision's choices as (happiness lost, [(agent, mask to AND)]).
     # An envious agent whose first envied neighbour is nbrs[a][i] is
@@ -326,6 +323,8 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
                 visit(level + 1, child, lost + loss)
 
     for smask in range(smask_lo, smask_hi):
+        if best_key == floor:
+            break  # nothing later can beat it
         if deadline is not None and not smask & 63:
             check_deadline(deadline)
         if smask & isolated:
@@ -334,7 +333,6 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
         # Key bounds: every undecided agent happy, and at most H happy.
         top = env * scale - w * (n - env)
         cap = env * scale + floor
-        share += math.prod(len(nbrs[a]) for a in _members(smask)) << (n - env)
         if best_key is not None and max(top, cap) >= best_key:
             continue
         # Depth first: the envious agents' first envied neighbours (support
@@ -343,7 +341,7 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None, int]:
         levels = [envious[a] for a in range(n) if smask >> a & 1]
         levels += [calm[a] for a in range(n - 1, -1, -1) if not smask >> a & 1]
         visit(0, [(1 << m) - 1] * n, 0)
-    return best_key, best, share
+    return best_key, best
 
 
 def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
@@ -364,10 +362,9 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
     incumbent, is skipped with its subtree. The bound is the larger of
     two: all undecided agents happy, and the floor plus ``scale`` per
     envious agent of the support (no more than H agents are happy). Once
-    the incumbent is at the floor, every later node is skipped.
+    the incumbent is at the floor, the search stops.
     ``guesses_explored`` is the guess space by formula, the product over
-    agents of ``degree + 2``; when ``cfg.workers`` processes split the
-    supports into chunks, each chunk reports its share.
+    agents of ``degree + 2``, whatever ``cfg.workers`` says.
     """
     cfg = cfg or SolverConfig()
     n, m = inst.n_agents, inst.n_houses
@@ -623,67 +620,67 @@ def solve_separator(
 # Vertex-cover XP solver
 # ---------------------------------------------------------------------------
 
-def _vc_chunk(args) -> tuple[int | None, tuple | None, int]:
-    (n, m, pref, nbrs, cover, rest, scale, w, first, deadline) = args
-    k = len(cover)
+def _vc_chunk(args) -> tuple[int | None, tuple | None]:
+    (m, pref, nbrs, cover, rest, scale, w, floor, first, deadline) = args
+    k, r = len(cover), len(rest)
     best_key = None
     best = None
-    count = 0
-    # Per cover agent: preferred houses, and positions of its neighbours in
-    # the cover and in the rest. Per rest agent: preferred houses, and
-    # positions of its neighbours, all in the cover.
+    # Per cover position: preferred houses, positions of its cover
+    # neighbours placed before it, positions of its rest neighbours, and per
+    # house the rest neighbours that like it (a mask over rest positions).
+    # Per house: ``(bit, preferred houses)`` of each rest agent that likes it.
     pos = {a: i for part in (cover, rest) for i, a in enumerate(part)}
-    cover_rows = [(pref[a], [pos[b] for b in nbrs[a] if b in cover],
-                   [pos[b] for b in nbrs[a] if b not in cover]) for a in cover]
-    rest_rows = [(pref[a], [pos[b] for b in nbrs[a]]) for a in rest]
-    if first < 0:
-        phis = permutations(range(m), k)
-    else:  # the chunk of the tuples whose first house is ``first``
-        others = [h for h in range(m) if h != first]
-        phis = ((first,) + t for t in permutations(others, k - 1))
-    for phi in phis:
-        if deadline is not None:
-            check_deadline(deadline)
-        rem_mask = (1 << m) - 1 & ~_bits(phi)
-        # Eligible: cover agents not already envious within the cover. One
-        # chosen non-envious forbids its liked remaining houses to its rest
-        # neighbours; a *free* one (happy, or forbidding nothing) leaves every
-        # row as it is and lowers the key by ``scale``, so only guesses that
-        # choose all free agents can be optimal; the rest are counted but
-        # never evaluated.
-        happy_s = 0
-        n_el = 0
+    cpref = [pref[a] for a in cover]
+    earlier = [[pos[b] for b in nbrs[a] if b in cover and pos[b] < j]
+               for j, a in enumerate(cover)]
+    far = [[pos[b] for b in nbrs[a] if b not in cover] for a in cover]
+    rpref = [pref[a] for a in rest]
+    likers = [[_bits(p for p in far[j] if rpref[p] >> h & 1) for h in range(m)]
+              for j in range(k)]
+    fans = [[(1 << p, pa) for p, pa in enumerate(rpref) if pa >> h & 1]
+            for h in range(m)]
+    phi = [0] * k
+
+    def leaf(used, inelig, happy, seen, hopeless):
+        # Eligible: cover agents not envious within the cover. One chosen
+        # non-envious forbids its liked remaining houses to its rest
+        # neighbours; a *free* one (happy, or forbidding nothing) leaves
+        # every row as it is and lowers the key by ``scale``, so only
+        # guesses that choose all free agents can be optimal.
+        nonlocal best_key, best
+        rem_mask = (1 << m) - 1 & ~used
         forbids = []
-        for (pa, near, far), h in zip(cover_rows, phi):
-            if pa >> h & 1:
-                happy_s += w
-            elif any(pa >> phi[i] & 1 for i in near):
-                continue
-            elif pa & rem_mask and far:
-                forbids.append((pa & rem_mask, far))
-            n_el += 1
-        count += 1 << n_el
-        if (best_key is not None
-                and scale * (k - n_el) - happy_s - w * len(rest) >= best_key):
-            continue
-        remaining = _members(rem_mask)
-        n_free = n_el - len(forbids)
+        n_free = 0
+        for j in range(k):
+            if not inelig >> j & 1:
+                hit = cpref[j] & rem_mask
+                if hit and far[j] and not happy >> j & 1:
+                    forbids.append((hit, far[j]))
+                else:
+                    n_free += 1
+        top = scale * (k - n_free) - w * happy.bit_count()
+        # Each guess's key is at least its ``top`` less ``scale`` per chosen
+        # agent, plus every rest agent's cheapest remaining house.
+        least = top + scale * (seen & hopeless).bit_count() - w * (r - hopeless.bit_count())
         # Cmask-independent cost per rest agent of a house it does not like:
         # ``scale`` when it sees a cover neighbour holding one it likes.
         # Admissible houses are remaining ones, so ``pa & ok`` are liked.
-        miss = [scale if any(pa >> phi[i] & 1 for i in near) else 0
-                for pa, near in rest_rows]
+        miss = [scale if seen >> p & 1 else 0 for p in range(r)]
         for sub in range(1 << len(forbids)):
-            base = scale * (k - n_free - sub.bit_count()) - happy_s
-            admissible = [rem_mask] * len(rest)
-            for i, (hit, far) in enumerate(forbids):
+            chosen = scale * sub.bit_count()
+            if best_key is not None and least - chosen >= best_key:
+                continue
+            admissible = [rem_mask] * r
+            for i, (hit, out) in enumerate(forbids):
                 if sub >> i & 1:
-                    for p in far:
+                    for p in out:
                         admissible[p] &= ~hit
             # Row-minimum bound: every rest agent pays at least its
             # cheapest admissible house.
+            base = top - chosen
             bound = base
-            for (pa, _), cost, ok in zip(rest_rows, miss, admissible):
+            union = 0
+            for pa, cost, ok in zip(rpref, miss, admissible):
                 if pa & ok:
                     bound -= w
                 elif ok:
@@ -691,25 +688,84 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None, int]:
                 else:
                     bound = None
                     break
+                union |= ok
             if bound is None or (best_key is not None and bound >= best_key):
                 continue
-            # Most guesses that pass the bound admit no extension at all;
-            # the bitmask Hall check rejects them cheaper than the min-cost
+            # Most guesses that pass the bound admit no extension at all:
+            # fewer admissible houses than rest agents rejects many, and
+            # the bitmask Hall check the others, cheaper than the min-cost
             # engine would.
-            if left_perfect_matching_masks(admissible, m) is None:
+            if (union.bit_count() < r
+                    or left_perfect_matching_masks(admissible, m) is None):
                 continue
+            remaining = _members(rem_mask)
             rows: list[list[int | None]] = [
                 [(-w if pa >> h & 1 else cost) if ok >> h & 1 else None
                  for h in remaining]
-                for (pa, _), cost, ok in zip(rest_rows, miss, admissible)
+                for pa, cost, ok in zip(rpref, miss, admissible)
             ]
             zeta, assign_local = min_cost_saturating_assignment(rows)
             key = base + zeta
             if best_key is None or key < best_key:
-                houses = phi + tuple(remaining[j] for j in assign_local)
+                houses = tuple(phi) + tuple(remaining[j] for j in assign_local)
                 best_key = key
                 best = tuple(h for _, h in sorted(zip(cover + rest, houses)))
-    return best_key, best, count
+                if key == floor:
+                    return True  # nothing later can beat it
+        return False
+
+    def visit(j, used, inelig, happy, seen, hopeless):
+        # Places cover position j over its houses ascending, so leaves come
+        # in lexicographic tuple order. ``inelig`` and ``happy`` are masks
+        # over cover positions; ``seen`` and ``hopeless`` over rest
+        # positions: the agents that see a liked cover house, and those
+        # whose liked houses the cover holds. Returns True once the
+        # incumbent is at the floor.
+        if deadline is not None:
+            check_deadline(deadline)
+        if j == k:
+            return leaf(used, inelig, happy, seen, hopeless)
+        pa = cpref[j]
+        held = 0
+        watch = []  # earlier neighbours that turn envious if j takes a liked house
+        for i in earlier[j]:
+            held |= 1 << phi[i]
+            if not (happy | inelig) >> i & 1:
+                watch.append((1 << i, cpref[i]))
+        envied = pa & held
+        me = 1 << j
+        room = w * (k - 1 - j + r)  # most happy agents still to come
+        for h in (range(m) if j or first < 0 else (first,)):
+            bit = 1 << h
+            if used & bit:
+                continue
+            c_used = used | bit
+            c_inelig, c_happy, c_hopeless = inelig, happy, hopeless
+            if pa & bit:
+                c_happy |= me
+            elif envied:
+                c_inelig |= me
+            for ib, pi in watch:
+                if pi & bit:
+                    c_inelig |= ib
+            for pb, pi in fans[h]:
+                if not pi & ~c_used:
+                    c_hopeless |= pb
+            c_seen = seen | likers[j][h]
+            # Prefix bound: ineligible, seen and hopeless agents only grow,
+            # so no leaf below beats it.
+            if best_key is not None and (
+                    scale * (c_inelig.bit_count() + (c_seen & c_hopeless).bit_count())
+                    - w * (c_happy.bit_count() - c_hopeless.bit_count()) - room
+                    >= best_key):
+                continue
+            phi[j] = h
+            if visit(j + 1, c_used, c_inelig, c_happy, c_seen, c_hopeless):
+                return True
+        return False
+
+    visit(0, 0, 0, 0, 0, _bits(p for p, pa in enumerate(rpref) if not pa))
+    return best_key, best
 
 
 def _vc_space(m: int, k: int) -> int:
@@ -729,10 +785,21 @@ def solve_vertex_cover_xp(
     of which cover agents stay non-envious, extends over the independent
     remainder with one min-cost matching; inconsistent pairs are omitted
     edges, so a guess whose matching cannot cover all remaining agents is
-    discarded.
+    discarded. The cover tuples come from one depth-first search over the
+    cover positions (ascending agents), each over its houses ascending, so
+    tuples come in lexicographic order and the first optimum is kept. It
+    stops at its first guess whose key is the floor.
+    ``guesses_explored`` is the guess space by formula, perm(m, k)·2^k.
 
-    Two rules skip guesses without changing the optimum, the witness or
-    ``guesses_explored`` (skipped guesses are still counted):
+    These rules skip guesses without changing the optimum or the witness:
+
+    - *Prefix bound.* Each node carries its used houses, the cover agents
+      already envious within the cover (ineligible), the happy ones, and
+      the rest agents that see a liked cover house or have no liked house
+      left. A node is skipped with its subtree when ``scale`` per
+      ineligible agent and per rest agent that sees a liked house but has
+      none left, less ``w`` per agent that may still be happy, cannot
+      beat the incumbent.
 
     - *Free-agent dominance.* A cover agent that is happy, whose preferred
       houses are all taken by the cover, or that has no neighbour outside
@@ -743,7 +810,9 @@ def solve_vertex_cover_xp(
       a later one.
     - *Row-minimum bound.* The extension costs at least the sum of each
       remaining agent's cheapest admissible house; a guess whose bound
-      cannot beat the incumbent is not matched.
+      cannot beat the incumbent is not matched. Nor is one whose rest
+      agents have fewer admissible houses between them than their number,
+      or that fails the Hall check.
     """
     cfg = cfg or SolverConfig()
     n, m = inst.n_agents, inst.n_houses
@@ -765,9 +834,10 @@ def solve_vertex_cover_xp(
     rest = tuple(a for a in range(n) if a not in cover_set)
     pref = _pref_masks(inst)
     scale, w = _key_weights(cfg, n)
+    floor = _key_floor(pref, m, w)
     # One chunk, or one per first house when several workers share it.
     chunk_args = [
-        (n, m, pref, inst.neighbors, cover_t, rest, scale, w, first, cfg.deadline)
+        (m, pref, inst.neighbors, cover_t, rest, scale, w, floor, first, cfg.deadline)
         for first in (range(m) if k and cfg.workers > 1 else [-1])
     ]
     return _search(inst, cfg, "vc-xp", _vc_space(m, k), _vc_chunk, chunk_args)

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import time
-from itertools import combinations, permutations
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -574,43 +574,43 @@ GUESS_GOLDEN = {
     ],
     "vc-xp": [
         [(0, 0, (1,), 1), (0, 1, (0,), 1)],
-        [(2, 2, (2, 0, 3, 4, 1, 5), 2400), (2, 2, (2, 0, 3, 4, 1, 5), 2400)],
-        [(2, 2, (0, 4, 2, 3, 1), 288), (2, 2, (0, 4, 2, 3, 1), 288)],
-        [(0, 0, (1, 4, 2, 3), 64), (0, 0, (1, 4, 2, 3), 64)],
-        [(0, 0, (1, 2, 6, 5, 3, 4), 8400), (0, 0, (1, 2, 6, 5, 3, 4), 8400)],
-        [(0, 0, (5, 1, 2, 3, 4), 600), (0, 0, (5, 1, 2, 3, 4), 600)],
+        [(2, 2, (2, 0, 3, 4, 1, 5), 5760), (2, 2, (2, 0, 3, 4, 1, 5), 5760)],
+        [(2, 2, (0, 4, 2, 3, 1), 480), (2, 2, (0, 4, 2, 3, 1), 480)],
+        [(0, 0, (1, 4, 2, 3), 80), (0, 0, (1, 4, 2, 3), 80)],
+        [(0, 0, (1, 2, 6, 5, 3, 4), 13440), (0, 0, (1, 2, 6, 5, 3, 4), 13440)],
+        [(0, 0, (5, 1, 2, 3, 4), 960), (0, 0, (5, 1, 2, 3, 4), 960)],
         [(0, 0, (1, 2), 6), (0, 0, (1, 2), 6)],
-        [(1, 1, (1, 2, 0, 3), 36), (1, 1, (1, 2, 0, 3), 36)],
+        [(1, 1, (1, 2, 0, 3), 48), (1, 1, (1, 2, 0, 3), 48)],
         [(0, 1, (0,), 1), (0, 1, (0,), 1)],
         [(0, 1, (0,), 1), (0, 1, (0,), 1)],
         [(0, 0, (1,), 1), (0, 1, (0,), 1)],
-        [(0, 0, (1, 4, 2, 3), 64), (0, 0, (1, 4, 2, 3), 64)],
-        [(0, 0, (1, 2, 6, 5, 3, 4), 6720), (0, 0, (1, 2, 6, 5, 3, 4), 6720)],
+        [(0, 0, (1, 4, 2, 3), 80), (0, 0, (1, 4, 2, 3), 80)],
+        [(0, 0, (1, 2, 6, 5, 3, 4), 13440), (0, 0, (1, 2, 6, 5, 3, 4), 13440)],
         [(0, 0, (3, 0, 2), 8), (0, 1, (0, 3, 2), 8)],
-        [(2, 1, (0, 1, 2, 3, 4), 264), (2, 1, (0, 1, 2, 3, 4), 264)],
-        [(1, 2, (1, 3, 0, 2), 37), (1, 2, (1, 3, 0, 2), 37)],
-        [(1, 1, (0, 3, 4, 1, 2), 64), (1, 1, (0, 4, 3, 1, 2), 64)],
+        [(2, 1, (0, 1, 2, 3, 4), 480), (2, 1, (0, 1, 2, 3, 4), 480)],
+        [(1, 2, (1, 3, 0, 2), 48), (1, 2, (1, 3, 0, 2), 48)],
+        [(1, 1, (0, 3, 4, 1, 2), 80), (1, 1, (0, 4, 3, 1, 2), 80)],
         [(0, 0, (1, 2), 6), (0, 0, (1, 2), 6)],
-        [(1, 2, (0, 4, 1, 2), 60), (1, 2, (0, 4, 1, 2), 60)],
-        [(1, 2, (0, 1, 2), 17), (1, 2, (0, 1, 2), 17)],
+        [(1, 2, (0, 4, 1, 2), 80), (1, 2, (0, 4, 1, 2), 80)],
+        [(1, 2, (0, 1, 2), 24), (1, 2, (0, 1, 2), 24)],
         [(0, 1, (0,), 1), (0, 1, (0,), 1)],
         [(0, 0, (2, 1), 1), (0, 1, (0, 2), 1)],
         [(1, 2, (1, 0, 3), 8), (1, 2, (1, 0, 3), 8)],
-        [(3, 1, (1, 2, 0, 3, 4, 5), 2400), (3, 1, (1, 2, 0, 3, 4, 5), 2400)],
-        [(0, 0, (5, 1, 4, 2, 3), 600), (0, 0, (5, 1, 4, 2, 3), 600)],
-        [(3, 1, (0, 1, 2, 3), 84), (3, 1, (0, 1, 2, 3), 84)],
-        [(1, 1, (2, 6, 5, 1, 4, 3), 900), (1, 1, (2, 6, 5, 1, 4, 3), 900)],
+        [(3, 1, (1, 2, 0, 3, 4, 5), 5760), (3, 1, (1, 2, 0, 3, 4, 5), 5760)],
+        [(0, 0, (5, 1, 4, 2, 3), 960), (0, 0, (5, 1, 4, 2, 3), 960)],
+        [(3, 1, (0, 1, 2, 3), 192), (3, 1, (0, 1, 2, 3), 192)],
+        [(1, 1, (2, 6, 5, 1, 4, 3), 1680), (1, 1, (2, 6, 5, 1, 4, 3), 1680)],
         [(0, 1, (1, 0), 1), (0, 1, (0, 1), 1)],
         [(0, 0, (1,), 1), (0, 1, (0,), 1)],
         [(1, 1, (3, 2, 0), 8), (1, 2, (3, 1, 0), 8)],
         [(0, 1, (0,), 1), (0, 1, (0,), 1)],
-        [(0, 0, (1, 2, 3, 5, 4), 680), (0, 0, (1, 2, 3, 5, 4), 680)],
-        [(2, 2, (2, 1, 0, 3, 5, 4), 1704), (2, 2, (2, 1, 0, 3, 5, 4), 1704)],
+        [(0, 0, (1, 2, 3, 5, 4), 960), (0, 0, (1, 2, 3, 5, 4), 960)],
+        [(2, 2, (2, 1, 0, 3, 5, 4), 5760), (2, 2, (2, 1, 0, 3, 5, 4), 5760)],
         [(0, 1, (3, 1, 2), 8), (0, 2, (3, 1, 0), 8)],
-        [(2, 2, (0, 3, 2, 1), 32), (2, 2, (0, 3, 2, 1), 32)],
-        [(0, 0, (1, 6, 2, 5, 3, 4), 1260), (0, 0, (1, 6, 2, 5, 3, 4), 1260)],
+        [(2, 2, (0, 3, 2, 1), 48), (2, 2, (0, 3, 2, 1), 48)],
+        [(0, 0, (1, 6, 2, 5, 3, 4), 1680), (0, 0, (1, 6, 2, 5, 3, 4), 1680)],
         [(0, 1, (1, 0), 4), (0, 1, (1, 0), 4)],
-        [(2, 1, (0, 1, 2, 4, 3), 312), (2, 1, (0, 1, 2, 4, 3), 312)],
+        [(2, 1, (0, 1, 2, 4, 3), 480), (2, 1, (0, 1, 2, 4, 3), 480)],
         [(0, 1, (0,), 1), (0, 1, (0,), 1)],
         [(0, 2, (0, 1), 4), (0, 2, (0, 1), 4)],
     ],
@@ -823,6 +823,60 @@ def test_floor_stop_gives_the_same_results_for_every_worker_count():
                 assert len(results) == 1, (fn.__name__, objective, inst)
 
 
+def _own_house_path(n: int) -> Instance:
+    """A path of n agents where agent a prefers house a, with one spare
+    house: its first envy-guess support already holds an optimum at the
+    floor."""
+    return Instance(n, n + 1, [(a, a + 1) for a in range(n - 1)], [[a] for a in range(n)])
+
+
+def test_envy_guess_stops_at_the_floor():
+    # Without the stop, walking the remaining 2^20 supports takes about 5 s.
+    inst = _own_house_path(20)
+    want = {
+        Objective.MIN_ENVY: (0, 0, (19, 18, 17, 16, 15, 14, 13, 9, 10, 11, 12, 8, 7, 6, 5,
+                                    4, 3, 2, 1, 0)),
+        Objective.MIN_ENVY_THEN_MAX_HAPPY: (0, 20, tuple(range(20))),
+    }
+    for objective, row in want.items():
+        cfg = SolverConfig(objective=objective, guess_limit=None,
+                           deadline=time.monotonic() + 0.5)
+        r = solve_envy_guess(inst, cfg)
+        assert (r.min_envy, r.happiness, r.allocation.assignment) == row
+        assert r.guesses_explored == 618_475_290_624  # 3^2 * 4^18
+
+
+def test_envy_guess_floor_stop_gives_the_same_results_for_every_worker_count():
+    inst = _own_house_path(12)
+    for objective in Objective:
+        results = {
+            (r.min_envy, r.happiness, r.allocation.assignment, r.guesses_explored)
+            for r in (solve_envy_guess(inst, SolverConfig(workers=w, objective=objective))
+                      for w in (1, 2, 3))
+        }
+        assert len(results) == 1, objective
+
+
+def test_vc_xp_stops_at_the_floor():
+    # K5,5 with 16 houses, where cover agent a prefers house a: the first
+    # cover tuple is at the floor, and walking the other tuples takes 2-6 s.
+    # When every agent can be happy (own houses), the prefix bound alone
+    # prunes the rest; when the rest agents all prefer house 5, at most one
+    # of them is happy, and only the floor stop ends the search early.
+    edges = [(a, b) for a in range(5) for b in range(5, 10)]
+    cases = [
+        ([[a] for a in range(10)], Objective.MIN_ENVY, (0, 5, (0, 1, 2, 3, 4, 15, 14, 13, 12, 11))),
+        ([[a] for a in range(10)], Objective.MIN_ENVY_THEN_MAX_HAPPY, (0, 10, tuple(range(10)))),
+        ([[a] for a in range(5)] + [[5]] * 5, Objective.MIN_ENVY_THEN_MAX_HAPPY,
+         (0, 6, (0, 1, 2, 3, 4, 5, 15, 14, 13, 12))),
+    ]
+    for prefs, objective, row in cases:
+        cfg = SolverConfig(objective=objective, deadline=time.monotonic() + 0.2)
+        r = solve_vertex_cover_xp(Instance(10, 16, edges, prefs), None, cfg)
+        assert (r.min_envy, r.happiness, r.allocation.assignment) == row
+        assert r.guesses_explored == 16_773_120  # perm(16, 5) * 2^5
+
+
 def test_brute_never_starts_a_pool(monkeypatch):
     # Every agent of this path prefers its own house, so the first
     # assignment is at the floor under envy-happy.
@@ -838,8 +892,9 @@ def test_brute_never_starts_a_pool(monkeypatch):
     assert got == want
 
 
-# Untimed, on a shared 2-core host, each takes 13-17 s (no assignment of
-# the 10-clique reaches brute's floor). Envy-guess spends seconds between
+# Untimed, on a shared 2-core host, brute and envy-guess each take 13-17 s
+# (no assignment of the 10-clique reaches brute's floor) and vc-xp about
+# 2.4 s. Envy-guess spends seconds between
 # two of its every-64-supports checks here, so only the check every 4096
 # nodes stops it in time.
 @pytest.mark.parametrize("label", ["brute", "envy-guess", "vc-xp"])
@@ -859,23 +914,6 @@ def test_all_solvers_reject_infeasible():
     for name, fn in ALL_SOLVERS:
         with pytest.raises(InstanceInfeasible):
             fn(inst, SolverConfig())
-
-
-def _vc_guess_count(inst: Instance, cover: list[int]) -> int:
-    """vc-xp's guess count from its definition: per injective cover tuple,
-    2^(cover agents not already envious within the cover)."""
-    prefs = [set(p) for p in inst.preferences]
-    cover_set = set(cover)
-    total = 0
-    for phi in permutations(range(inst.n_houses), len(cover)):
-        house = dict(zip(cover, phi))
-        eligible = sum(
-            1 for a in cover
-            if house[a] in prefs[a]
-            or not any(house[b] in prefs[a] for b in inst.neighbors[a] if b in cover_set)
-        )
-        total += 1 << eligible
-    return total
 
 
 def _vc_pruning_instance(rng: random.Random):
@@ -917,9 +955,7 @@ def test_vc_xp_pruning_keeps_optimum_and_guess_count():
             seen["no rest neighbour"] += not rest_set & set(inst.neighbors[a])
             seen["prefs taken by cover"] += len(prefs[a]) <= len(cover)
             seen["happy cover agent"] += bool(prefs[a])
-        want_count = _vc_guess_count(inst, cover)
-        if not any(b in cover for a in cover for b in inst.neighbors[a]):
-            assert want_count == math.perm(inst.n_houses, len(cover)) << len(cover)
+        want_count = math.perm(inst.n_houses, len(cover)) << len(cover)
         for happy in (False, True):
             objective = Objective.MIN_ENVY_THEN_MAX_HAPPY if happy else Objective.MIN_ENVY
             ref_envy, ref_happy, _ = brute_optimum(inst, happy=happy)
