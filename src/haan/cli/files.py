@@ -4,8 +4,9 @@ Every file starts with a ``haan/1 <kind>`` tag line. Set-valued lines use
 a `` : `` delimiter so empty sets stay visible. Writers emit a canonical
 form (sorted edges, one ``prefs`` line per agent, deterministic metadata
 JSON), and parsing a canonical file then writing it back is
-byte-identical. Parsers accept lines in any order after the tag; a
-repeated line that can appear only once is a format error.
+byte-identical. Parsers accept lines in any order after the tag; an
+unknown line, or a repeated line that can appear only once, is a format
+error.
 """
 
 from __future__ import annotations
@@ -33,8 +34,12 @@ __all__ = [
 
 _TAG = "haan/1"
 
+_INSTANCE_KINDS = {"agents", "houses", "edge", "prefs", "feasible", "angry", "meta"}
 # Instance lines that may appear at most once; "meta" lines by their key.
 _ONCE = {"agents", "houses", "angry", "meta target_envy", "meta provenance"}
+# Result lines, each exactly once.
+_RESULT_KINDS = {"solver", "objective", "min_envy", "happiness", "guesses",
+                 "wall_time_ms", "allocation"}
 
 
 @dataclass(frozen=True)
@@ -82,11 +87,39 @@ def _exact_ints(tokens: list[str], count: int, what: str) -> list[int]:
     return values
 
 
+def _body(text: str, kinds: dict[str, set[str]],
+          once: set[str]) -> tuple[str, list[tuple[str, list[str], str]]]:
+    """A ``haan/1`` file's tag, one of ``kinds``' keys, and its lines as
+    ``(kind, tokens after it, line)``. A kind the tag does not allow, or a
+    second line in ``once`` (``meta`` lines by key), is a format error."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    tag = lines[0].split() if lines else []
+    if len(tag) != 2 or tag[0] != _TAG or tag[1] not in kinds:
+        wanted = " or ".join(f"'{_TAG} {t}'" for t in kinds)
+        raise FormatError(f"expected {wanted} tag line")
+    seen: set[str] = set()
+    body = []
+    for ln in lines[1:]:
+        tokens = ln.split()
+        kind = tokens[0]
+        if kind not in kinds[tag[1]]:
+            raise FormatError(f"unknown line kind {kind!r}")
+        key = " ".join(tokens[:2]) if kind == "meta" else kind
+        if key in once:
+            if key in seen:
+                raise FormatError(f"duplicate {key} line")
+            seen.add(key)
+        body.append((kind, tokens[1:], ln))
+    return tag[1], body
+
+
+def _set_ints(rest: list[str], what: str) -> list[int]:
+    """The integers of a ``<kind> : ...`` line."""
+    return _ints(_split_set_line(["x"] + rest, what)[1], what)
+
+
 def parse_instance_text(text: str) -> InstanceDocument:
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines or lines[0].split() != [_TAG, "instance"]:
-        raise FormatError(f"expected '{_TAG} instance' tag line")
+    _, body = _body(text, {"instance": _INSTANCE_KINDS}, _ONCE)
     n_agents = n_houses = None
     edges: list[tuple[int, int]] = []
     prefs: dict[int, list[int]] = {}
@@ -94,15 +127,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
     angry: list[int] | None = None
     target_envy = None
     provenance = None
-    seen: set[str] = set()
-    for ln in lines[1:]:
-        tokens = ln.split()
-        kind, rest = tokens[0], tokens[1:]
-        once = " ".join(tokens[:2]) if kind == "meta" else kind
-        if once in _ONCE:
-            if once in seen:
-                raise FormatError(f"duplicate {once} line")
-            seen.add(once)
+    for kind, rest, ln in body:
         if kind == "agents":
             (n_agents,) = _exact_ints(rest, 1, "agents")
         elif kind == "houses":
@@ -110,22 +135,16 @@ def parse_instance_text(text: str) -> InstanceDocument:
         elif kind == "edge":
             u, v = _exact_ints(rest, 2, "edge")
             edges.append((u, v))
-        elif kind == "prefs":
-            head, tail = _split_set_line(rest, "prefs")
-            (agent,) = _exact_ints(head, 1, "prefs")
-            if agent in prefs:
-                raise FormatError(f"duplicate prefs line for agent {agent}")
-            prefs[agent] = _ints(tail, "prefs")
-        elif kind == "feasible":
-            head, tail = _split_set_line(rest, "feasible")
-            (agent,) = _exact_ints(head, 1, "feasible")
-            if agent in feasible:
-                raise FormatError(f"duplicate feasible line for agent {agent}")
-            feasible[agent] = _ints(tail, "feasible")
+        elif kind in ("prefs", "feasible"):
+            sets = prefs if kind == "prefs" else feasible
+            head, tail = _split_set_line(rest, kind)
+            (agent,) = _exact_ints(head, 1, kind)
+            if agent in sets:
+                raise FormatError(f"duplicate {kind} line for agent {agent}")
+            sets[agent] = _ints(tail, kind)
         elif kind == "angry":
-            _, tail = _split_set_line(["x"] + rest, "angry")
-            angry = _ints(tail, "angry")
-        elif kind == "meta":
+            angry = _set_ints(rest, "angry")
+        else:  # meta
             if not rest:
                 raise FormatError("empty meta line")
             key = rest[0]
@@ -139,8 +158,6 @@ def parse_instance_text(text: str) -> InstanceDocument:
                     raise FormatError("malformed provenance JSON") from exc
             else:
                 raise FormatError(f"unknown meta key {key!r}")
-        else:
-            raise FormatError(f"unknown line kind {kind!r}")
     if n_agents is None or n_houses is None:
         raise FormatError("missing agents/houses counts")
     pref_lists = []
@@ -156,12 +173,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
         raise FormatError(f"invalid instance: {exc}") from exc
     annotated = None
     if feasible or angry is not None:
-        feas_lists = []
-        for a in range(n_agents):
-            if a in feasible:
-                feas_lists.append(feasible[a])
-            else:
-                feas_lists.append(list(range(n_houses)))
+        feas_lists = [feasible.get(a, range(n_houses)) for a in range(n_agents)]
         try:
             annotated = AnnotatedInstance(inst, feas_lists, angry or [])
         except InvalidInstance as exc:
@@ -199,27 +211,12 @@ def render_instance_text(doc: InstanceDocument) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_result_text(text: str) -> ResultDocument:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split() != [_TAG, "result"]:
-        raise FormatError(f"expected '{_TAG} result' tag line")
-    fields: dict[str, str] = {}
-    allocation: tuple[int, ...] | None = None
-    for ln in lines[1:]:
-        tokens = ln.split()
-        kind, rest = tokens[0], tokens[1:]
-        if kind == "allocation":
-            _, tail = _split_set_line(["x"] + rest, "allocation")
-            allocation = tuple(_ints(tail, "allocation"))
-        elif kind in ("solver", "objective", "min_envy", "happiness",
-                      "guesses", "wall_time_ms"):
-            fields[kind] = " ".join(rest)
-        else:
-            raise FormatError(f"unknown line kind {kind!r}")
-    missing = {"solver", "objective", "min_envy", "happiness", "guesses",
-               "wall_time_ms"} - set(fields)
-    if missing or allocation is None:
+def _result_document(body: list[tuple[str, list[str], str]]) -> ResultDocument:
+    fields = {kind: " ".join(rest) for kind, rest, _ in body}
+    missing = _RESULT_KINDS - set(fields)
+    if missing:
         raise FormatError(f"missing result fields: {sorted(missing)}")
+    allocation = tuple(_set_ints(fields["allocation"].split(), "allocation"))
     try:
         return ResultDocument(
             solver_id=fields["solver"],
@@ -232,6 +229,10 @@ def parse_result_text(text: str) -> ResultDocument:
         )
     except ValueError as exc:
         raise FormatError(f"non-integer result field: {exc}") from exc
+
+
+def parse_result_text(text: str) -> ResultDocument:
+    return _result_document(_body(text, {"result": _RESULT_KINDS}, _RESULT_KINDS)[1])
 
 
 def render_result_text(doc: ResultDocument) -> str:
@@ -255,20 +256,13 @@ def render_allocation_text(alloc: Allocation) -> str:
 
 def parse_allocation_text(text: str) -> Allocation:
     """Accept either a bare allocation file or a full result file."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("empty allocation file")
-    tag = lines[0].split()
-    if tag == [_TAG, "result"]:
-        return Allocation(parse_result_text(text).allocation)
-    if tag != [_TAG, "allocation"]:
-        raise FormatError(f"expected '{_TAG} allocation' or '{_TAG} result'")
-    for ln in lines[1:]:
-        tokens = ln.split()
-        if tokens[0] == "allocation":
-            _, tail = _split_set_line(["x"] + tokens[1:], "allocation")
-            return Allocation(_ints(tail, "allocation"))
-    raise FormatError("missing allocation line")
+    tag, body = _body(text, {"allocation": {"allocation"}, "result": _RESULT_KINDS},
+                      _RESULT_KINDS)
+    if tag == "result":
+        return Allocation(_result_document(body).allocation)
+    if not body:
+        raise FormatError("missing allocation line")
+    return Allocation(_set_ints(body[0][1], "allocation"))
 
 
 def read_instance_file(path: str | Path) -> InstanceDocument:

@@ -98,11 +98,6 @@ class Instance:
         object.__setattr__(self, "edges", norm_edges)
         object.__setattr__(self, "preferences", tuple(prefs))
 
-    @property
-    def d(self) -> int:
-        """Maximum preference-set size over all agents (0 when empty)."""
-        return max((len(p) for p in self.preferences), default=0)
-
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuple per agent."""
@@ -124,9 +119,6 @@ class Allocation:
 
     def __init__(self, assignment: Iterable[int]):
         object.__setattr__(self, "assignment", tuple(assignment))
-
-    def __len__(self) -> int:
-        return len(self.assignment)
 
 
 @dataclass(frozen=True)

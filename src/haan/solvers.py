@@ -2,10 +2,10 @@
 
 All solvers share the result contract: the reported optimum is exactly
 what evaluating the returned witness reproduces. Guess enumerations run
-in a fixed, documented order and keep the first optimum encountered, so
-results are bit-identical for any worker count: envy-guess and vc-xp
-partition their guess space into ranked chunks and the reduction keeps
-the lowest-ranked optimum; the other solvers run sequentially.
+in a fixed, documented order and keep the first optimum encountered.
+Brute force, envy-guess and vc-xp all search through ``_search``, which
+cuts their top-level choices into ranked ranges and keeps the
+lowest-ranked optimum, so results are bit-identical for any worker count.
 
 Objectives are encoded as single integer keys
 ``scale*envy - w*happiness``: ``(scale, w) = (n+1, 1)`` under
@@ -146,9 +146,14 @@ def _key_floor(masks: Sequence[int], m: int, w: int) -> int:
 
 
 def _result(inst: Instance, assignment: Sequence[int], solver_id: str,
-            guesses: int) -> SolveResult:
+            guesses: int, ann: AnnotatedInstance | None = None) -> SolveResult:
+    """Every solver's result: the witness evaluated (under ``ann`` if given)."""
     alloc = Allocation(assignment)
-    report = evaluate(inst, alloc)
+    if ann is None:
+        report = evaluate(inst, alloc)
+    else:
+        feasible_ok, report = evaluate_annotated(ann, alloc)
+        assert feasible_ok
     return SolveResult(
         min_envy=report.n_envious,
         happiness=report.n_happy,
@@ -159,25 +164,36 @@ def _result(inst: Instance, assignment: Sequence[int], solver_id: str,
 
 
 def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
-            worker, chunk_args: list) -> SolveResult:
+            worker, extra: tuple = (), branches: int = 1) -> SolveResult:
     """Driver of the guess solvers.
 
-    Checks the guess space ``total`` against the budget, runs the chunk
-    jobs in rank order (in-process, or on a pool when several workers and
-    chunks), keeps the best key of the lowest-ranked chunk that reaches it,
-    and evaluates the witness; ``total`` is the reported guess count. Each
-    job returns ``(best key or None, witness)``.
+    Checks feasibility, then the guess space ``total`` (the reported guess
+    count) against the budget. The solver's ``branches`` top-level choices
+    are cut into contiguous ranked ranges: one with one worker, else
+    ``min(branches, 4*workers)``. The job of range ``lo..hi`` is ``(n, m,
+    preference masks, neighbours, scale, w, floor, deadline, *extra, lo,
+    hi)`` and returns ``(best key or None, witness)``; several jobs run on
+    a pool, and the lowest-ranked best key wins.
     """
+    n, m = inst.n_agents, inst.n_houses
+    if m < n:
+        raise InstanceInfeasible(f"{m} houses for {n} agents")
     if cfg.guess_limit is not None and total > cfg.guess_limit:
         raise BudgetExceeded(
             f"{label}: guess space {total} exceeds limit {cfg.guess_limit}"
         )
-    workers = min(cfg.workers, len(chunk_args))
-    if workers <= 1:
-        results = map(worker, chunk_args)
+    pref = _pref_masks(inst)
+    scale, w = _key_weights(cfg, n)
+    shared = (n, m, pref, inst.neighbors, scale, w, _key_floor(pref, m, w),
+              cfg.deadline, *extra)
+    parts = 1 if cfg.workers == 1 else min(branches, 4 * cfg.workers)
+    jobs = [shared + (branches * i // parts, branches * (i + 1) // parts)
+            for i in range(parts)]
+    if parts == 1:
+        results = map(worker, jobs)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, chunk_args))
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, parts)) as pool:
+            results = list(pool.map(worker, jobs))
     best_key = None
     best = None
     for key, witness in results:
@@ -193,7 +209,7 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
 # ---------------------------------------------------------------------------
 
 def _bf_chunk(args) -> tuple[int | None, tuple | None]:
-    (n, m, pref, nbrs, scale, w, floor, deadline) = args
+    (n, m, pref, nbrs, scale, w, floor, deadline, _, _) = args
     best_key = None
     best = None
     agents = range(n)
@@ -230,14 +246,8 @@ def solve_bruteforce(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
     guess space perm(m, n).
     """
     cfg = cfg or SolverConfig()
-    n, m = inst.n_agents, inst.n_houses
-    if m < n:
-        raise InstanceInfeasible(f"{m} houses for {n} agents")
-    pref = _pref_masks(inst)
-    scale, w = _key_weights(cfg, n)
-    floor = _key_floor(pref, m, w)
-    chunk_args = [(n, m, pref, inst.neighbors, scale, w, floor, cfg.deadline)]
-    return _search(inst, cfg, "brute", math.perm(m, n), _bf_chunk, chunk_args)
+    total = math.perm(inst.n_houses, inst.n_agents)
+    return _search(inst, cfg, "brute", total, _bf_chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +263,6 @@ def solve_d1_matching(inst: Instance, cfg: SolverConfig | None = None) -> SolveR
     envious); a minimum-cost agent-saturating matching on the complete
     bipartite graph is then an optimal allocation.
     """
-    cfg = cfg or SolverConfig()
     n, m = inst.n_agents, inst.n_houses
     if any(len(p) != 1 for p in inst.preferences):
         raise WrongSolver("d1 solver requires exactly one preferred house per agent")
@@ -282,7 +291,7 @@ def solve_d1_matching(inst: Instance, cfg: SolverConfig | None = None) -> SolveR
 # ---------------------------------------------------------------------------
 
 def _eg_chunk(args) -> tuple[int | None, tuple | None]:
-    (n, m, pref, nbrs, scale, w, floor, smask_lo, smask_hi, deadline) = args
+    (n, m, pref, nbrs, scale, w, floor, deadline, smask_lo, smask_hi) = args
     best_key = None
     best = None
     nodes = 0
@@ -367,22 +376,10 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
     agents of ``degree + 2``, whatever ``cfg.workers`` says.
     """
     cfg = cfg or SolverConfig()
-    n, m = inst.n_agents, inst.n_houses
-    if m < n:
-        raise InstanceInfeasible(f"{m} houses for {n} agents")
-    pref = _pref_masks(inst)
-    scale, w = _key_weights(cfg, n)
-    # Contiguous ranges of envious-support bitmasks form the chunks.
-    n_chunks = 1 if cfg.workers <= 1 else min(1 << n, 4 * cfg.workers)
-    bounds = [(1 << n) * i // n_chunks for i in range(n_chunks + 1)]
-    floor = _key_floor(pref, m, w)
-    chunk_args = [
-        (n, m, pref, inst.neighbors, scale, w, floor, bounds[i], bounds[i + 1],
-         cfg.deadline)
-        for i in range(n_chunks)
-    ]
+    n = inst.n_agents
     total = math.prod(inst.degree(a) + 2 for a in range(n))
-    return _search(inst, cfg, "envy-guess", total, _eg_chunk, chunk_args)
+    # The top-level choices are the envious supports, as bitmasks.
+    return _search(inst, cfg, "envy-guess", total, _eg_chunk, branches=1 << n)
 
 
 # ---------------------------------------------------------------------------
@@ -604,16 +601,7 @@ def solve_separator(
     assignment = [-1] * n
     for a, h in best[1]:
         assignment[a] = h
-    alloc = Allocation(assignment)
-    feasible_ok, report = evaluate_annotated(ann, alloc)
-    assert feasible_ok
-    return SolveResult(
-        min_envy=report.n_envious,
-        happiness=report.n_happy,
-        allocation=alloc,
-        solver_id="separator",
-        guesses_explored=count,
-    )
+    return _result(inst, assignment, "separator", count, ann)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +609,7 @@ def solve_separator(
 # ---------------------------------------------------------------------------
 
 def _vc_chunk(args) -> tuple[int | None, tuple | None]:
-    (m, pref, nbrs, cover, rest, scale, w, floor, first, deadline) = args
+    (_, m, pref, nbrs, scale, w, floor, deadline, cover, rest, lo, hi) = args
     k, r = len(cover), len(rest)
     best_key = None
     best = None
@@ -691,12 +679,10 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None]:
                 union |= ok
             if bound is None or (best_key is not None and bound >= best_key):
                 continue
-            # Most guesses that pass the bound admit no extension at all:
-            # fewer admissible houses than rest agents rejects many, and
-            # the bitmask Hall check the others, cheaper than the min-cost
-            # engine would.
-            if (union.bit_count() < r
-                    or left_perfect_matching_masks(admissible, m) is None):
+            # Most guesses that pass the bound admit no extension: fewer
+            # admissible houses than rest agents rejects most before the
+            # min-cost engine, which returns None for the others.
+            if union.bit_count() < r:
                 continue
             remaining = _members(rem_mask)
             rows: list[list[int | None]] = [
@@ -704,10 +690,12 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None]:
                  for h in remaining]
                 for pa, cost, ok in zip(rpref, miss, admissible)
             ]
-            zeta, assign_local = min_cost_saturating_assignment(rows)
-            key = base + zeta
+            matched = min_cost_saturating_assignment(rows)
+            if matched is None:
+                continue
+            key = base + matched[0]
             if best_key is None or key < best_key:
-                houses = tuple(phi) + tuple(remaining[j] for j in assign_local)
+                houses = tuple(phi) + tuple(remaining[j] for j in matched[1])
                 best_key = key
                 best = tuple(h for _, h in sorted(zip(cover + rest, houses)))
                 if key == floor:
@@ -735,7 +723,7 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None]:
         envied = pa & held
         me = 1 << j
         room = w * (k - 1 - j + r)  # most happy agents still to come
-        for h in (range(m) if j or first < 0 else (first,)):
+        for h in (range(m) if j else range(lo, hi)):
             bit = 1 << h
             if used & bit:
                 continue
@@ -811,11 +799,12 @@ def solve_vertex_cover_xp(
     - *Row-minimum bound.* The extension costs at least the sum of each
       remaining agent's cheapest admissible house; a guess whose bound
       cannot beat the incumbent is not matched. Nor is one whose rest
-      agents have fewer admissible houses between them than their number,
-      or that fails the Hall check.
+      agents have fewer admissible houses between them than their number.
     """
     cfg = cfg or SolverConfig()
     n, m = inst.n_agents, inst.n_houses
+    # Checked again by ``_search``, but here first: an infeasible instance
+    # should not pay for an exponential cover search.
     if m < n:
         raise InstanceInfeasible(f"{m} houses for {n} agents")
     if cover is None:
@@ -832,15 +821,9 @@ def solve_vertex_cover_xp(
     cover_t = tuple(sorted(cover_set))
     k = len(cover_t)
     rest = tuple(a for a in range(n) if a not in cover_set)
-    pref = _pref_masks(inst)
-    scale, w = _key_weights(cfg, n)
-    floor = _key_floor(pref, m, w)
-    # One chunk, or one per first house when several workers share it.
-    chunk_args = [
-        (m, pref, inst.neighbors, cover_t, rest, scale, w, floor, first, cfg.deadline)
-        for first in (range(m) if k and cfg.workers > 1 else [-1])
-    ]
-    return _search(inst, cfg, "vc-xp", _vc_space(m, k), _vc_chunk, chunk_args)
+    # The top-level choices are the houses of the first cover agent.
+    return _search(inst, cfg, "vc-xp", _vc_space(m, k), _vc_chunk,
+                   (cover_t, rest), m if k else 1)
 
 
 # ---------------------------------------------------------------------------

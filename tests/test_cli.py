@@ -153,6 +153,31 @@ def test_parse_allocation_empty():
     assert alloc.assignment == ()
 
 
+RESULT_TEXT = render_result_text(ResultDocument("brute", "envy", 1, 1, 6, 0, (0, 1, 2)))
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_result_text, RESULT_TEXT + "min_envy 7\n"),
+    (parse_result_text, RESULT_TEXT + "allocation : 2 1 0\n"),
+    (parse_allocation_text, RESULT_TEXT + "min_envy 7\n"),
+    (parse_allocation_text, "haan/1 allocation\nallocation : 0 1 2\nbogus line here\n"),
+    (parse_allocation_text, "haan/1 allocation\nallocation : 0 1 2\nallocation : 2 1 0\n"),
+    (parse_allocation_text, "haan/1 allocation\nallocation : 0 1 2\nsolver brute\n"),
+], ids=["repeated-field", "two-allocations", "result-as-allocation", "unknown-line",
+        "two-allocation-lines", "result-line-in-allocation"])
+def test_result_and_allocation_readers_are_as_strict_as_the_instance_reader(
+        tmp_path, capsys, parse, text):
+    with pytest.raises(FormatError):
+        parse(text)
+    inst, alloc = tmp_path / "tri.haan", tmp_path / "alloc.haan"
+    inst.write_text(TRIANGLE_TEXT)
+    alloc.write_text(text)
+    code, out, err = run_cli_capture(capsys, "verify", str(inst), str(alloc))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- solve ----------------------------------------------------------------------
 
 def write_triangle(tmp_path, name="tri.haan"):

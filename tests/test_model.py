@@ -38,7 +38,8 @@ def instances_with_allocations(draw):
 
 def test_validate_empty_instance():
     inst = Instance(0, 0, [], [])
-    assert inst.n_agents == 0 and inst.n_houses == 0 and inst.d == 0
+    assert inst.n_agents == 0 and inst.n_houses == 0
+    assert max((len(p) for p in inst.preferences), default=0) == 0
 
 
 def test_validate_rejects_self_loop():
@@ -59,11 +60,6 @@ def test_validate_rejects_duplicate_edge():
 def test_validate_rejects_duplicate_preference():
     with pytest.raises(InvalidInstance, match="duplicate preference"):
         Instance(1, 2, [], [[1, 1]])
-
-
-def test_d_statistic():
-    inst = Instance(3, 4, [], [[0], [1, 2, 3], []])
-    assert inst.d == 3
 
 
 def test_evaluate_edgeless_never_envious():

@@ -75,7 +75,7 @@ def test_bip_d2_k1_target_is_degree():
 def test_bip_d2_structure():
     red = gen_clique_bipartite_d2(K4, 2)
     inst = red.instance
-    assert inst.d <= 2
+    assert max(len(p) for p in inst.preferences) <= 2
     vertex_agents = [a for ids in red.provenance["vertex_agents"].values() for a in ids]
     edge_agents = list(red.provenance["edge_agents"].values())
     assert sorted(vertex_agents + edge_agents) == list(range(inst.n_agents))

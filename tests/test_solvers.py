@@ -757,17 +757,23 @@ def test_worker_count_does_not_change_results():
         Instance(1, 1, [], [[]]),
         Instance(1, 3, [], [[1, 2]]),
     ]
-    for inst in instances:
-        for fn in (solve_bruteforce, solve_envy_guess,
-                   lambda i, c: solve_vertex_cover_xp(i, None, c)):
-            results = [
-                fn(inst, SolverConfig(workers=w, objective=Objective.MIN_ENVY_THEN_MAX_HAPPY))
-                for w in (1, 2, 3)
-            ]
-            assert len({
-                (r.min_envy, r.happiness, r.allocation.assignment, r.guesses_explored)
-                for r in results
-            }) == 1
+    vc_xp = dict(ALL_SOLVERS)["vc-xp"]
+    happy = Objective.MIN_ENVY_THEN_MAX_HAPPY
+    runs = [(inst, fn, happy) for inst in instances
+            for fn in (solve_bruteforce, solve_envy_guess, vc_xp)]
+    # 13 houses: vc-xp cuts the first cover agent's houses into 8 ranges for
+    # 2 workers and 12 for 3, neither evenly. Under envy-happy the optimum
+    # gives that agent house 12 or 7, in a later range; under envy the
+    # lowest-ranked of several optima must win.
+    star = Instance(3, 13, [(0, 1), (0, 2)], [[12], [0], [0]])
+    path = Instance(5, 13, [(0, 2), (0, 3), (1, 3), (1, 4)], [[7, 9], [8], [9], [8, 9], [7]])
+    runs += [(star, vc_xp, happy), (path, vc_xp, happy), (path, vc_xp, Objective.MIN_ENVY)]
+    for inst, fn, objective in runs:
+        results = [fn(inst, SolverConfig(workers=w, objective=objective)) for w in (1, 2, 3)]
+        assert len({
+            (r.min_envy, r.happiness, r.allocation.assignment, r.guesses_explored)
+            for r in results
+        }) == 1
 
 
 def _most_happy(inst: Instance) -> int:
@@ -890,6 +896,10 @@ def test_brute_never_starts_a_pool(monkeypatch):
     got = solve_bruteforce(
         inst, SolverConfig(workers=2, objective=Objective.MIN_ENVY_THEN_MAX_HAPPY))
     assert got == want
+    # vc-xp with an empty cover has a single top-level choice: no pool either.
+    edgeless = Instance(3, 4, [], [[0], [0], [1]])
+    got = solve_vertex_cover_xp(edgeless, None, SolverConfig(workers=2))
+    assert got == solve_vertex_cover_xp(edgeless, None, SolverConfig())
 
 
 # Untimed, on a shared 2-core host, brute and envy-guess each take 13-17 s
@@ -910,10 +920,13 @@ def test_guess_solvers_honour_the_deadline(label):
 
 
 def test_all_solvers_reject_infeasible():
-    inst = Instance(3, 2, [], [[], [], []])
-    for name, fn in ALL_SOLVERS:
-        with pytest.raises(InstanceInfeasible):
-            fn(inst, SolverConfig())
+    # Infeasibility is reported ahead of the budget, even of a one-guess one.
+    for inst in (Instance(3, 2, [], [[], [], []]),
+                 Instance(3, 2, [(0, 1), (1, 2)], [[0], [0, 1], [1]])):
+        for name, fn in ALL_SOLVERS:
+            for cfg in (SolverConfig(), SolverConfig(guess_limit=1)):
+                with pytest.raises(InstanceInfeasible):
+                    fn(inst, cfg)
 
 
 def _vc_pruning_instance(rng: random.Random):
