@@ -18,8 +18,12 @@ can hold a preferred (and feasible) house at once: a maximum matching,
 the optimum of classical House Allocation. Brute force, envy-guess,
 vc-xp and the separator's top level stop once their incumbent reaches
 it; nothing after the first floor-key guess could replace it, so
-witnesses do not change. Brute force, envy-guess and vc-xp report their
-whole guess space as ``guesses_explored``, by formula.
+witnesses do not change. Every separator subproblem also stops at its
+own, cheaper floor (no more happy agents than agents, or than houses
+they prefer and may receive), and bounds its parts by theirs. Brute
+force, envy-guess and vc-xp report their whole guess space as
+``guesses_explored``, by formula; the separator counts the guesses it
+reached.
 """
 
 from __future__ import annotations
@@ -143,6 +147,17 @@ def _key_floor(masks: Sequence[int], m: int, w: int) -> int:
     """The floor ``-w*H`` of the key, with H a maximum matching of the
     agents into ``masks``; 0 under ``envy``, where no matching runs."""
     return -w * max_matching_size_masks(masks, m) if w else 0
+
+
+def _liked(F: Sequence[int], owners: Iterable[tuple[int, int]]) -> int:
+    """Houses that one of ``owners``, ``(position in F, preferred houses)``
+    pairs, prefers and may receive, as a bitmask. No more of them are
+    happy than this mask has bits, which bounds a separator subproblem's
+    key from below."""
+    mask = 0
+    for p, prefers in owners:
+        mask |= prefers & F[p]
+    return mask
 
 
 def _result(inst: Instance, assignment: Sequence[int], solver_id: str,
@@ -386,33 +401,48 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
 # Separator recursion (annotated problem)
 # ---------------------------------------------------------------------------
 
-def _lowest_tuples(cands: list[list[int]], below: list[int], avail: int,
-                   j: int = 0, prefix: tuple = ()) -> Iterator[tuple[int, ...]]:
-    """Injective tuples with entry ``j`` from ``cands[j]`` (ascending), in
-    lexicographic order, where each entry is the lowest house of its class
-    not yet used: ``below[h]`` is the mask of the houses of ``h``'s class
-    below ``h``, and ``avail`` the houses still free."""
+def _lowest_tuples(cands: Sequence[int], below: list[int], avail: int,
+                   j: int = 0, prefix: tuple = ()) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Injective tuples with entry ``j`` from the house mask ``cands[j]``,
+    in lexicographic order, where each entry is the lowest house of its
+    class not yet used: ``below[h]`` is the mask of the houses of ``h``'s
+    class below ``h``, and ``avail`` the houses still free. Each tuple
+    comes with the houses it leaves free."""
     if j == len(cands):
-        yield prefix
+        yield prefix, avail
         return
-    for h in cands[j]:
-        bit = 1 << h
-        if avail & bit and not below[h] & avail:
+    last = j + 1 == len(cands)
+    free = cands[j] & avail
+    while free:
+        bit = free & -free
+        free ^= bit
+        h = bit.bit_length() - 1
+        if below[h] & avail:
+            continue
+        if last:
+            yield prefix + (h,), avail ^ bit
+        else:
             yield from _lowest_tuples(cands, below, avail ^ bit, j + 1, prefix + (h,))
 
 
-def _lowest_subsets(houses: list[int], below: list[int], rest: int, r: int,
-                    start: int = 0, chosen: int = 0) -> Iterator[int]:
-    """Masks of the r-subsets of ``houses`` (the members of ``rest``,
-    ascending) that hold the lowest houses of each class in ``rest``, in
-    ``combinations`` order."""
+def _lowest_subsets(below: list[int], rest: int, r: int, free: int,
+                    chosen: int = 0) -> Iterator[int]:
+    """Masks of the r-subsets of the house mask ``rest`` that hold the
+    lowest houses of each class in ``rest``, in ``combinations`` order;
+    ``chosen`` is taken and the other houses come from ``free``, the
+    houses of ``rest`` above it."""
     if r == 0:
         yield chosen
         return
-    for i in range(start, len(houses) - r + 1):
-        h = houses[i]
-        if not below[h] & rest & ~chosen:
-            yield from _lowest_subsets(houses, below, rest, r - 1, i + 1, chosen | 1 << h)
+    while free.bit_count() >= r:
+        bit = free & -free
+        free ^= bit
+        if below[bit.bit_length() - 1] & rest & ~chosen:
+            continue
+        if r == 1:
+            yield chosen | bit
+        else:
+            yield from _lowest_subsets(below, rest, r - 1, free, chosen | bit)
 
 
 def solve_separator(
@@ -425,14 +455,18 @@ def solve_separator(
     undecided separator agents stay non-envious, splits the remaining
     houses between the two parts, and recurses independently: A1 gets
     exactly one house per agent and A2 all the rest, spare houses
-    included, so no set of used houses is guessed.
+    included, so no set of used houses is guessed. An undecided agent
+    with no neighbour in either part is non-envious whatever the parts
+    get, so only those with one are guessed. A one-agent subproblem is
+    solved outright, with no guess: its lowest liked house when being
+    happy lowers the key (under ``envy-happy``, or when the agent is
+    angry), else its lowest feasible house.
 
-    A subproblem is the tuple ``(agents, houses, F, P, angry)``: a sorted
+    A subproblem is the tuple ``(agents, houses, F, angry)``: a sorted
     agent tuple, the bitmask of the houses it shares out, each agent's
-    feasible (F) and preferred (P) houses among them as bitmasks aligned
-    with ``agents``, and its angry agents as a bitmask over positions in
-    ``agents``. That tuple is also the memo key; the root shares out all
-    houses.
+    feasible houses among them (F) as bitmasks aligned with ``agents``,
+    and its angry agents as a bitmask over agents. That tuple is also the
+    memo key; the root shares out all houses.
 
     Houses that the same agents prefer and may receive form a class
     (computed once, at the root), and swapping houses within a class
@@ -444,11 +478,20 @@ def solve_separator(
     class multiplicity, in ``combinations`` order; and the non-envious
     subsets of the undecided separator agents as ascending bitmasks. The
     first optimum is kept, so the witness is the one the full
-    enumeration keeps. The top level stops at its first allocation whose
-    key is the floor (H is a maximum matching into the preferred feasible
-    houses); subproblems always finish. ``guesses_explored`` counts the
-    canonical (separator houses, A1 houses, non-envious subset) triples
-    reached in distinct subproblems before that stop.
+    enumeration keeps.
+
+    Every subproblem stops at its first allocation whose key is its own
+    floor ``-w*min(agents, houses that one of them prefers and may
+    receive)``, 0 under ``envy``; the top level uses the tighter ``-w*H``
+    (H a maximum matching into the preferred feasible houses). A guess is
+    skipped when the separator agents' part of its key plus the floors of
+    both parts' shares cannot beat the incumbent, and its second part is
+    not solved when the first part's value plus that part's floor cannot.
+    Each rule skips only
+    guesses that cannot beat the incumbent strictly, so witnesses do not
+    change. ``guesses_explored`` counts the canonical (separator houses,
+    A1 houses, non-envious subset) triples reached in distinct subproblems
+    of two or more agents before their stops.
 
     Raises :class:`NoFeasibleAllocation` when the feasibility sets admit
     no allocation.
@@ -469,77 +512,104 @@ def solve_separator(
     splits: dict = {}
 
     def split(agents):
-        """Separator ``(S, A1, A2)`` of ``agents``, the positions of S, A1
-        and A2 in ``agents``, the ``(position, indices in S of its separator
-        neighbours)`` of every agent that has some, and per separator agent
-        the positions of its neighbours in A1 and in A2."""
+        """Separator ``(S, A1, A2)`` of ``agents``, the positions of A1 and
+        A2 in ``agents``, the agent masks of A1 and A2, the ``(position,
+        preferred houses)`` of the agents of S, A1 and A2, the ``(agent bit,
+        preferred houses, indices in S of its separator neighbours)`` of
+        every agent that has some, and per separator agent the positions
+        of its neighbours in A1 and in A2."""
         S, A1, A2 = balanced_separator_of_subgraph(agents, nbrs, deadline)
         pos = {a: p for p, a in enumerate(agents)}
         in_s = {a: j for j, a in enumerate(S)}
         in_1 = {a: i for i, a in enumerate(A1)}
         in_2 = {a: i for i, a in enumerate(A2)}
         watchers = []
-        for p, a in enumerate(agents):
-            seen = tuple(in_s[b] for b in nbrs[a] if b in in_s)
+        for a in agents:
+            seen = tuple([in_s[b] for b in nbrs[a] if b in in_s])
             if seen:
-                watchers.append((p, seen))
+                watchers.append((1 << a, pref[a], seen))
         return (
             S, A1, A2,
-            [pos[a] for a in S], [pos[a] for a in A1], [pos[a] for a in A2],
+            [pos[a] for a in A1], [pos[a] for a in A2],
+            _bits(A1), _bits(A2),
+            [(pos[a], pref[a]) for a in S],
+            [(pos[a], pref[a]) for a in A1],
+            [(pos[a], pref[a]) for a in A2],
             watchers,
-            [tuple(in_1[b] for b in nbrs[a] if b in in_1) for a in S],
-            [tuple(in_2[b] for b in nbrs[a] if b in in_2) for a in S],
+            [tuple([in_1[b] for b in nbrs[a] if b in in_1]) for a in S],
+            [tuple([in_2[b] for b in nbrs[a] if b in in_2]) for a in S],
         )
 
     def best_of(sub, stop=None):
         """``(scaled value, witness pairs)`` of a subproblem, or ``None``
         when no assignment respects its feasibility sets; returns at once
-        when the value reaches ``stop``, a lower bound."""
+        when the value reaches ``stop``, a lower bound that defaults to
+        the subproblem's own floor."""
         nonlocal count
         if not sub[0]:
             return 0, ()
         if sub in memo:
             return memo[sub]
-        agents, hmask, F, P, angry = sub
+        agents, hmask, F, angry = sub
+        if len(agents) == 1:
+            # The first house of least value: happy is worth -w, and only
+            # an angry agent is envious when not happy.
+            a = agents[0]
+            liked = pref[a] & F[0]
+            pick = liked if liked and (w or angry) else F[0]
+            h = (pick & -pick).bit_length() - 1
+            value = -w if liked >> h & 1 else scale if angry else 0
+            best = memo[sub] = (value, ((a, h),))
+            return best
         got = splits.get(agents)
         if got is None:
             got = splits[agents] = split(agents)
-        S, A1, A2, iS, i1, i2, watchers, near1, near2 = got
-        w_parts = w * (len(A1) + len(A2))
-        ps = [P[p] for p in iS]
+        (S, A1, A2, i1, i2, mask1, mask2, own_s, own_1, own_2, watchers,
+         near1, near2) = got
+        n1, n2 = len(A1), len(A2)
+        liked1 = _liked(F, own_1)
+        liked2 = _liked(F, own_2)
+        if stop is None:
+            stop = -w * min(len(agents), (_liked(F, own_s) | liked1 | liked2).bit_count())
         best = None
-        for phi in _lowest_tuples([_members(F[p]) for p in iS], below, hmask):
+        for phi, rest in _lowest_tuples([F[p] for p, _ in own_s], below, hmask):
             check_deadline(deadline)
             # Agents that prefer a house a separator neighbour now holds:
             # envious in S unless happy, angry in the parts.
             marked = angry
-            for p, seen in watchers:
-                pp = P[p]
+            for bit, prefers, seen in watchers:
                 for j in seen:
-                    if pp >> phi[j] & 1:
-                        marked |= 1 << p
+                    if prefers >> phi[j] & 1:
+                        marked |= bit
                         break
             n_c = 0
             forced_env = 0
             undecided = []
-            for j, p in enumerate(iS):
-                if ps[j] >> phi[j] & 1:
+            for j, a in enumerate(S):
+                if own_s[j][1] >> phi[j] & 1:
                     n_c += 1
-                elif marked >> p & 1:
+                elif marked >> a & 1:
                     forced_env += 1
-                else:
+                elif near1[j] or near2[j]:
                     undecided.append(j)
-            if best is not None and scale * forced_env - w * n_c - w_parts >= best[0]:
+                # else no neighbour can hold a house it prefers: non-envious
+            # The separator agents add at least ``top`` (every undecided
+            # one non-envious) and each part at least its floor, which only
+            # rises as its houses and feasible sets shrink.
+            top = scale * forced_env - w * n_c
+            if best is not None and top - w * (min(n1, (liked1 & rest).bit_count())
+                                              + min(n2, (liked2 & rest).bit_count())) >= best[0]:
                 continue
-            b1 = _bits(i for i, p in enumerate(i1) if marked >> p & 1)
-            b2 = _bits(i for i, p in enumerate(i2) if marked >> p & 1)
-            rest = hmask & ~_bits(phi)
-            for h1mask in _lowest_subsets(_members(rest), below, rest, len(A1)):
+            b1 = marked & mask1
+            b2 = marked & mask2
+            for h1mask in _lowest_subsets(below, rest, n1, rest):
                 h2mask = rest & ~h1mask
-                f1 = tuple(F[p] & h1mask for p in i1)
-                f2 = tuple(F[p] & h2mask for p in i2)
-                p1 = tuple(P[p] & h1mask for p in i1)
-                p2 = tuple(P[p] & h2mask for p in i2)
+                floor2 = -w * min(n2, (liked2 & h2mask).bit_count())
+                parts_floor = floor2 - w * min(n1, (liked1 & h1mask).bit_count())
+                if best is not None and top + parts_floor >= best[0]:
+                    continue
+                f1 = tuple([F[p] & h1mask for p in i1])
+                f2 = tuple([F[p] & h2mask for p in i2])
                 for kmask in range(1 << len(undecided)):
                     count += 1
                     if limit is not None and count > limit:
@@ -548,7 +618,7 @@ def solve_separator(
                         )
                     env_s = forced_env + len(undecided) - kmask.bit_count()
                     contrib = scale * env_s - w * n_c
-                    if best is not None and contrib - w_parts >= best[0]:
+                    if best is not None and contrib + parts_floor >= best[0]:
                         continue
                     g1, g2 = f1, f2
                     if kmask:
@@ -557,7 +627,7 @@ def solve_separator(
                         l1, l2 = list(f1), list(f2)
                         for i, j in enumerate(undecided):
                             if kmask >> i & 1:
-                                off = ~ps[j]
+                                off = ~own_s[j][1]
                                 for q in near1[j]:
                                     l1[q] &= off
                                 for q in near2[j]:
@@ -565,30 +635,34 @@ def solve_separator(
                         g1, g2 = tuple(l1), tuple(l2)
                     if not all(g1) or not all(g2):
                         continue
-                    sub1 = best_of((A1, h1mask, g1, p1, b1))
-                    if sub1 is None:
+                    sub1 = best_of((A1, h1mask, g1, b1)) if A1 else (0, ())
+                    if sub1 is None or best is not None and contrib + sub1[0] + floor2 >= best[0]:
                         continue
-                    sub2 = best_of((A2, h2mask, g2, p2, b2))
+                    sub2 = best_of((A2, h2mask, g2, b2)) if A2 else (0, ())
                     if sub2 is None:
                         continue
                     value = contrib + sub1[0] + sub2[0]
                     if best is None or value < best[0]:
                         best = (value, tuple(zip(S, phi)) + sub1[1] + sub2[1])
                         if value == stop:
+                            memo[sub] = best
                             return best
         memo[sub] = best
         return best
 
-    root = (tuple(range(n)), (1 << m) - 1, tuple(_bits(f) for f in ann.feasible),
-            tuple(_pref_masks(inst)), _bits(ann.angry))
+    pref = _pref_masks(inst)
+    feasible = [_bits(f) for f in ann.feasible]
     # Root classes stay classes of every subproblem: each mask the
     # recursion ANDs in is a union of classes or the subproblem's houses.
     below = [0] * m
-    for c in _house_classes(m, root[2] + root[3]):
+    for c in _house_classes(m, feasible + pref):
         for h in _members(c):
             below[h] = c & ((1 << h) - 1)
+    root = (tuple(range(n)), (1 << m) - 1, tuple(feasible), _bits(ann.angry))
     try:
-        best = best_of(root, _key_floor([p & f for p, f in zip(root[3], root[2])], m, w))
+        # Every subproblem below keeps a feasible house for each agent.
+        best = (best_of(root, _key_floor([p & f for p, f in zip(pref, feasible)], m, w))
+                if all(feasible) else None)
     finally:
         # ``best_of`` refers to itself through its closure; dropping the
         # name breaks that cycle, so the memo is freed now rather than at
