@@ -29,7 +29,6 @@ reached.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
@@ -207,6 +206,11 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
     if parts == 1:
         results = map(worker, jobs)
     else:
+        # Imported here: loading the pool machinery added about 35 ms to
+        # every fresh process importing haan (2-core host), and most solves
+        # never start a pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(cfg.workers, parts)) as pool:
             results = list(pool.map(worker, jobs))
     best_key = None
@@ -457,10 +461,7 @@ def solve_separator(
     exactly one house per agent and A2 all the rest, spare houses
     included, so no set of used houses is guessed. An undecided agent
     with no neighbour in either part is non-envious whatever the parts
-    get, so only those with one are guessed. A one-agent subproblem is
-    solved outright, with no guess: its lowest liked house when being
-    happy lowers the key (under ``envy-happy``, or when the agent is
-    angry), else its lowest feasible house.
+    get, so only those with one are guessed.
 
     A subproblem is the tuple ``(agents, houses, F, angry)``: a sorted
     agent tuple, the bitmask of the houses it shares out, each agent's
@@ -480,6 +481,17 @@ def solve_separator(
     first optimum is kept, so the witness is the one the full
     enumeration keeps.
 
+    Subproblems of one or two agents are solved outright, with no
+    separator search and no guess. One agent takes its lowest liked house
+    when being happy lowers the key (under ``envy-happy``, or when the
+    agent is angry), else its lowest feasible house. Two agents a < b walk
+    the canonical house pairs the recursion would try, in its order, and
+    keep the first of least value: when they are adjacent (separator
+    ``(a,)``, first part ``(b,)``) a's feasible houses ascending and, for
+    each, b's among the rest; when not (parts ``(b,)`` and ``(a,)``), b's
+    first. Each agent is worth -w when happy, else ``scale`` when angry
+    or adjacent to the other while it holds a house it prefers, else 0.
+
     Every subproblem stops at its first allocation whose key is its own
     floor ``-w*min(agents, houses that one of them prefers and may
     receive)``, 0 under ``envy``; the top level uses the tighter ``-w*H``
@@ -491,7 +503,7 @@ def solve_separator(
     guesses that cannot beat the incumbent strictly, so witnesses do not
     change. ``guesses_explored`` counts the canonical (separator houses,
     A1 houses, non-envious subset) triples reached in distinct subproblems
-    of two or more agents before their stops.
+    of three or more agents before their stops.
 
     Raises :class:`NoFeasibleAllocation` when the feasibility sets admit
     no allocation.
@@ -540,26 +552,52 @@ def solve_separator(
             [tuple([in_2[b] for b in nbrs[a] if b in in_2]) for a in S],
         )
 
+    def outright(agents, hmask, F, angry, stop):
+        """``best_of`` for one or two agents, with no separator search and
+        no guess."""
+        a = agents[0]
+        pa = pref[a]
+        if len(agents) == 1:
+            # The first house of least value: happy is worth -w, and only
+            # an angry agent is envious when not happy.
+            liked = pa & F[0]
+            pick = liked if liked and (w or angry) else F[0]
+            h = (pick & -pick).bit_length() - 1
+            return (-w if liked >> h & 1 else scale if angry else 0), ((a, h),)
+        # Two agents walk the house pairs the recursion would try, in its
+        # order: a's houses first when they are adjacent (separator (a,),
+        # first part (b,)), else b's (parts (b,) and (a,)).
+        b = agents[1]
+        pb = pref[b]
+        mad_a, mad_b = angry >> a & 1, angry >> b & 1
+        adjacent = b in nbrs[a]
+        if stop is None:
+            stop = -w * min(2, (pa & F[0] | pb & F[1]).bit_count())
+        best = None
+        for hs, _ in _lowest_tuples(F if adjacent else F[::-1], below, hmask):
+            ha, hb = hs if adjacent else hs[::-1]
+            value = ((-w if pa >> ha & 1 else scale if mad_a or adjacent and pa >> hb & 1 else 0)
+                     + (-w if pb >> hb & 1 else scale if mad_b or adjacent and pb >> ha & 1 else 0))
+            if best is None or value < best[0]:
+                best = (value, ((a, ha), (b, hb)))
+                if value == stop:
+                    break
+        return best
+
     def best_of(sub, stop=None):
         """``(scaled value, witness pairs)`` of a subproblem, or ``None``
         when no assignment respects its feasibility sets; returns at once
         when the value reaches ``stop``, a lower bound that defaults to
-        the subproblem's own floor."""
+        the subproblem's own floor. One and two agents are solved
+        outright."""
         nonlocal count
         if not sub[0]:
             return 0, ()
         if sub in memo:
             return memo[sub]
         agents, hmask, F, angry = sub
-        if len(agents) == 1:
-            # The first house of least value: happy is worth -w, and only
-            # an angry agent is envious when not happy.
-            a = agents[0]
-            liked = pref[a] & F[0]
-            pick = liked if liked and (w or angry) else F[0]
-            h = (pick & -pick).bit_length() - 1
-            value = -w if liked >> h & 1 else scale if angry else 0
-            best = memo[sub] = (value, ((a, h),))
+        if len(agents) <= 2:
+            best = memo[sub] = outright(agents, hmask, F, angry, stop)
             return best
         got = splits.get(agents)
         if got is None:

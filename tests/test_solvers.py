@@ -339,46 +339,47 @@ def test_separator_matches_envy_guess_on_plain_instances():
 # (envy, envy-happy), or the error class, for SEPARATOR_GOLDEN_CASES: the
 # separator's witness order and guess count are part of its contract.
 # Each subproblem counts only the guesses it tried before reaching its own
-# key floor.
+# key floor, and one- and two-agent subproblems, solved outright, count
+# none.
 SEPARATOR_GOLDEN = [
     [(0, 1, (0,), 0), (0, 1, (0,), 0)],
-    [(1, 0, (4, 2, 1, 0, 3), 94), (1, 2, (2, 0, 3, 5, 6), 97)],
-    [(0, 3, (4, 3, 2, 1, 0), 8), (0, 3, (4, 3, 2, 1, 0), 8)],
-    [(2, 2, (1, 5, 3, 2, 0, 7), 149), (2, 2, (1, 5, 3, 2, 0, 7), 149)],
-    [(0, 1, (2, 4, 0, 1, 3), 54), (0, 3, (2, 4, 1, 5, 0), 68)],
-    [(1, 0, (0, 5, 2, 3), 90), (1, 1, (0, 3, 2, 4), 90)],
-    [(0, 1, (2, 0, 4, 1), 7), (0, 2, (1, 0, 4, 5), 10)],
-    [(0, 0, (0, 2), 2), (0, 0, (0, 2), 2)],
-    [(0, 3, (0, 1, 4, 3), 18), (0, 4, (2, 1, 4, 3), 19)],
+    [(1, 0, (4, 2, 1, 0, 3), 91), (1, 2, (2, 0, 3, 5, 6), 92)],
+    [(0, 3, (4, 3, 2, 1, 0), 2), (0, 3, (4, 3, 2, 1, 0), 2)],
+    [(2, 2, (1, 5, 3, 2, 0, 7), 140), (2, 2, (1, 5, 3, 2, 0, 7), 140)],
+    [(0, 1, (2, 4, 0, 1, 3), 12), (0, 3, (2, 4, 1, 5, 0), 15)],
+    [(1, 0, (0, 5, 2, 3), 80), (1, 1, (0, 3, 2, 4), 80)],
+    [(0, 1, (2, 0, 4, 1), 4), (0, 2, (1, 0, 4, 5), 6)],
+    [(0, 0, (0, 2), 0), (0, 0, (0, 2), 0)],
+    [(0, 3, (0, 1, 4, 3), 8), (0, 4, (2, 1, 4, 3), 9)],
     [(0, 1, (0,), 0), (0, 1, (0,), 0)],
     [(0, 1, (0,), 0), (0, 1, (0,), 0)],
     [(0, 3, (1, 4, 6, 0, 2), 17), (0, 3, (1, 4, 6, 0, 2), 17)],
-    [(0, 1, (2, 1, 0), 2), (0, 3, (0, 1, 3), 8)],
-    [(1, 2, (1, 0, 2, 3, 4, 5), 20), (1, 2, (1, 0, 2, 3, 4, 5), 20)],
+    [(0, 1, (2, 1, 0), 1), (0, 3, (0, 1, 3), 3)],
+    [(1, 2, (1, 0, 2, 3, 4, 5), 14), (1, 2, (1, 0, 2, 3, 4, 5), 14)],
     [(0, 1, (0,), 0), (0, 1, (0,), 0)],
     [(0, 2, (2, 0, 1), 1), (0, 2, (2, 0, 1), 1)],
-    [(0, 1, (1, 0), 1), (0, 2, (1, 2), 2)],
-    [(0, 4, (1, 0, 4, 3), 16), (0, 4, (1, 0, 4, 3), 16)],
-    [(0, 2, (1, 0), 1), (0, 2, (1, 0), 1)],
+    [(0, 1, (1, 0), 0), (0, 2, (1, 2), 0)],
+    [(0, 4, (1, 0, 4, 3), 7), (0, 4, (1, 0, 4, 3), 7)],
+    [(0, 2, (1, 0), 0), (0, 2, (1, 0), 0)],
     ['NoFeasibleAllocation', 'NoFeasibleAllocation'],
     [(0, 0, (0,), 0), (0, 0, (0,), 0)],
-    [(0, 2, (3, 2, 0, 1), 4), (0, 2, (3, 2, 0, 1), 4)],
+    [(0, 2, (3, 2, 0, 1), 2), (0, 2, (3, 2, 0, 1), 2)],
     [(0, 1, (0, 3, 2, 1), 4), (0, 1, (0, 3, 2, 1), 4)],
-    [(1, 3, (2, 0, 1, 5, 6), 148), (1, 4, (2, 0, 3, 5, 6), 148)],
-    [(0, 1, (1, 0), 1), (0, 1, (1, 0), 1)],
-    [(2, 1, (1, 4, 3, 2, 5), 54), (2, 1, (1, 4, 3, 2, 5), 54)],
-    [(0, 1, (1, 0), 3), (0, 1, (1, 0), 3)],
-    [(0, 2, (4, 0, 2, 1, 3), 44), (0, 2, (4, 0, 2, 1, 3), 45)],
-    [(0, 4, (5, 1, 3, 2, 0, 4), 149), (0, 4, (5, 1, 3, 2, 0, 4), 149)],
+    [(1, 3, (2, 0, 1, 5, 6), 120), (1, 4, (2, 0, 3, 5, 6), 120)],
+    [(0, 1, (1, 0), 0), (0, 1, (1, 0), 0)],
+    [(2, 1, (1, 4, 3, 2, 5), 30), (2, 1, (1, 4, 3, 2, 5), 30)],
+    [(0, 1, (1, 0), 0), (0, 1, (1, 0), 0)],
+    [(0, 2, (4, 0, 2, 1, 3), 27), (0, 2, (4, 0, 2, 1, 3), 27)],
+    [(0, 4, (5, 1, 3, 2, 0, 4), 118), (0, 4, (5, 1, 3, 2, 0, 4), 118)],
     [(0, 1, (0,), 0), (0, 1, (0,), 0)],
     [(0, 1, (0,), 0), (0, 1, (0,), 0)],
     [(2, 0, (0, 1, 2), 4), (2, 0, (0, 1, 2), 4)],
     [(0, 0, (0, 2, 1), 2), (0, 1, (3, 1, 0), 3)],
-    [(0, 1, (0, 3, 1, 2, 5, 4), 45), (0, 1, (0, 3, 1, 2, 5, 4), 57)],
-    [(0, 2, (3, 1, 0, 2), 21), (0, 3, (0, 1, 4, 2), 24)],
-    [(0, 4, (4, 0, 1, 5, 2, 3), 63), (0, 4, (4, 0, 1, 5, 2, 3), 63)],
+    [(0, 1, (0, 3, 1, 2, 5, 4), 23), (0, 1, (0, 3, 1, 2, 5, 4), 31)],
+    [(0, 2, (3, 1, 0, 2), 8), (0, 3, (0, 1, 4, 2), 10)],
+    [(0, 4, (4, 0, 1, 5, 2, 3), 39), (0, 4, (4, 0, 1, 5, 2, 3), 39)],
     [(0, 0, (0,), 0), (0, 0, (0,), 0)],
-    [(1, 1, (5, 1, 3, 0), 80), (1, 1, (5, 1, 3, 0), 80)],
+    [(1, 1, (5, 1, 3, 0), 15), (1, 1, (5, 1, 3, 0), 15)],
     [(0, 0, (0,), 0), (0, 0, (0,), 0)],
     [(0, 1, (0,), 0), (0, 1, (0,), 0)],
 ]
@@ -507,6 +508,120 @@ def test_separator_deep_witnesses_are_optimal():
         assert happy_row[:2] == want
 
 
+def separator_pair_cases():
+    """48 seeded instances whose separator subproblems have two agents:
+    two-agent roots, adjacent or not; paths of five agents, whose middle
+    agent separates two adjacent pairs; and stars of five, whose centre
+    separates two pairs of leaves. Preferences come from two small sets,
+    so houses fall into classes of several houses. Odd ones are annotated:
+    each agent may not receive up to two houses, and about two in five
+    are angry."""
+    rng = random.Random(1515)
+    for i in range(48):
+        shape = i % 3
+        if shape == 0:
+            n = 2
+            edges = [(0, 1)] if rng.random() < 0.5 else []
+        elif shape == 1:
+            n = 5
+            edges = [(a, a + 1) for a in range(4)]
+        else:
+            n = 5
+            edges = [(0, a) for a in range(1, 5)]
+        m = n + rng.randint(0, 2)
+        pool = [rng.sample(range(m), rng.randint(1, min(3, m))) for _ in range(2)] + [[]]
+        inst = Instance(n, m, edges, [rng.choice(pool) for _ in range(n)])
+        if i % 2:
+            feas = [sorted(set(range(m)) - set(rng.sample(range(m), rng.randint(0, min(2, m - 1)))))
+                    for _ in range(n)]
+            angry = [a for a in range(n) if rng.random() < 0.4]
+            yield AnnotatedInstance(inst, feas, angry)
+        else:
+            yield AnnotatedInstance.plain(inst)
+
+
+# (min_envy, happiness, allocation) per objective (envy, envy-happy), or
+# the error class, for separator_pair_cases(), pinned from the separator
+# before it solved two-agent subproblems without a separator search.
+SEPARATOR_PAIR_WITNESSES = [
+    [(0, 1, (1, 0)), (0, 1, (1, 0))],
+    [(1, 3, (4, 3, 0, 2, 1)), (1, 3, (4, 3, 0, 2, 1))],
+    [(0, 1, (1, 4, 3, 2, 0)), (0, 2, (1, 3, 4, 2, 0))],
+    [(1, 1, (0, 1)), (1, 1, (0, 1))],
+    [(0, 3, (4, 3, 0, 1, 2)), (0, 3, (4, 3, 0, 1, 2))],
+    [(1, 3, (1, 4, 3, 0, 2)), (1, 3, (1, 4, 3, 0, 2))],
+    [(0, 1, (1, 0)), (0, 1, (1, 0))],
+    [(2, 3, (4, 2, 0, 3, 1)), (2, 3, (4, 2, 0, 3, 1))],
+    [(1, 3, (0, 4, 2, 1, 3)), (1, 3, (0, 4, 2, 1, 3))],
+    [(1, 1, (0, 1)), (1, 1, (0, 1))],
+    [(0, 0, (2, 4, 0, 1, 3)), (0, 2, (1, 4, 2, 5, 0))],
+    [(1, 2, (0, 3, 5, 2, 1)), (1, 3, (0, 1, 5, 2, 6))],
+    [(0, 1, (1, 0)), (0, 1, (1, 0))],
+    [(1, 2, (4, 3, 0, 2, 1)), (1, 3, (5, 3, 0, 2, 1))],
+    [(0, 2, (3, 2, 4, 1, 0)), (0, 3, (3, 1, 4, 0, 2))],
+    ['NoFeasibleAllocation', 'NoFeasibleAllocation'],
+    [(0, 2, (1, 4, 0, 2, 3)), (0, 3, (2, 5, 3, 0, 1))],
+    [(0, 2, (3, 2, 6, 1, 0)), (0, 2, (3, 2, 6, 1, 0))],
+    [(0, 0, (0, 1)), (0, 0, (0, 1))],
+    [(0, 2, (1, 5, 0, 2, 4)), (0, 2, (1, 5, 0, 2, 4))],
+    [(0, 0, (0, 4, 3, 2, 1)), (0, 2, (0, 6, 2, 3, 1))],
+    [(1, 0, (0, 1)), (1, 0, (0, 1))],
+    [(0, 1, (4, 5, 1, 0, 2)), (0, 3, (2, 6, 3, 0, 1))],
+    [(0, 1, (0, 3, 4, 2, 1)), (0, 2, (0, 3, 4, 1, 2))],
+    [(0, 1, (0, 1)), (0, 1, (0, 1))],
+    [(2, 0, (2, 4, 0, 3, 1)), (2, 1, (0, 4, 1, 3, 2))],
+    [(0, 1, (0, 4, 3, 2, 1)), (0, 2, (0, 4, 3, 1, 2))],
+    [(0, 0, (3, 0)), (0, 1, (0, 3))],
+    [(0, 2, (3, 4, 0, 1, 2)), (0, 2, (3, 4, 0, 1, 2))],
+    [(1, 1, (0, 5, 2, 3, 1)), (1, 2, (0, 3, 2, 4, 1))],
+    [(0, 0, (1, 0)), (0, 0, (1, 0))],
+    [(0, 1, (0, 4, 1, 3, 2)), (0, 2, (0, 2, 1, 3, 4))],
+    [(0, 1, (0, 4, 5, 3, 1)), (0, 1, (0, 4, 5, 3, 1))],
+    [(0, 2, (0, 1)), (0, 2, (0, 1))],
+    [(0, 2, (3, 4, 1, 0, 2)), (0, 2, (3, 4, 1, 0, 2))],
+    [(0, 3, (0, 2, 1, 4, 3)), (0, 3, (0, 2, 1, 4, 3))],
+    [(0, 0, (0, 1)), (0, 0, (0, 1))],
+    [(1, 3, (4, 2, 0, 3, 1)), (1, 3, (4, 2, 0, 3, 1))],
+    [(0, 3, (0, 4, 3, 1, 2)), (0, 3, (0, 4, 3, 1, 2))],
+    [(0, 2, (0, 1)), (0, 2, (0, 1))],
+    [(0, 1, (2, 5, 0, 1, 4)), (0, 1, (2, 5, 0, 1, 4))],
+    [(0, 2, (0, 4, 6, 2, 1)), (0, 2, (0, 4, 6, 2, 1))],
+    [(0, 1, (0, 1)), (0, 1, (0, 1))],
+    [(2, 2, (3, 4, 0, 1, 2)), (2, 2, (3, 4, 0, 1, 2))],
+    [(0, 1, (0, 4, 3, 2, 1)), (0, 3, (0, 5, 2, 3, 1))],
+    [(1, 0, (0, 1)), (1, 1, (2, 0))],
+    [(0, 1, (2, 3, 0, 1, 4)), (0, 1, (2, 3, 0, 1, 4))],
+    [(1, 1, (0, 3, 1, 6, 2)), (1, 1, (0, 3, 1, 6, 2))],
+]
+
+
+def test_separator_pair_witnesses():
+    for ann, pinned in zip(separator_pair_cases(), SEPARATOR_PAIR_WITNESSES, strict=True):
+        for objective, want in zip(Objective, pinned):
+            cfg = SolverConfig(objective=objective)
+            if isinstance(want, str):
+                with pytest.raises(NoFeasibleAllocation):
+                    solve_separator(ann, cfg)
+                continue
+            r = solve_separator(ann, cfg)
+            assert (r.min_envy, r.happiness, r.allocation.assignment) == want
+            if ann.base.n_agents == 2:
+                assert r.guesses_explored == 0  # two agents: no guess
+            feasible_ok, rep = evaluate_annotated(ann, r.allocation)
+            assert feasible_ok and (rep.n_envious, rep.n_happy) == want[:2]
+
+
+def test_separator_pair_witnesses_are_optimal():
+    for ann, (envy_row, happy_row) in zip(separator_pair_cases(), SEPARATOR_PAIR_WITNESSES,
+                                          strict=True):
+        want = annotated_optimum(ann, happy=True)
+        if want is None:
+            assert envy_row == happy_row == "NoFeasibleAllocation"
+            continue
+        assert envy_row[0] == want[0]
+        assert happy_row[:2] == want
+
+
 # Reductions whose agents all prefer the same houses, so their houses fall
 # into two or three classes. (min_envy, happiness, allocation) per
 # objective (envy, envy-happy), pinned from the separator's full
@@ -587,8 +702,8 @@ def test_separator_deadline_on_a_class_heavy_reduction():
 # under the default guess limit: a full enumeration explored 563,283 and
 # 2,331,079 guesses under envy on these.
 @pytest.mark.parametrize("spec, want", [
-    ("petersen", [(4, 4, 547), (4, 4, 547)]),
-    ("random-regular:12:3:1", [(3, 5, 953), (3, 5, 953)]),
+    ("petersen", [(4, 4, 448), (4, 4, 448)]),
+    ("random-regular:12:3:1", [(3, 5, 871), (3, 5, 871)]),
 ])
 def test_separator_guess_count_on_cubic_halfsep(spec, want):
     ann = AnnotatedInstance.plain(gen_halfsep_3regular(named_source_graph(spec), 2).instance)
@@ -1007,7 +1122,8 @@ def test_brute_never_starts_a_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("brute force started a process pool")
 
-    monkeypatch.setattr("haan.solvers.ProcessPoolExecutor", no_pool)
+    # ``_search`` imports the pool class from here when it needs one.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     got = solve_bruteforce(
         inst, SolverConfig(workers=2, objective=Objective.MIN_ENVY_THEN_MAX_HAPPY))
     assert got == want
@@ -1116,8 +1232,11 @@ def _loaded_after(code: str, modules: tuple[str, ...]) -> list[str]:
 
 def test_library_and_cli_load_no_undeclared_dependency():
     # numpy, scipy, networkx and pytest-benchmark may be installed where
-    # the tests run, but the library and the CLI must not load them.
-    modules = ("numpy", "scipy", "networkx", "pytest_benchmark")
+    # the tests run, but the library and the CLI must not load them. Nor
+    # the process-pool machinery, which only a solve with more than one
+    # range of work needs.
+    modules = ("numpy", "scipy", "networkx", "pytest_benchmark",
+               "multiprocessing", "concurrent.futures.process")
     assert _loaded_after("import haan, haan.cli.main", modules) == []
 
 

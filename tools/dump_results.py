@@ -1,0 +1,109 @@
+"""Dump every solver call of the benchmark corpora as JSON, for diffing.
+
+Each record is ``[label, algo, objective, min_envy, happiness, allocation
+or error, guesses_explored]``; a call that raises a ``HaanError`` has
+``null`` optimum and count and the error's class name and message in place
+of the allocation. The calls are those of the three corpora of
+``perfbench/corpus.py`` at seeds 0-3, then a seeded random set of small
+instances, half of them annotated with forbidden houses and angry agents,
+solved by the separator under both objectives. Every call runs with one
+worker, no deadline and the given guess limit (none by default), so the
+output depends only on the code under ``ROOT``.
+
+Compare two checkouts (``ROOT`` defaults to the one holding this script)::
+
+    python3 tools/dump_results.py --out new.json
+    python3 tools/dump_results.py --root ../old --out old.json
+    diff old.json new.json
+
+Nothing under ``perfbench/`` is written: bytecode caching is off.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+from itertools import combinations
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+
+SEEDS = (0, 1, 2, 3)
+
+
+def _args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout whose src/ and perfbench/ are imported")
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--random", type=int, default=1500,
+                        help="random instances (default 1500)")
+    parser.add_argument("--random-seed", type=int, default=0)
+    parser.add_argument("--guess-limit", type=int, default=None)
+    return parser.parse_args(argv)
+
+
+def _random_cases(rng: random.Random, count: int):
+    """``count`` instances with n <= 7 and m <= n + 2; odd ones annotated:
+    each agent may receive a random nonempty set of houses, and about a
+    third of the agents are angry."""
+    from haan.model import AnnotatedInstance, Instance
+
+    for i in range(count):
+        n = rng.randint(1, 7)
+        m = rng.randint(n, n + 2)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
+        prefs = [rng.sample(range(m), rng.randint(0, min(3, m))) for _ in range(n)]
+        inst = Instance(n, m, edges, prefs)
+        if i % 2:
+            feas = [rng.sample(range(m), rng.randint(1, m)) for _ in range(n)]
+            angry = [a for a in range(n) if rng.random() < 0.3]
+            yield f"random-{i}", AnnotatedInstance(inst, feas, angry)
+        else:
+            yield f"random-{i}", AnnotatedInstance.plain(inst)
+
+
+def main(argv=None) -> int:
+    args = _args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import corpus
+    from haan import solvers
+    from haan.errors import HaanError
+    from haan.model import AnnotatedInstance
+    from haan.solvers import Objective, SolverConfig
+
+    def call(label, algo, objective, inst, ann):
+        cfg = SolverConfig(objective=objective, workers=1, guess_limit=args.guess_limit)
+        try:
+            if algo == "separator":
+                r = solvers.solve_separator(ann or AnnotatedInstance.plain(inst), cfg)
+            else:
+                r = solvers.solve(inst, algo, cfg)
+        except HaanError as exc:
+            return [label, algo, objective.value, None, None,
+                    f"{type(exc).__name__}: {exc}", None]
+        return [label, algo, objective.value, r.min_envy, r.happiness,
+                list(r.allocation.assignment), r.guesses_explored]
+
+    workloads = {"sweep-small": corpus.sweep_small, "vcxp-cover": corpus.vcxp_cover,
+                 "halfsep-guess": corpus.halfsep_guess}
+    records = []
+    for workload, build in workloads.items():
+        for seed in SEEDS:
+            for case in build(random.Random(seed)):
+                label = f"{workload}:{seed}:{case.label}"
+                for algo, objective in case.calls:
+                    records.append(call(label, algo, objective, case.instance, case.annotated))
+    for label, ann in _random_cases(random.Random(args.random_seed), args.random):
+        for objective in Objective:
+            records.append(call(label, "separator", objective, ann.base, ann))
+    args.out.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
+    print(f"{len(records)} calls written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
