@@ -30,7 +30,7 @@ from ..errors import (
     SolveTimeout,
     WrongSolver,
 )
-from ..graphtools import _components, _lowest_grouping
+from ..graphtools import first_half_separator
 from ..model import evaluate, evaluate_annotated
 from ..reductions import (
     gen_clique_bipartite_d2,
@@ -146,25 +146,6 @@ def _first_clique(source, k: int):
     return None
 
 
-def _first_half_separator(source, size: int, t: int):
-    """First ``(S, part1, part2)`` with ``|S| = size``, ``|part1| = t`` and
-    no edge between the parts, in ``combinations`` order of S, then part1."""
-    n = source.n_vertices
-    nbr = [0] * n
-    for u, v in source.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    for sep in combinations(range(n), size):
-        rest = (1 << n) - 1 - sum(1 << v for v in sep)
-        # Highest component first, so part2's lowest grouping leaves lower
-        # components to part1 whenever it can: part1 comes first.
-        part2 = _lowest_grouping(_components(nbr, rest)[::-1], 1 << (n - size - t))
-        if part2 is not None:
-            return [list(sep)] + [[v for v in range(n) if mask >> v & 1]
-                                  for mask in (rest & ~part2, part2)]
-    return None
-
-
 def cmd_generate(args) -> int:
     try:
         source = named_source_graph(args.graph, args.seed)
@@ -183,8 +164,12 @@ def cmd_generate(args) -> int:
             red = gen_clique_vc_split(source, args.k, args.t)
         if args.witness:
             if args.family == "halfsep-3reg":
-                triple = _first_half_separator(
-                    source, red.target_envy, red.provenance["params"]["t"]
+                nbr = [0] * source.n_vertices
+                for u, v in source.edges:
+                    nbr[u] |= 1 << v
+                    nbr[v] |= 1 << u
+                triple = first_half_separator(
+                    nbr, red.target_envy, red.provenance["params"]["t"]
                 )
                 if triple is None:
                     raise GeneratorError(
@@ -288,10 +273,6 @@ def cmd_bench(args) -> int:
         if algo not in ALGORITHMS:
             print(f"error: unknown algorithm {algo!r}", file=sys.stderr)
             return 2
-    try:
-        _config_from_args(args)
-    except HaanError as exc:
-        return _fail(exc)
     jobs = [(path, algo, args) for path in paths for algo in algos]
     print("# instance\talgo\tobjective\tmin_envy\thappiness\tguesses\twall_ms\tstatus")
     if args.jobs > 1 and len(jobs) > 1:

@@ -9,7 +9,7 @@ progress in the divide-and-conquer solver.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import check_deadline
 from .model import Instance
@@ -17,6 +17,7 @@ from .model import Instance
 __all__ = [
     "balanced_separator_of_subgraph",
     "find_min_vertex_cover",
+    "first_half_separator",
 ]
 
 
@@ -60,12 +61,13 @@ def _lowest_grouping(comps: Sequence[int], targets: int) -> int | None:
 
 
 def balanced_separator_of_subgraph(
-    vertices: Sequence[int],
-    adj: Mapping[int, Iterable[int]] | Sequence[Iterable[int]],
+    vertices: Iterable[int],
+    nbr_masks: Sequence[int],
     deadline: float | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Smallest balanced separator ``(S, A1, A2)`` of the subgraph induced
-    by ``vertices``; neighbours outside ``vertices`` are ignored.
+    by ``vertices``; ``nbr_masks[v]`` is vertex ``v``'s neighbour bitmask,
+    and neighbours outside ``vertices`` are ignored.
 
     The whole vertex set always qualifies, so the search always returns.
     Search order: separator size ascending; among separators of the same
@@ -80,18 +82,17 @@ def balanced_separator_of_subgraph(
     """
     verts = sorted(vertices)
     n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    nbr = [sum(1 << index[u] for u in set(adj[v]) if u in index) for v in verts]
+    full = sum(1 << v for v in verts)
     limit = 2 * n // 3
     for size in range(n + 1):
         total = n - size
         floor = (total + 1) // 2  # no grouping has a smaller larger part
         best = None
-        for i, sep in enumerate(combinations(range(n), size)):
+        for i, sep in enumerate(combinations(verts, size)):
             if not i & 63:
                 check_deadline(deadline)
-            rest = (1 << n) - 1 - sum(1 << j for j in sep)
-            comps = _components(nbr, rest)
+            rest = full - sum(1 << v for v in sep)
+            comps = _components(nbr_masks, rest)
             sums = 1  # bit x: some components together hold x vertices
             for comp in comps:
                 sums |= sums << comp.bit_count()
@@ -105,8 +106,28 @@ def balanced_separator_of_subgraph(
             break
     widest, rest, comps = best
     part2 = _lowest_grouping(comps, 1 << widest | 1 << (total - widest))
-    return tuple(tuple(v for i, v in enumerate(verts) if mask >> i & 1)
-                 for mask in ((1 << n) - 1 - rest, rest & ~part2, part2))
+    return tuple(tuple(v for v in verts if mask >> v & 1)
+                 for mask in (full - rest, rest & ~part2, part2))
+
+
+def first_half_separator(
+    nbr_masks: Sequence[int], size: int, t: int,
+) -> list[list[int]] | None:
+    """First ``[S, part1, part2]`` of the graph on vertices
+    ``0..len(nbr_masks)-1`` with ``|S| = size``, ``|part1| = t`` and no
+    edge between the parts, in ``combinations`` order of S, then part1;
+    ``None`` when there is none."""
+    n = len(nbr_masks)
+    for sep in combinations(range(n), size):
+        rest = (1 << n) - 1 - sum(1 << v for v in sep)
+        # Highest component first, so part2's lowest grouping leaves lower
+        # components to part1 whenever it can: part1 comes first.
+        part2 = _lowest_grouping(_components(nbr_masks, rest)[::-1],
+                                 1 << (n - size - t))
+        if part2 is not None:
+            return [list(sep)] + [[v for v in range(n) if mask >> v & 1]
+                                  for mask in (rest & ~part2, part2)]
+    return None
 
 
 def find_min_vertex_cover(inst: Instance, budget: int,

@@ -148,17 +148,6 @@ def _key_floor(masks: Sequence[int], m: int, w: int) -> int:
     return -w * max_matching_size_masks(masks, m) if w else 0
 
 
-def _liked(F: Sequence[int], owners: Iterable[tuple[int, int]]) -> int:
-    """Houses that one of ``owners``, ``(position in F, preferred houses)``
-    pairs, prefers and may receive, as a bitmask. No more of them are
-    happy than this mask has bits, which bounds a separator subproblem's
-    key from below."""
-    mask = 0
-    for p, prefers in owners:
-        mask |= prefers & F[p]
-    return mask
-
-
 def _result(inst: Instance, assignment: Sequence[int], solver_id: str,
             guesses: int, ann: AnnotatedInstance | None = None) -> SolveResult:
     """Every solver's result: the witness evaluated (under ``ann`` if given)."""
@@ -513,7 +502,6 @@ def solve_separator(
     n, m = inst.n_agents, inst.n_houses
     if m < n:
         raise InstanceInfeasible(f"{m} houses for {n} agents")
-    nbrs = inst.neighbors
     limit = cfg.guess_limit
     deadline = cfg.deadline
     scale, w = _key_weights(cfg, n)
@@ -524,32 +512,17 @@ def solve_separator(
     splits: dict = {}
 
     def split(agents):
-        """Separator ``(S, A1, A2)`` of ``agents``, the positions of A1 and
-        A2 in ``agents``, the agent masks of A1 and A2, the ``(position,
-        preferred houses)`` of the agents of S, A1 and A2, the ``(agent bit,
-        preferred houses, indices in S of its separator neighbours)`` of
-        every agent that has some, and per separator agent the positions
-        of its neighbours in A1 and in A2."""
-        S, A1, A2 = balanced_separator_of_subgraph(agents, nbrs, deadline)
+        """Separator ``(S, A1, A2)`` of ``agents``, the positions of S, A1
+        and A2 in ``agents``, the agent masks of A1 and A2, and per
+        separator agent the positions of its neighbours in A1 and in A2."""
+        S, A1, A2 = balanced_separator_of_subgraph(agents, nmask, deadline)
         pos = {a: p for p, a in enumerate(agents)}
-        in_s = {a: j for j, a in enumerate(S)}
-        in_1 = {a: i for i, a in enumerate(A1)}
-        in_2 = {a: i for i, a in enumerate(A2)}
-        watchers = []
-        for a in agents:
-            seen = tuple([in_s[b] for b in nbrs[a] if b in in_s])
-            if seen:
-                watchers.append((1 << a, pref[a], seen))
         return (
             S, A1, A2,
-            [pos[a] for a in A1], [pos[a] for a in A2],
+            [pos[a] for a in S], [pos[a] for a in A1], [pos[a] for a in A2],
             _bits(A1), _bits(A2),
-            [(pos[a], pref[a]) for a in S],
-            [(pos[a], pref[a]) for a in A1],
-            [(pos[a], pref[a]) for a in A2],
-            watchers,
-            [tuple([in_1[b] for b in nbrs[a] if b in in_1]) for a in S],
-            [tuple([in_2[b] for b in nbrs[a] if b in in_2]) for a in S],
+            [tuple([i for i, b in enumerate(A1) if nmask[a] >> b & 1]) for a in S],
+            [tuple([i for i, b in enumerate(A2) if nmask[a] >> b & 1]) for a in S],
         )
 
     def outright(agents, hmask, F, angry, stop):
@@ -570,7 +543,7 @@ def solve_separator(
         b = agents[1]
         pb = pref[b]
         mad_a, mad_b = angry >> a & 1, angry >> b & 1
-        adjacent = b in nbrs[a]
+        adjacent = nmask[a] >> b & 1
         if stop is None:
             stop = -w * min(2, (pa & F[0] | pb & F[1]).bit_count())
         best = None
@@ -602,29 +575,34 @@ def solve_separator(
         got = splits.get(agents)
         if got is None:
             got = splits[agents] = split(agents)
-        (S, A1, A2, i1, i2, mask1, mask2, own_s, own_1, own_2, watchers,
-         near1, near2) = got
+        S, A1, A2, i_s, i1, i2, mask1, mask2, near1, near2 = got
         n1, n2 = len(A1), len(A2)
-        liked1 = _liked(F, own_1)
-        liked2 = _liked(F, own_2)
+        # Houses that one agent of S, A1 or A2 prefers and may receive: no
+        # more of them are happy, which bounds their key from below.
+        liked1 = liked2 = 0
+        for p in i1:
+            liked1 |= pref[agents[p]] & F[p]
+        for p in i2:
+            liked2 |= pref[agents[p]] & F[p]
         if stop is None:
-            stop = -w * min(len(agents), (_liked(F, own_s) | liked1 | liked2).bit_count())
+            liked = liked1 | liked2
+            for p in i_s:
+                liked |= pref[agents[p]] & F[p]
+            stop = -w * min(len(agents), liked.bit_count())
         best = None
-        for phi, rest in _lowest_tuples([F[p] for p, _ in own_s], below, hmask):
+        for phi, rest in _lowest_tuples([F[p] for p in i_s], below, hmask):
             check_deadline(deadline)
             # Agents that prefer a house a separator neighbour now holds:
-            # envious in S unless happy, angry in the parts.
+            # envious in S unless happy, angry in the parts. Marks outside
+            # this subproblem are never read.
             marked = angry
-            for bit, prefers, seen in watchers:
-                for j in seen:
-                    if prefers >> phi[j] & 1:
-                        marked |= bit
-                        break
+            for a, h in zip(S, phi):
+                marked |= nmask[a] & likers[h]
             n_c = 0
             forced_env = 0
             undecided = []
             for j, a in enumerate(S):
-                if own_s[j][1] >> phi[j] & 1:
+                if pref[a] >> phi[j] & 1:
                     n_c += 1
                 elif marked >> a & 1:
                     forced_env += 1
@@ -635,9 +613,6 @@ def solve_separator(
             # one non-envious) and each part at least its floor, which only
             # rises as its houses and feasible sets shrink.
             top = scale * forced_env - w * n_c
-            if best is not None and top - w * (min(n1, (liked1 & rest).bit_count())
-                                              + min(n2, (liked2 & rest).bit_count())) >= best[0]:
-                continue
             b1 = marked & mask1
             b2 = marked & mask2
             for h1mask in _lowest_subsets(below, rest, n1, rest):
@@ -665,7 +640,7 @@ def solve_separator(
                         l1, l2 = list(f1), list(f2)
                         for i, j in enumerate(undecided):
                             if kmask >> i & 1:
-                                off = ~own_s[j][1]
+                                off = ~pref[S[j]]
                                 for q in near1[j]:
                                     l1[q] &= off
                                 for q in near2[j]:
@@ -689,6 +664,11 @@ def solve_separator(
         return best
 
     pref = _pref_masks(inst)
+    nmask = [_bits(nb) for nb in inst.neighbors]
+    likers = [0] * m  # bit a of likers[h]: agent a prefers house h
+    for a, prefers in enumerate(inst.preferences):
+        for h in prefers:
+            likers[h] |= 1 << a
     feasible = [_bits(f) for f in ann.feasible]
     # Root classes stay classes of every subproblem: each mask the
     # recursion ANDs in is a union of classes or the subproblem's houses.

@@ -24,8 +24,8 @@ from haan.cli import main as main_module
 from haan.cli.main import main
 from haan.cli.sources import named_source_graph
 from haan.errors import FormatError
+from haan.graphtools import first_half_separator
 from haan.model import AnnotatedInstance, Instance
-from haan.reductions import SourceGraph
 from haan.solvers import ALGORITHMS
 
 TRIANGLE_TEXT = """\
@@ -359,6 +359,10 @@ def test_first_half_separator_is_first_in_combinations_order():
     for _ in range(40):
         n = rng.randint(0, 7)
         edges = [e for e in combinations(range(n), 2) if rng.random() < 0.3]
+        masks = [0] * n
+        for u, v in edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         for size in range(n + 1):
             for t in range(n - size + 1):
                 want = next((
@@ -368,7 +372,7 @@ def test_first_half_separator_is_first_in_combinations_order():
                     if not any((u in part1) != (v in part1)
                                for u, v in edges if u not in sep and v not in sep)
                 ), None)
-                got = main_module._first_half_separator(SourceGraph(n, edges), size, t)
+                got = first_half_separator(masks, size, t)
                 assert got == want, (n, edges, size, t)
 
 

@@ -28,9 +28,14 @@ def random_graph(rng, n_max=8, p=0.4):
     return graph(n, edges)
 
 
+def nbr_masks(g):
+    """Each agent's neighbours as a bitmask, indexed by agent."""
+    return [sum(1 << u for u in nbrs) for nbrs in g.neighbors]
+
+
 def separator(g, deadline=None):
     """(S, A1, A2) of the whole agent graph, as the separator solver asks."""
-    return balanced_separator_of_subgraph(range(g.n_agents), g.neighbors, deadline)
+    return balanced_separator_of_subgraph(range(g.n_agents), nbr_masks(g), deadline)
 
 
 def test_path_unique_size1_separator():
@@ -106,6 +111,22 @@ def test_separator_is_minimum_size():
         for smaller in range(len(sep)):
             for removed in combinations(range(g.n_agents), smaller):
                 assert not balanced_grouping_exists(g, removed)
+
+
+def test_subset_separator_is_that_of_the_induced_subgraph():
+    """The solver asks for the separator of an agent subset of a larger
+    graph, ignoring neighbours outside it: that is the separator of the
+    induced subgraph relabelled to 0..k-1, mapped back."""
+    rng = random.Random(5)
+    for _ in range(150):
+        g = random_graph(rng, n_max=10, p=0.5)
+        subset = sorted(rng.sample(range(g.n_agents), rng.randint(0, g.n_agents)))
+        index = {v: i for i, v in enumerate(subset)}
+        induced = graph(len(subset), [(index[u], index[v]) for u, v in g.edges
+                                      if u in index and v in index])
+        want = tuple(tuple(subset[i] for i in part) for part in separator(induced))
+        rng.shuffle(subset)
+        assert balanced_separator_of_subgraph(subset, nbr_masks(g)) == want, (g, subset)
 
 
 def test_star_with_21_leaves_splits_at_its_centre():

@@ -283,7 +283,8 @@ def _class_key_cases():
         inst = Instance(n, m, edges, [rng.choice(pool) for _ in range(n)])
         feas = [sorted(set(range(m)) - set(rng.sample(range(m), rng.randint(0, 2))))
                 for _ in range(n)]
-        S, _, _ = balanced_separator_of_subgraph(tuple(range(n)), inst.neighbors)
+        masks = [sum(1 << b for b in nbrs) for nbrs in inst.neighbors]
+        S, _, _ = balanced_separator_of_subgraph(tuple(range(n)), masks)
         near = sorted({b for a in S for b in inst.neighbors[a]})
         angry = [a for a in near if rng.random() < 0.5]
         yield AnnotatedInstance(inst, feas, angry)
