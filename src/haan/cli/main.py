@@ -81,8 +81,6 @@ _ERROR_EXITS = (
     (InvalidInstance, EXIT_PARSE),
 )
 
-GENERATOR_FAMILIES = ("clique-bip-d2", "halfsep-3reg", "clique-vc-bip", "clique-vc-split")
-
 
 def _fail(exc: HaanError) -> int:
     print(f"error: {exc}", file=sys.stderr)
@@ -92,14 +90,21 @@ def _fail(exc: HaanError) -> int:
     return 1
 
 
-def _config_from_args(args, deadline: float | None = None) -> SolverConfig:
+def _solve_file(path, algo: str, args):
+    """Read the instance at ``path`` and solve it with ``algo`` under the
+    solver flags of ``args``. The timeout starts after the read. Returns
+    the result and the solve's wall time in ms."""
+    doc = read_instance_file(path)
+    start = time.monotonic()
     limit = args.guess_limit
-    return SolverConfig(
+    cfg = SolverConfig(
         objective=Objective(args.objective),
         workers=args.workers,
         guess_limit=None if limit == 0 else limit,
-        deadline=deadline,
+        deadline=None if args.timeout is None else start + args.timeout,
     )
+    result = solve(doc.annotated or doc.instance, algo, cfg)
+    return result, int((time.monotonic() - start) * 1000)
 
 
 def _emit(text: str, output: str) -> None:
@@ -114,12 +119,7 @@ def cmd_solve(args) -> int:
         print(f"error: cannot write {args.output}: no such directory", file=sys.stderr)
         return EXIT_PARSE
     try:
-        doc = read_instance_file(args.instance)
-        start = time.monotonic()
-        deadline = None if args.timeout is None else start + args.timeout
-        cfg = _config_from_args(args, deadline)
-        result = solve(doc.annotated or doc.instance, args.algo, cfg)
-        elapsed_ms = 0 if args.omit_timing else int((time.monotonic() - start) * 1000)
+        result, wall_ms = _solve_file(args.instance, args.algo, args)
     except HaanError as exc:
         return _fail(exc)
     out = ResultDocument(
@@ -128,7 +128,7 @@ def cmd_solve(args) -> int:
         min_envy=result.min_envy,
         happiness=result.happiness,
         guesses_explored=result.guesses_explored,
-        wall_time_ms=elapsed_ms,
+        wall_time_ms=0 if args.omit_timing else wall_ms,
         allocation=result.allocation.assignment,
     )
     try:
@@ -139,11 +139,37 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _first_clique(source, k: int):
-    for vs in combinations(range(source.n_vertices), k):
-        if source.is_clique(vs):
-            return list(vs)
-    return None
+# Each family's generator, called with the source graph and the parsed
+# flags, and its witness constructor.
+_FAMILIES = {
+    "clique-bip-d2": (lambda g, args: gen_clique_bipartite_d2(g, args.k),
+                      witness_from_clique),
+    "halfsep-3reg": (lambda g, args: gen_halfsep_3regular(g, args.k),
+                     witness_from_separator),
+    "clique-vc-bip": (lambda g, args: gen_clique_vc_bipartite(g, args.k, args.t_pad),
+                      witness_from_clique_vc),
+    "clique-vc-split": (lambda g, args: gen_clique_vc_split(g, args.k, args.t),
+                        witness_from_clique_vc),
+}
+
+
+def _witness(source, red, k: int, construct):
+    """``construct``'s witness for ``red``: from the first exact-size
+    separator triple of ``source`` for halfsep-3reg, else from its first
+    k-clique in ``combinations`` order."""
+    if construct is witness_from_separator:
+        nbr = [0] * source.n_vertices
+        for u, v in source.edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        triple = first_half_separator(nbr, red.target_envy, red.provenance["params"]["t"])
+        if triple is None:
+            raise GeneratorError("no exact-size separator triple exists in the source graph")
+        return construct(red, *triple)
+    for clique in combinations(range(source.n_vertices), k):
+        if source.is_clique(clique):
+            return construct(red, clique)
+    raise GeneratorError(f"source graph has no clique of size {k}")
 
 
 def cmd_generate(args) -> int:
@@ -152,40 +178,11 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    generate, construct = _FAMILIES[args.family]
     try:
-        witness = None
-        if args.family == "clique-bip-d2":
-            red = gen_clique_bipartite_d2(source, args.k)
-        elif args.family == "halfsep-3reg":
-            red = gen_halfsep_3regular(source, args.k)
-        elif args.family == "clique-vc-bip":
-            red = gen_clique_vc_bipartite(source, args.k, args.t_pad)
-        else:
-            red = gen_clique_vc_split(source, args.k, args.t)
+        red = generate(source, args)
         if args.witness:
-            if args.family == "halfsep-3reg":
-                nbr = [0] * source.n_vertices
-                for u, v in source.edges:
-                    nbr[u] |= 1 << v
-                    nbr[v] |= 1 << u
-                triple = first_half_separator(
-                    nbr, red.target_envy, red.provenance["params"]["t"]
-                )
-                if triple is None:
-                    raise GeneratorError(
-                        "no exact-size separator triple exists in the source graph"
-                    )
-                witness = witness_from_separator(red, *triple)
-            else:
-                clique = _first_clique(source, args.k)
-                if clique is None:
-                    raise GeneratorError(
-                        f"source graph has no clique of size {args.k}"
-                    )
-                if args.family == "clique-bip-d2":
-                    witness = witness_from_clique(red, clique)
-                else:
-                    witness = witness_from_clique_vc(red, clique)
+            witness = _witness(source, red, args.k, construct)
     except HaanError as exc:
         return _fail(exc)
     doc = InstanceDocument(
@@ -195,7 +192,7 @@ def cmd_generate(args) -> int:
     )
     try:
         write_instance_file(args.output, doc)
-        if args.witness and witness is not None:
+        if args.witness:
             Path(args.witness).write_text(render_allocation_text(witness))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -237,26 +234,14 @@ def cmd_verify(args) -> int:
 
 def _bench_one(job) -> tuple[str, ...]:
     path, algo, args = job
-    name = path.name
-    objective = args.objective
+    head = (path.name, algo, args.objective)
     try:
-        doc = read_instance_file(path)
-    except HaanError as exc:
-        return (name, algo, objective, "", "", "", "", f"error:{type(exc).__name__}")
-    deadline = None
-    if args.timeout is not None:
-        deadline = time.monotonic() + args.timeout
-    start = time.monotonic()
-    try:
-        result = solve(doc.annotated or doc.instance, algo,
-                       _config_from_args(args, deadline))
+        result, wall_ms = _solve_file(path, algo, args)
     except SolveTimeout:
-        return (name, algo, objective, "", "", "", "", "timeout")
+        return head + ("", "", "", "", "timeout")
     except HaanError as exc:
-        return (name, algo, objective, "", "", "", "", f"error:{type(exc).__name__}")
-    wall_ms = int((time.monotonic() - start) * 1000)
-    return (
-        name, algo, objective,
+        return head + ("", "", "", "", f"error:{type(exc).__name__}")
+    return head + (
         str(result.min_envy), str(result.happiness),
         str(result.guesses_explored), str(wall_ms), "ok",
     )
@@ -351,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_gen = sub.add_parser("generate", help="generate a reduction instance")
-    p_gen.add_argument("family", choices=GENERATOR_FAMILIES)
+    p_gen.add_argument("family", choices=_FAMILIES)
     p_gen.add_argument("--graph", required=True,
                        help="named source graph, e.g. k4, prism, cycle:6, "
                             "random-regular:8:3:7")

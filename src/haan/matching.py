@@ -4,8 +4,7 @@ Two entry points, both deterministic:
 
 - ``left_perfect_matching_masks``: Kuhn's augmenting-path search on
   bitmask adjacency; answers "can every left vertex be matched?" with a
-  witness. Envy-guess uses it to accept a guess, vc-xp to reject a guess
-  that no matching can extend before pricing it. The same search, run
+  witness. Envy-guess uses it to accept a guess. The same search, run
   past unmatched vertices, gives ``max_matching_size_masks``: the most
   agents that can hold a preferred house at once, which bounds every
   solver's key from below.

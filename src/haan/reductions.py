@@ -93,6 +93,30 @@ def _ekey(u: int, v: int) -> str:
     return f"{u}-{v}" if u < v else f"{v}-{u}"
 
 
+def _checked_clique(red: ReducedInstance, clique: Iterable[int],
+                    name: str, generators: tuple[str, ...]) -> list[int]:
+    """The sorted ``clique``, after checking that ``red`` comes from one of
+    ``generators`` and that ``clique`` is a clique of the target size in
+    its source graph."""
+    prov = red.provenance
+    if prov.get("generator") not in generators:
+        raise NotAClique(f"{name} expects a {' or '.join(generators)} instance")
+    params = prov["params"]
+    g = SourceGraph(params["n_vertices"], params["source_edges"])
+    vs = sorted(set(clique))
+    if len(vs) != params["k"] or not g.is_clique(vs):
+        raise NotAClique(f"{vs} is not a clique of size {params['k']}")
+    return vs
+
+
+def _filled(red: ReducedInstance, placed: dict[int, int]) -> Allocation:
+    """Allocation giving each agent in ``placed`` its house and every
+    other agent, in agent order, the next of ``red``'s dummy houses."""
+    dummies = iter(red.provenance["dummy_houses"])
+    return Allocation([placed[a] if a in placed else next(dummies)
+                       for a in range(red.instance.n_agents)])
+
+
 # ---------------------------------------------------------------------------
 # Regular-graph clique reduction: complete bipartite agent graph, d = 2
 # ---------------------------------------------------------------------------
@@ -160,25 +184,9 @@ def witness_from_clique(red: ReducedInstance, clique: Iterable[int]) -> Allocati
     """Forward-direction witness: h_v to the first vertex agent of each
     clique vertex, dummies everywhere else. Evaluates to exactly the
     target number of envious agents."""
-    prov = red.provenance
-    if prov.get("generator") != "clique-bip-d2":
-        raise NotAClique("witness_from_clique expects a clique-bip-d2 instance")
-    params = prov["params"]
-    g = SourceGraph(params["n_vertices"], params["source_edges"])
-    vs = sorted(set(clique))
-    if len(vs) != params["k"] or not g.is_clique(vs):
-        raise NotAClique(f"{vs} is not a clique of size {params['k']}")
-    n = red.instance.n_agents
-    assignment = [-1] * n
-    for v in vs:
-        ids = prov["vertex_agents"][str(v)]
-        if ids:
-            assignment[ids[0]] = v
-    dummies = iter(prov["dummy_houses"])
-    for a in range(n):
-        if assignment[a] == -1:
-            assignment[a] = next(dummies)
-    return Allocation(assignment)
+    vs = _checked_clique(red, clique, "witness_from_clique", ("clique-bip-d2",))
+    agents = red.provenance["vertex_agents"]
+    return _filled(red, {agents[str(v)][0]: v for v in vs if agents[str(v)]})
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +257,7 @@ def witness_from_separator(
         for v in y:
             if (min(u, v), max(u, v)) in edge_set:
                 raise BadPartition(f"edge ({u}, {v}) crosses the parts")
-    assignment = [-1] * n
-    for h, v in enumerate(x):
-        assignment[v] = h
-    rest = iter(range(t, n))
-    for a in range(n):
-        if assignment[a] == -1:
-            assignment[a] = next(rest)
-    return Allocation(assignment)
+    return _filled(red, {v: h for h, v in enumerate(x)})
 
 
 # ---------------------------------------------------------------------------
@@ -383,31 +384,15 @@ def witness_from_clique_vc(red: ReducedInstance, clique: Iterable[int]) -> Alloc
     Clique-edge houses go to their first edge agents, every other agent
     takes a dummy; at most k agents (the clique's vertex agents) envy.
     """
+    vs = _checked_clique(red, clique, "witness_from_clique_vc",
+                         ("clique-vc-bip", "clique-vc-split"))
     prov = red.provenance
-    gen = prov.get("generator")
-    if gen not in ("clique-vc-bip", "clique-vc-split"):
-        raise NotAClique(
-            "witness_from_clique_vc expects a clique-vc-bip or clique-vc-split instance"
-        )
-    params = prov["params"]
-    g = SourceGraph(params["n_vertices"], params["source_edges"])
-    vs = sorted(set(clique))
-    if len(vs) != params["k"] or not g.is_clique(vs):
-        raise NotAClique(f"{vs} is not a clique of size {params['k']}")
-    n = red.instance.n_agents
-    assignment = [-1] * n
-    vset = set(vs)
-    for u, v in g.edges:
-        if u in vset and v in vset:
-            agents = prov["edge_agents"][_ekey(u, v)]
-            houses = prov["edge_houses"][_ekey(u, v)]
-            if gen == "clique-vc-bip":
-                assignment[agents[0]] = houses
-            else:
-                for aid, h in zip(agents, houses):
-                    assignment[aid] = h
-    dummies = iter(prov["dummy_houses"])
-    for a in range(n):
-        if assignment[a] == -1:
-            assignment[a] = next(dummies)
-    return Allocation(assignment)
+    placed = {}
+    for u, v in combinations(vs, 2):
+        agents = prov["edge_agents"][_ekey(u, v)]
+        houses = prov["edge_houses"][_ekey(u, v)]
+        if prov["generator"] == "clique-vc-bip":
+            placed[agents[0]] = houses
+        else:
+            placed.update(zip(agents, houses))
+    return _filled(red, placed)

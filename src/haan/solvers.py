@@ -87,8 +87,8 @@ class Objective(Enum):
 class SolverConfig:
     """Shared solver knobs.
 
-    ``workers`` processes share envy-guess and vc-xp; the other solvers
-    ignore it. ``guess_limit=None`` lifts the exploration cap.
+    ``workers`` processes share vc-xp; the other solvers run in one
+    process whatever it says. ``guess_limit=None`` lifts the exploration cap.
     ``deadline`` is a ``time.monotonic()`` cutoff checked cooperatively
     inside guess loops and graph searches.
     """
@@ -173,7 +173,8 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
     Checks feasibility, then the guess space ``total`` (the reported guess
     count) against the budget. The solver's ``branches`` top-level choices
     are cut into contiguous ranked ranges: one with one worker, else
-    ``min(branches, 4*workers)``. The job of range ``lo..hi`` is ``(n, m,
+    ``min(branches, 4*workers)``. Only vc-xp passes more than one branch,
+    so ``workers`` reaches vc-xp only. The job of range ``lo..hi`` is ``(n, m,
     preference masks, neighbours, scale, w, floor, deadline, *extra, lo,
     hi)`` and returns ``(best key or None, witness)``; several jobs run on
     a pool, and the lowest-ranked best key wins.
@@ -299,7 +300,7 @@ def solve_d1_matching(inst: Instance, cfg: SolverConfig | None = None) -> SolveR
 # ---------------------------------------------------------------------------
 
 def _eg_chunk(args) -> tuple[int | None, tuple | None]:
-    (n, m, pref, nbrs, scale, w, floor, deadline, smask_lo, smask_hi) = args
+    (n, m, pref, nbrs, scale, w, floor, deadline, _, _) = args
     best_key = None
     best = None
     nodes = 0
@@ -339,7 +340,7 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None]:
             else:
                 visit(level + 1, child, lost + loss)
 
-    for smask in range(smask_lo, smask_hi):
+    for smask in range(1 << n):
         if best_key == floor:
             break  # nothing later can beat it
         if deadline is not None and not smask & 63:
@@ -379,15 +380,14 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
     incumbent, is skipped with its subtree. The bound is the larger of
     two: all undecided agents happy, and the floor plus ``scale`` per
     envious agent of the support (no more than H agents are happy). Once
-    the incumbent is at the floor, the search stops.
-    ``guesses_explored`` is the guess space by formula, the product over
-    agents of ``degree + 2``, whatever ``cfg.workers`` says.
+    the incumbent is at the floor, the search stops. The incumbent and
+    that stop carry across supports, so the search is one sequential loop
+    whatever ``cfg.workers`` says. ``guesses_explored`` is the guess
+    space by formula, the product over agents of ``degree + 2``.
     """
     cfg = cfg or SolverConfig()
-    n = inst.n_agents
-    total = math.prod(inst.degree(a) + 2 for a in range(n))
-    # The top-level choices are the envious supports, as bitmasks.
-    return _search(inst, cfg, "envy-guess", total, _eg_chunk, branches=1 << n)
+    total = math.prod(inst.degree(a) + 2 for a in range(inst.n_agents))
+    return _search(inst, cfg, "envy-guess", total, _eg_chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +423,7 @@ def _lowest_subsets(below: list[int], rest: int, r: int, free: int,
     """Masks of the r-subsets of the house mask ``rest`` that hold the
     lowest houses of each class in ``rest``, in ``combinations`` order;
     ``chosen`` is taken and the other houses come from ``free``, the
-    houses of ``rest`` above it."""
-    if r == 0:
-        yield chosen
-        return
+    houses of ``rest`` above it; ``r`` is at least 1."""
     while free.bit_count() >= r:
         bit = free & -free
         free ^= bit
@@ -648,7 +645,7 @@ def solve_separator(
                         g1, g2 = tuple(l1), tuple(l2)
                     if not all(g1) or not all(g2):
                         continue
-                    sub1 = best_of((A1, h1mask, g1, b1)) if A1 else (0, ())
+                    sub1 = best_of((A1, h1mask, g1, b1))
                     if sub1 is None or best is not None and contrib + sub1[0] + floor2 >= best[0]:
                         continue
                     sub2 = best_of((A2, h2mask, g2, b2)) if A2 else (0, ())

@@ -306,18 +306,28 @@ def test_generate_clique_bip_d2(tmp_path, capsys):
     assert doc.provenance["generator"] == "clique-bip-d2"
 
 
-def test_generate_witness_verifies_to_target(tmp_path, capsys):
-    inst_path = tmp_path / "k4.haan"
+# On prism at k=4 the halfsep-3reg witness gives the one preferred house to
+# a vertex whose three neighbours are all in the 4-vertex separator: envy 3.
+@pytest.mark.parametrize("family, graph, k, target, envy", [
+    ("clique-bip-d2", "k4", "3", 6, 6),
+    ("halfsep-3reg", "prism", "4", 4, 3),
+    ("clique-vc-bip", "k4", "3", 3, 3),
+    ("clique-vc-split", "k4", "3", 3, 3),
+])
+def test_generate_witness_verifies_to_target(tmp_path, capsys, family, graph, k,
+                                             target, envy):
+    inst_path = tmp_path / "inst.haan"
     wit_path = tmp_path / "wit.haan"
-    assert run_cli("generate", "clique-bip-d2", "--graph", "k4", "--k", "3",
+    assert run_cli("generate", family, "--graph", graph, "--k", k,
                    "--output", str(inst_path), "--witness", str(wit_path)) == 0
     capsys.readouterr()
+    assert read_instance_file(inst_path).target_envy == target
     code, out, _ = run_cli_capture(capsys, "verify", str(inst_path), str(wit_path))
     assert code == 0
     lines = dict(
         (ln.split()[0], ln.split()[1:]) for ln in out.splitlines() if ln.split()
     )
-    assert lines["envy"] == ["6"]
+    assert lines["envy"] == [str(envy)]
     assert lines["valid"] == ["true"]
 
 

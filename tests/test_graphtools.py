@@ -129,6 +129,21 @@ def test_subset_separator_is_that_of_the_induced_subgraph():
         assert balanced_separator_of_subgraph(subset, nbr_masks(g)) == want, (g, subset)
 
 
+def test_part_one_is_never_empty_on_two_or_more_vertices():
+    """The separator solver recurses on part one unguarded. On two or more
+    vertices a separator of all but one vertex always qualifies, and among
+    groupings with an empty part the lowest part-two mask is the empty
+    one, so part one is non-empty and S is not the whole subset."""
+    rng = random.Random(6)
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        p = rng.random()
+        g = graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        subset = rng.sample(range(n), rng.randint(2, n))
+        sep, part1, _ = balanced_separator_of_subgraph(subset, nbr_masks(g))
+        assert part1 and len(sep) < len(subset), (g, subset)
+
+
 def test_star_with_21_leaves_splits_at_its_centre():
     n = 22
     star = graph(n, [(0, leaf) for leaf in range(1, n)])

@@ -1119,15 +1119,18 @@ def test_brute_never_starts_a_pool(monkeypatch):
     # assignment is at the floor under envy-happy.
     inst = Instance(8, 9, [(a, a + 1) for a in range(7)], [[a] for a in range(8)])
     want = solve_bruteforce(inst, HAPPY)
+    want_eg = solve_envy_guess(inst, HAPPY)
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("brute force started a process pool")
+        raise AssertionError("a one-range solve started a process pool")
 
     # ``_search`` imports the pool class from here when it needs one.
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-    got = solve_bruteforce(
-        inst, SolverConfig(workers=2, objective=Objective.MIN_ENVY_THEN_MAX_HAPPY))
-    assert got == want
+    two = SolverConfig(workers=2, objective=Objective.MIN_ENVY_THEN_MAX_HAPPY)
+    assert solve_bruteforce(inst, two) == want
+    # Envy-guess carries one incumbent and one floor stop across its
+    # supports, so it is one in-order search too.
+    assert solve_envy_guess(inst, two) == want_eg
     # vc-xp with an empty cover has a single top-level choice: no pool either.
     edgeless = Instance(3, 4, [], [[0], [0], [1]])
     got = solve_vertex_cover_xp(edgeless, None, SolverConfig(workers=2))
