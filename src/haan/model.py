@@ -8,6 +8,7 @@ across threads and worker processes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -74,6 +75,10 @@ class Instance:
     ):
         if n_agents < 0 or n_houses < 0:
             raise InvalidInstance("agent and house counts must be non-negative")
+        if max(n_agents, n_houses) > sys.maxsize:
+            # No sequence can be that long: solvers build lists and ranges
+            # over the houses.
+            raise InvalidInstance(f"agent and house counts must be at most {sys.maxsize}")
         norm_edges = normalize_edges(edges, n_agents, "agent")
 
         prefs = []

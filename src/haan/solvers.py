@@ -122,7 +122,7 @@ def _bits(items: Iterable[int]) -> int:
 
 def _members(mask: int) -> list[int]:
     """Set bit positions of ``mask``, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def _pref_masks(inst: Instance) -> list[int]:
@@ -304,38 +304,68 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None]:
     best_key = None
     best = None
     nodes = 0
-    # Each decision's choices as (happiness lost, [(agent, mask to AND)]).
+    # A node's n feasibility masks are packed into one integer: agent a's
+    # houses sit at bits a*f and up, below a clear guard bit, so
+    # ``(x | guard) - low`` borrows a field's guard bit exactly when that
+    # field of x is empty, and never crosses into the next field.
+    f = m + 1
+    field = (1 << m) - 1
+    low = ((1 << n * f) - 1) // ((1 << f) - 1)  # bit a*f for every agent a
+    guard = low << m
+    full = guard - low
+
+    def hall(k):
+        # The Hall test of a kept house set K, as a tuple of zero or one
+        # ``(outside, need)``: ``child & outside`` keeps each agent's houses
+        # outside K, and fewer than ``need`` agents holding one means more
+        # agents than K has houses are confined to K.
+        need = n - k.bit_count()
+        return (((field & ~k) * low, need),) if need > 0 else ()
+
+    # Each decision's choices as (key lost, one mask to AND, Hall tests).
     # An envious agent whose first envied neighbour is nbrs[a][i] is
     # unhappy, that neighbour holds a house it prefers and those before it
     # hold none; a non-envious agent is unhappy (it and its neighbours avoid
     # its preferred houses) or happy.
-    envious = [[(0, [(b, ~pref[a]) for b in (a, *nb[:i])] + [(nb[i], pref[a])])
-                for i in range(len(nb))] for a, nb in enumerate(nbrs)]
-    calm = [[(1, [(b, ~pref[a]) for b in (a, *nb)]), (0, [(a, pref[a])])]
-            for a, nb in enumerate(nbrs)]
+    envious = []
+    calm = []
+    for a, nb in enumerate(nbrs):
+        pa = pref[a]
+        other = field & ~pa
+        shun, hold = hall(other), hall(pa)
+        cut = pa << a * f
+        row = []
+        for b in nb:
+            row.append((0, full & ~(cut | other << b * f), shun + hold))
+            cut |= pa << b * f
+        envious.append(row)
+        calm.append([(w, full & ~cut, shun), (0, full & ~(other << a * f), hold)])
     isolated = _bits(a for a in range(n) if not nbrs[a])
 
-    def visit(level, masks, lost):
-        # A node with no empty mask and a key bound that can win. Masks
-        # only shrink and the bound only rises below, so a child that
-        # fails either is skipped with its subtree.
+    def visit(level, state, lost):
+        # A node whose choice left every agent a house and passed its Hall
+        # tests, and whose key bound can win. Masks only shrink and the
+        # bound only rises below, so a child that fails any of these is
+        # skipped with its subtree.
         nonlocal best_key, best, nodes
         nodes += 1
         if deadline is not None and not nodes & 4095:
             check_deadline(deadline)
         if level == n:
+            masks = [state >> a * f & field for a in range(n)]
             assignment = left_perfect_matching_masks(masks, m)
             if assignment is not None:
-                best_key = top + w * lost
+                best_key = top + lost
                 best = tuple(assignment)
             return
-        for loss, updates in levels[level]:
-            if best_key is not None and max(top + w * (lost + loss), cap) >= best_key:
+        for loss, keep, tests in levels[level]:
+            if best_key is not None and (top + lost + loss >= best_key or cap >= best_key):
                 continue
-            child = masks[:]
-            for b, keep in updates:
-                child[b] &= keep
-                if not child[b]:
+            child = state & keep
+            if (child | guard) - low & guard != guard:
+                continue  # some agent has no house left
+            for outside, need in tests:
+                if ((child & outside | guard) - low & guard).bit_count() < need:
                     break
             else:
                 visit(level + 1, child, lost + loss)
@@ -358,7 +388,7 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None]:
         # first, unhappy before happy, so leaves come in cmask order.
         levels = [envious[a] for a in range(n) if smask >> a & 1]
         levels += [calm[a] for a in range(n - 1, -1, -1) if not smask >> a & 1]
-        visit(0, [(1 << m) - 1] * n, 0)
+        visit(0, full, 0)
     return best_key, best
 
 
@@ -375,11 +405,17 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
     ascending; per support, one depth-first search decides the witness
     positions (support order, positions ascending), then the other agents
     from last to first, unhappy before happy, so happy subsets come
-    ascending. The first optimum is kept. One rule prunes: a node whose
-    trimmed sets hold an empty one, or whose key bound cannot beat the
-    incumbent, is skipped with its subtree. The bound is the larger of
-    two: all undecided agents happy, and the floor plus ``scale`` per
-    envious agent of the support (no more than H agents are happy). Once
+    ascending. The first optimum is kept. Two rules prune, each skipping a
+    node with its subtree. *Key bound:* the node cannot beat the
+    incumbent; the bound is the larger of two: all undecided agents happy,
+    and the floor plus ``scale`` per envious agent of the support (no more
+    than H agents are happy). *Hall test:* the trimmed sets admit no
+    perfect matching because one is empty, or because more agents are
+    confined to a house set K that the node's last choice kept (an agent's
+    preferred houses, or the others) than K has houses. A node holds all
+    n sets in one integer, so each choice costs one AND and each test a
+    few integer operations, and leaves reach the matching only when these
+    tests pass. Once
     the incumbent is at the floor, the search stops. The incumbent and
     that stop carry across supports, so the search is one sequential loop
     whatever ``cfg.workers`` says. ``guesses_explored`` is the guess
@@ -394,13 +430,13 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
 # Separator recursion (annotated problem)
 # ---------------------------------------------------------------------------
 
-def _lowest_tuples(cands: Sequence[int], below: list[int], avail: int,
+def _lowest_tuples(cands: Sequence[int], cls: Sequence[int], avail: int,
                    j: int = 0, prefix: tuple = ()) -> Iterator[tuple[tuple[int, ...], int]]:
     """Injective tuples with entry ``j`` from the house mask ``cands[j]``,
     in lexicographic order, where each entry is the lowest house of its
-    class not yet used: ``below[h]`` is the mask of the houses of ``h``'s
-    class below ``h``, and ``avail`` the houses still free. Each tuple
-    comes with the houses it leaves free."""
+    class among ``avail``, the houses still free: ``cls[h]`` is the mask
+    of house ``h``'s class. Each tuple comes with the houses it leaves
+    free."""
     if j == len(cands):
         yield prefix, avail
         return
@@ -408,31 +444,37 @@ def _lowest_tuples(cands: Sequence[int], below: list[int], avail: int,
     free = cands[j] & avail
     while free:
         bit = free & -free
-        free ^= bit
         h = bit.bit_length() - 1
-        if below[h] & avail:
-            continue
+        c = cls[h]
+        free &= ~c  # no higher house of the class is its lowest free one
+        if c & avail & bit - 1:
+            continue  # a lower house of the class is free
         if last:
             yield prefix + (h,), avail ^ bit
         else:
-            yield from _lowest_tuples(cands, below, avail ^ bit, j + 1, prefix + (h,))
+            yield from _lowest_tuples(cands, cls, avail ^ bit, j + 1, prefix + (h,))
 
 
-def _lowest_subsets(below: list[int], rest: int, r: int, free: int,
+def _lowest_subsets(cls: Sequence[int], rest: int, r: int, free: int,
                     chosen: int = 0) -> Iterator[int]:
     """Masks of the r-subsets of the house mask ``rest`` that hold the
     lowest houses of each class in ``rest``, in ``combinations`` order;
     ``chosen`` is taken and the other houses come from ``free``, the
-    houses of ``rest`` above it; ``r`` is at least 1."""
-    while free.bit_count() >= r:
-        bit = free & -free
-        free ^= bit
-        if below[bit.bit_length() - 1] & rest & ~chosen:
-            continue
+    houses of ``rest`` above it; ``r`` is at least 1. ``cls`` is as in
+    ``_lowest_tuples``."""
+    todo = free
+    while todo:
+        bit = todo & -todo
+        if (free & -bit).bit_count() < r:
+            break  # too few houses from this one up
+        c = cls[bit.bit_length() - 1]
+        todo &= ~c  # no higher house of the class is its lowest open one
+        if c & rest & ~chosen & bit - 1:
+            continue  # a lower house of the class is open
         if r == 1:
             yield chosen | bit
         else:
-            yield from _lowest_subsets(below, rest, r - 1, free, chosen | bit)
+            yield from _lowest_subsets(cls, rest, r - 1, free & -(bit << 1), chosen | bit)
 
 
 def solve_separator(
@@ -544,7 +586,7 @@ def solve_separator(
         if stop is None:
             stop = -w * min(2, (pa & F[0] | pb & F[1]).bit_count())
         best = None
-        for hs, _ in _lowest_tuples(F if adjacent else F[::-1], below, hmask):
+        for hs, _ in _lowest_tuples(F if adjacent else F[::-1], cls, hmask):
             ha, hb = hs if adjacent else hs[::-1]
             value = ((-w if pa >> ha & 1 else scale if mad_a or adjacent and pa >> hb & 1 else 0)
                      + (-w if pb >> hb & 1 else scale if mad_b or adjacent and pb >> ha & 1 else 0))
@@ -587,7 +629,7 @@ def solve_separator(
                 liked |= pref[agents[p]] & F[p]
             stop = -w * min(len(agents), liked.bit_count())
         best = None
-        for phi, rest in _lowest_tuples([F[p] for p in i_s], below, hmask):
+        for phi, rest in _lowest_tuples([F[p] for p in i_s], cls, hmask):
             check_deadline(deadline)
             # Agents that prefer a house a separator neighbour now holds:
             # envious in S unless happy, angry in the parts. Marks outside
@@ -612,7 +654,7 @@ def solve_separator(
             top = scale * forced_env - w * n_c
             b1 = marked & mask1
             b2 = marked & mask2
-            for h1mask in _lowest_subsets(below, rest, n1, rest):
+            for h1mask in _lowest_subsets(cls, rest, n1, rest):
                 h2mask = rest & ~h1mask
                 floor2 = -w * min(n2, (liked2 & h2mask).bit_count())
                 parts_floor = floor2 - w * min(n1, (liked1 & h1mask).bit_count())
@@ -666,13 +708,15 @@ def solve_separator(
     for a, prefers in enumerate(inst.preferences):
         for h in prefers:
             likers[h] |= 1 << a
-    feasible = [_bits(f) for f in ann.feasible]
+    # A set of every house is the full mask, which ``_bits`` would build in
+    # time quadratic in m.
+    feasible = [(1 << m) - 1 if len(f) == m else _bits(f) for f in ann.feasible]
     # Root classes stay classes of every subproblem: each mask the
     # recursion ANDs in is a union of classes or the subproblem's houses.
-    below = [0] * m
+    cls = [0] * m  # cls[h]: the mask of house h's class
     for c in _house_classes(m, feasible + pref):
         for h in _members(c):
-            below[h] = c & ((1 << h) - 1)
+            cls[h] = c
     root = (tuple(range(n)), (1 << m) - 1, tuple(feasible), _bits(ann.angry))
     try:
         # Every subproblem below keeps a feasible house for each agent.

@@ -1,15 +1,18 @@
 import io
+import os
 import random
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import haan
 from haan.cli.files import (
     InstanceDocument,
     ResultDocument,
@@ -265,6 +268,42 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
     path.write_text("not a file\n")
     code, _, _ = run_cli_capture(capsys, "solve", str(path))
     assert code == 3
+
+
+@pytest.mark.parametrize("algo", ["auto", "envy-guess", "d1", "vc-xp"])
+def test_solve_house_count_above_maxsize_exit_code(tmp_path, capsys, algo):
+    # No list or range over the houses can be that long.
+    path = tmp_path / "huge.haan"
+    path.write_text("haan/1 instance\nagents 1\nhouses 100000000000000000000\nprefs 0 :\n")
+    code, out, err = run_cli_capture(capsys, "solve", str(path), "--algo", algo)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_solve_a_million_houses_in_bounded_memory(tmp_path):
+    # The angry line sends ``auto`` to the separator, whose house classes
+    # must take memory linear in the house count: a mask per house of the
+    # lower houses of its class took O(m^2) bits, tens of GB here.
+    resource = pytest.importorskip("resource")
+    m = 10**6
+    path = tmp_path / "wide.haan"
+    path.write_text(f"haan/1 instance\nagents 2\nhouses {m}\nedge 0 1\n"
+                    f"prefs 0 : 0\nprefs 1 : {m - 1}\nangry : 1\n")
+    cap = 1 << 30
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    src = str(Path(haan.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "haan.cli.main", "solve", str(path), "--omit-timing"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=limit_address_space, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = parse_result_text(proc.stdout)
+    assert (doc.solver_id, doc.min_envy, doc.happiness, doc.allocation) == (
+        "separator", 0, 2, (0, m - 1))
 
 
 def test_solve_annotated_instance(tmp_path, capsys):

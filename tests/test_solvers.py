@@ -872,6 +872,15 @@ def test_guess_solver_golden_witnesses_and_guess_counts(label):
     assert got == GUESS_GOLDEN[label]
 
 
+def test_envy_guess_on_petersen_halfsep():
+    # Every house is handed out and all agents prefer one set, so Hall's
+    # condition is tight and the Hall test of each choice prunes most here.
+    inst = gen_halfsep_3regular(named_source_graph("petersen"), 2).instance
+    rows = [solve_envy_guess(inst, SolverConfig(objective=objective)) for objective in Objective]
+    got = [(r.min_envy, r.happiness, r.allocation.assignment, r.guesses_explored) for r in rows]
+    assert got == [(4, 4, (3, 2, 9, 1, 8, 7, 6, 5, 0, 4), 9765625)] * 2
+
+
 # -- dispatcher --------------------------------------------------------------
 
 def test_solve_routes_d1():
@@ -910,7 +919,10 @@ def test_solve_explicit_labels():
 
 def test_exhaustive_small_oracle_agreement():
     # All edge sets for n <= 4 (plus sampled ones at n = 5), preference
-    # sets with d <= 2 sampled per edge set.
+    # sets with d <= 2 sampled per edge set. Then instances whose agents
+    # all prefer one house set: with m = n, where Hall's condition is tight
+    # as in the halfsep reductions, with spare houses, and at n = m = 8,
+    # where envy-guess packs its masks into 8 * 9 = 72 bits.
     rng = random.Random(77)
     cases = []
     for n in (3, 4):
@@ -923,20 +935,28 @@ def test_exhaustive_small_oracle_agreement():
         mask = rng.randrange(1 << len(pairs5))
         edges = [pairs5[i] for i in range(len(pairs5)) if mask >> i & 1]
         cases.append((5, edges, 1))
+    instances = []
     for n, edges, samples in cases:
         for _ in range(samples):
             m = rng.randint(n, min(n + 2, 6))
             prefs = [rng.sample(range(m), rng.randint(0, 2)) for _ in range(n)]
-            inst = Instance(n, m, edges, prefs)
-            for happy in (False, True):
-                cfg = HAPPY if happy else SolverConfig()
-                want = solve_bruteforce(inst, cfg)
-                for name, fn in ALL_SOLVERS[1:]:
-                    got = fn(inst, cfg)
-                    assert got.min_envy == want.min_envy, (name, inst)
-                    if happy:
-                        assert got.happiness == want.happiness, (name, inst)
-                    check_witness(inst, got)
+            instances.append(Instance(n, m, edges, prefs))
+    for n, spare, samples in [(4, 0, 8), (5, 0, 8), (6, 0, 6), (4, 1, 4), (5, 2, 4),
+                              (6, 1, 4), (8, 0, 2)]:
+        for _ in range(samples):
+            edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+            shared = rng.sample(range(n + spare), rng.randint(1, n - 1))
+            instances.append(Instance(n, n + spare, edges, [shared] * n))
+    for inst in instances:
+        for happy in (False, True):
+            cfg = HAPPY if happy else SolverConfig()
+            want = solve_bruteforce(inst, cfg)
+            for name, fn in ALL_SOLVERS[1:]:
+                got = fn(inst, cfg)
+                assert got.min_envy == want.min_envy, (name, inst)
+                if happy:
+                    assert got.happiness == want.happiness, (name, inst)
+                check_witness(inst, got)
 
 
 def test_happiness_tie_break_matches_full_enumeration():

@@ -4,11 +4,13 @@ Each record is ``[label, algo, objective, min_envy, happiness, allocation
 or error, guesses_explored]``; a call that raises a ``HaanError`` has
 ``null`` optimum and count and the error's class name and message in place
 of the allocation. The calls are those of the three corpora of
-``perfbench/corpus.py`` at seeds 0-3, then a seeded random set of small
-instances, half of them annotated with forbidden houses and angry agents,
-solved by the separator under both objectives. Every call runs with one
-worker, no deadline and the given guess limit (none by default), so the
-output depends only on the code under ``ROOT``.
+``perfbench/corpus.py`` at seeds 0-3, then envy-guess under both
+objectives on the reductions where its Hall tests prune most (``HEAVY``),
+then a seeded random set of small instances, half of them annotated with
+forbidden houses and angry agents, solved by the separator under both
+objectives. Every call runs with one worker, no deadline and the given
+guess limit (none by default), so the output depends only on the code
+under ``ROOT``.
 
 Compare two checkouts (``ROOT`` defaults to the one holding this script)::
 
@@ -31,6 +33,14 @@ from pathlib import Path
 sys.dont_write_bytecode = True
 
 SEEDS = (0, 1, 2, 3)
+
+# (generator in haan.reductions, source graph, its other arguments) of the
+# heavy envy-guess calls.
+HEAVY = (
+    ("gen_halfsep_3regular", "petersen", (2,)),
+    ("gen_halfsep_3regular", "random-regular:12:3:1", (2,)),
+    ("gen_clique_vc_split", "k4", (2, 1)),
+)
 
 
 def _args(argv):
@@ -70,7 +80,8 @@ def main(argv=None) -> int:
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import corpus
-    from haan import solvers
+    from haan import reductions, solvers
+    from haan.cli.sources import named_source_graph
     from haan.errors import HaanError
     from haan.model import AnnotatedInstance
     from haan.solvers import Objective, SolverConfig
@@ -97,6 +108,11 @@ def main(argv=None) -> int:
                 label = f"{workload}:{seed}:{case.label}"
                 for algo, objective in case.calls:
                     records.append(call(label, algo, objective, case.instance, case.annotated))
+    for gen, graph, more in HEAVY:
+        inst = getattr(reductions, gen)(named_source_graph(graph), *more).instance
+        label = ":".join(["heavy", gen, graph, *map(str, more)])
+        for objective in Objective:
+            records.append(call(label, "envy-guess", objective, inst, None))
     for label, ann in _random_cases(random.Random(args.random_seed), args.random):
         for objective in Objective:
             records.append(call(label, "separator", objective, ann.base, ann))
