@@ -173,7 +173,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
         raise FormatError(f"invalid instance: {exc}") from exc
     annotated = None
     if feasible or angry is not None:
-        feas_lists = [feasible.get(a, range(n_houses)) for a in range(n_agents)]
+        feas_lists = [feasible.get(a) for a in range(n_agents)]  # None: every house
         try:
             annotated = AnnotatedInstance(inst, feas_lists, angry or [])
         except InvalidInstance as exc:
@@ -198,9 +198,10 @@ def render_instance_text(doc: InstanceDocument) -> str:
         out.append(f"prefs {a} :{' ' + houses if houses else ''}")
     if doc.annotated is not None:
         ann = doc.annotated
-        for a in range(inst.n_agents):
-            houses = " ".join(str(h) for h in sorted(ann.feasible[a]))
-            out.append(f"feasible {a} :{' ' + houses if houses else ''}")
+        for a, feasible in enumerate(ann.feasible):
+            if feasible is not None:  # no line: every house
+                houses = " ".join(str(h) for h in sorted(feasible))
+                out.append(f"feasible {a} :{' ' + houses if houses else ''}")
         agents = " ".join(str(a) for a in sorted(ann.angry))
         out.append(f"angry :{' ' + agents if agents else ''}")
     if doc.provenance is not None:

@@ -4,8 +4,8 @@ Exit codes are stable: 0 success, 2 usage (argparse), 3 parse/format
 error or a file that cannot be read or written, 4 infeasible instance,
 5 guess budget exceeded, 6 wrong solver for the instance shape, 7 invalid
 allocation, 8 no feasible allocation (annotated), 9 generator precondition
-failure, 10 solve timeout. Machine-readable output goes to stdout only; every
-diagnostic goes to stderr.
+failure, 10 solve timeout, 11 out of memory during a solve. Machine-readable
+output goes to stdout only; every diagnostic goes to stderr.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ EXIT_INVALID_ALLOCATION = 7
 EXIT_NO_FEASIBLE = 8
 EXIT_GENERATOR = 9
 EXIT_TIMEOUT = 10
+EXIT_MEMORY = 11
 
 _ERROR_EXITS = (
     (FormatError, EXIT_PARSE),
@@ -122,6 +123,9 @@ def cmd_solve(args) -> int:
         result, wall_ms = _solve_file(args.instance, args.algo, args)
     except HaanError as exc:
         return _fail(exc)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_MEMORY
     out = ResultDocument(
         solver_id=result.solver_id,
         objective=args.objective,
@@ -239,7 +243,7 @@ def _bench_one(job) -> tuple[str, ...]:
         result, wall_ms = _solve_file(path, algo, args)
     except SolveTimeout:
         return head + ("", "", "", "", "timeout")
-    except HaanError as exc:
+    except (HaanError, MemoryError) as exc:
         return head + ("", "", "", "", f"error:{type(exc).__name__}")
     return head + (
         str(result.min_envy), str(result.happiness),

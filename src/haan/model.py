@@ -142,23 +142,24 @@ class AnnotatedInstance:
 
     An angry agent is envious exactly when not assigned a preferred house,
     regardless of its neighbors. Feasibility sets restrict which houses an
-    allocation may give each agent.
+    allocation may give each agent; a set of ``None`` means every house,
+    so no set ever needs memory linear in the house count.
     """
 
     base: Instance
-    feasible: tuple[frozenset[int], ...]
+    feasible: tuple[frozenset[int] | None, ...]
     angry: frozenset[int]
 
     def __init__(
         self,
         base: Instance,
-        feasible: Iterable[Iterable[int]],
+        feasible: Iterable[Iterable[int] | None],
         angry: Iterable[int] = (),
     ):
         feas = []
         for a, houses in enumerate(feasible):
-            fset = frozenset(houses)
-            for h in fset:
+            fset = None if houses is None else frozenset(houses)
+            for h in fset or ():
                 if not (0 <= h < base.n_houses):
                     raise InvalidInstance(
                         f"feasible house {h} for agent {a} out of range"
@@ -179,8 +180,7 @@ class AnnotatedInstance:
     @classmethod
     def plain(cls, base: Instance) -> "AnnotatedInstance":
         """Wrap a plain instance: all houses feasible, nobody angry."""
-        all_houses = frozenset(range(base.n_houses))
-        return cls(base, [all_houses] * base.n_agents, ())
+        return cls(base, [None] * base.n_agents, ())
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ def evaluate_annotated(
     feasibility sets this coincides with :func:`evaluate`.
     """
     report = evaluate(ann.base, alloc)
-    feasible_ok = all(h in f for h, f in zip(alloc.assignment, ann.feasible))
+    feasible_ok = all(f is None or h in f for h, f in zip(alloc.assignment, ann.feasible))
     envious = tuple(
         e or (a in ann.angry and not report.happy[a])
         for a, e in enumerate(report.envious)

@@ -129,6 +129,17 @@ def _pref_masks(inst: Instance) -> list[int]:
     return [_bits(p) for p in inst.preferences]
 
 
+def _agent_masks(inst: Instance) -> tuple[list[int], list[int]]:
+    """Each agent's neighbour mask and each house's liker mask: bit b of
+    the first list's entry a when b neighbours a, bit a of the second's
+    entry h when agent a prefers house h."""
+    likers = [0] * inst.n_houses
+    for a, prefers in enumerate(inst.preferences):
+        for h in prefers:
+            likers[h] |= 1 << a
+    return [_bits(nb) for nb in inst.neighbors], likers
+
+
 def _house_classes(m: int, masks: Iterable[int]) -> list[int]:
     """Partition of ``range(m)`` into house classes, as bitmasks: two
     houses share a class exactly when each of ``masks`` holds both or
@@ -167,7 +178,7 @@ def _result(inst: Instance, assignment: Sequence[int], solver_id: str,
 
 
 def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
-            worker, extra: tuple = (), branches: int = 1) -> SolveResult:
+            worker, extra=tuple, branches: int = 1) -> SolveResult:
     """Driver of the guess solvers.
 
     Checks feasibility, then the guess space ``total`` (the reported guess
@@ -175,9 +186,10 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
     are cut into contiguous ranked ranges: one with one worker, else
     ``min(branches, 4*workers)``. Only vc-xp passes more than one branch,
     so ``workers`` reaches vc-xp only. The job of range ``lo..hi`` is ``(n, m,
-    preference masks, neighbours, scale, w, floor, deadline, *extra, lo,
+    preference masks, neighbours, scale, w, floor, deadline, *extra(), lo,
     hi)`` and returns ``(best key or None, witness)``; several jobs run on
-    a pool, and the lowest-ranked best key wins.
+    a pool, and the lowest-ranked best key wins. ``extra`` runs after the
+    checks, so a refused solve builds none of its per-house tables.
     """
     n, m = inst.n_agents, inst.n_houses
     if m < n:
@@ -189,7 +201,7 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
     pref = _pref_masks(inst)
     scale, w = _key_weights(cfg, n)
     shared = (n, m, pref, inst.neighbors, scale, w, _key_floor(pref, m, w),
-              cfg.deadline, *extra)
+              cfg.deadline, *extra())
     parts = 1 if cfg.workers == 1 else min(branches, 4 * cfg.workers)
     jobs = [shared + (branches * i // parts, branches * (i + 1) // parts)
             for i in range(parts)]
@@ -703,14 +715,8 @@ def solve_separator(
         return best
 
     pref = _pref_masks(inst)
-    nmask = [_bits(nb) for nb in inst.neighbors]
-    likers = [0] * m  # bit a of likers[h]: agent a prefers house h
-    for a, prefers in enumerate(inst.preferences):
-        for h in prefers:
-            likers[h] |= 1 << a
-    # A set of every house is the full mask, which ``_bits`` would build in
-    # time quadratic in m.
-    feasible = [(1 << m) - 1 if len(f) == m else _bits(f) for f in ann.feasible]
+    nmask, likers = _agent_masks(inst)
+    feasible = [(1 << m) - 1 if f is None else _bits(f) for f in ann.feasible]
     # Root classes stay classes of every subproblem: each mask the
     # recursion ANDs in is a union of classes or the subproblem's houses.
     cls = [0] * m  # cls[h]: the mask of house h's class
@@ -742,27 +748,17 @@ def solve_separator(
 # ---------------------------------------------------------------------------
 
 def _vc_chunk(args) -> tuple[int | None, tuple | None]:
-    (_, m, pref, nbrs, scale, w, floor, deadline, cover, rest, lo, hi) = args
-    k, r = len(cover), len(rest)
+    (n, m, pref, _, scale, w, floor, deadline, cover, rest, nmask, likers, lo, hi) = args
+    k = len(cover)
+    in_rest = _bits(rest)
     best_key = None
     best = None
-    # Per cover position: preferred houses, positions of its cover
-    # neighbours placed before it, positions of its rest neighbours, and per
-    # house the rest neighbours that like it (a mask over rest positions).
     # Per house: ``(bit, preferred houses)`` of each rest agent that likes it.
-    pos = {a: i for part in (cover, rest) for i, a in enumerate(part)}
-    cpref = [pref[a] for a in cover]
-    earlier = [[pos[b] for b in nbrs[a] if b in cover and pos[b] < j]
-               for j, a in enumerate(cover)]
-    far = [[pos[b] for b in nbrs[a] if b not in cover] for a in cover]
-    rpref = [pref[a] for a in rest]
-    likers = [[_bits(p for p in far[j] if rpref[p] >> h & 1) for h in range(m)]
-              for j in range(k)]
-    fans = [[(1 << p, pa) for p, pa in enumerate(rpref) if pa >> h & 1]
-            for h in range(m)]
+    fans = [[(1 << a, pref[a]) for a in rest if likers[h] >> a & 1] for h in range(m)]
+    far = [_members(nmask[a] & in_rest) for a in cover]  # rest neighbours
     phi = [0] * k
 
-    def leaf(used, inelig, happy, seen, hopeless):
+    def leaf(used, seen, lost):
         # Eligible: cover agents not envious within the cover. One chosen
         # non-envious forbids its liked remaining houses to its rest
         # neighbours; a *free* one (happy, or forbidding nothing) leaves
@@ -771,41 +767,42 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None]:
         nonlocal best_key, best
         rem_mask = (1 << m) - 1 & ~used
         forbids = []
-        n_free = 0
-        for j in range(k):
-            if not inelig >> j & 1:
-                hit = cpref[j] & rem_mask
-                if hit and far[j] and not happy >> j & 1:
-                    forbids.append((hit, far[j]))
-                else:
-                    n_free += 1
-        top = scale * (k - n_free) - w * happy.bit_count()
-        # Each guess's key is at least its ``top`` less ``scale`` per chosen
-        # agent, plus every rest agent's cheapest remaining house.
-        least = top + scale * (seen & hopeless).bit_count() - w * (r - hopeless.bit_count())
+        for a, out in zip(cover, far):
+            hit = pref[a] & rem_mask
+            if hit and out and (lost & ~seen) >> a & 1:  # unhappy, not envious
+                forbids.append((hit, out))
+        # The cover's part of the key, before ``scale`` less per chosen agent.
+        envious = seen & lost
+        happy = k - (lost & ~in_rest).bit_count()
+        top = scale * ((envious & ~in_rest).bit_count() + len(forbids)) - w * happy
+        # Each guess's key is at least ``scale`` per envious agent and per
+        # forbidding one it does not choose, less ``w`` per agent that may
+        # be happy.
+        least = scale * (envious.bit_count() + len(forbids)) - w * (n - lost.bit_count())
         # Cmask-independent cost per rest agent of a house it does not like:
         # ``scale`` when it sees a cover neighbour holding one it likes.
-        # Admissible houses are remaining ones, so ``pa & ok`` are liked.
-        miss = [scale if seen >> p & 1 else 0 for p in range(r)]
+        # Admissible houses are remaining ones, so ``pref[a] & ok`` are liked.
+        miss = [scale if seen >> a & 1 else 0 for a in range(n)]
         for sub in range(1 << len(forbids)):
             chosen = scale * sub.bit_count()
             if best_key is not None and least - chosen >= best_key:
                 continue
-            admissible = [rem_mask] * r
+            admissible = [rem_mask] * n
             for i, (hit, out) in enumerate(forbids):
                 if sub >> i & 1:
-                    for p in out:
-                        admissible[p] &= ~hit
+                    for b in out:
+                        admissible[b] &= ~hit
             # Row-minimum bound: every rest agent pays at least its
             # cheapest admissible house.
             base = top - chosen
             bound = base
             union = 0
-            for pa, cost, ok in zip(rpref, miss, admissible):
-                if pa & ok:
+            for a in rest:
+                ok = admissible[a]
+                if pref[a] & ok:
                     bound -= w
                 elif ok:
-                    bound += cost
+                    bound += miss[a]
                 else:
                     bound = None
                     break
@@ -815,13 +812,13 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None]:
             # Most guesses that pass the bound admit no extension: fewer
             # admissible houses than rest agents rejects most before the
             # min-cost engine, which returns None for the others.
-            if union.bit_count() < r:
+            if union.bit_count() < len(rest):
                 continue
             remaining = _members(rem_mask)
             rows: list[list[int | None]] = [
-                [(-w if pa >> h & 1 else cost) if ok >> h & 1 else None
+                [(-w if pref[a] >> h & 1 else miss[a]) if admissible[a] >> h & 1 else None
                  for h in remaining]
-                for pa, cost, ok in zip(rpref, miss, admissible)
+                for a in rest
             ]
             matched = min_cost_saturating_assignment(rows)
             if matched is None:
@@ -835,57 +832,44 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None]:
                     return True  # nothing later can beat it
         return False
 
-    def visit(j, used, inelig, happy, seen, hopeless):
-        # Places cover position j over its houses ascending, so leaves come
-        # in lexicographic tuple order. ``inelig`` and ``happy`` are masks
-        # over cover positions; ``seen`` and ``hopeless`` over rest
-        # positions: the agents that see a liked cover house, and those
-        # whose liked houses the cover holds. Returns True once the
-        # incumbent is at the floor.
+    def visit(j, used, seen, lost):
+        # Places cover agent j (cover agents ascending) over its houses
+        # ascending, so leaves come in lexicographic tuple order. ``seen``
+        # and ``lost`` are agent masks: the agents that see a cover
+        # neighbour holding a house they like, and those that can no longer
+        # be happy (placed cover agents on a house they do not like, rest
+        # agents whose liked houses the cover holds). An agent in both is
+        # envious, and at most ``n - |lost|`` agents are happy. Returns True
+        # once the incumbent is at the floor.
         if deadline is not None:
             check_deadline(deadline)
         if j == k:
-            return leaf(used, inelig, happy, seen, hopeless)
-        pa = cpref[j]
-        held = 0
-        watch = []  # earlier neighbours that turn envious if j takes a liked house
-        for i in earlier[j]:
-            held |= 1 << phi[i]
-            if not (happy | inelig) >> i & 1:
-                watch.append((1 << i, cpref[i]))
-        envied = pa & held
-        me = 1 << j
-        room = w * (k - 1 - j + r)  # most happy agents still to come
+            return leaf(used, seen, lost)
+        a = cover[j]
+        pa = pref[a]
+        near = nmask[a]
         for h in (range(m) if j else range(lo, hi)):
             bit = 1 << h
             if used & bit:
                 continue
             c_used = used | bit
-            c_inelig, c_happy, c_hopeless = inelig, happy, hopeless
-            if pa & bit:
-                c_happy |= me
-            elif envied:
-                c_inelig |= me
-            for ib, pi in watch:
-                if pi & bit:
-                    c_inelig |= ib
-            for pb, pi in fans[h]:
-                if not pi & ~c_used:
-                    c_hopeless |= pb
-            c_seen = seen | likers[j][h]
-            # Prefix bound: ineligible, seen and hopeless agents only grow,
-            # so no leaf below beats it.
+            c_lost = lost if pa & bit else lost | 1 << a
+            for b, pb in fans[h]:
+                if not pb & ~c_used:
+                    c_lost |= b
+            c_seen = seen | likers[h] & near
+            # Prefix bound: seen and lost agents only grow, so no leaf
+            # below beats it.
             if best_key is not None and (
-                    scale * (c_inelig.bit_count() + (c_seen & c_hopeless).bit_count())
-                    - w * (c_happy.bit_count() - c_hopeless.bit_count()) - room
+                    scale * (c_seen & c_lost).bit_count() - w * (n - c_lost.bit_count())
                     >= best_key):
                 continue
             phi[j] = h
-            if visit(j + 1, c_used, c_inelig, c_happy, c_seen, c_hopeless):
+            if visit(j + 1, c_used, c_seen, c_lost):
                 return True
         return False
 
-    visit(0, 0, 0, 0, 0, _bits(p for p, pa in enumerate(rpref) if not pa))
+    visit(0, 0, 0, _bits(a for a in rest if not pref[a]))
     return best_key, best
 
 
@@ -914,13 +898,14 @@ def solve_vertex_cover_xp(
 
     These rules skip guesses without changing the optimum or the witness:
 
-    - *Prefix bound.* Each node carries its used houses, the cover agents
-      already envious within the cover (ineligible), the happy ones, and
-      the rest agents that see a liked cover house or have no liked house
-      left. A node is skipped with its subtree when ``scale`` per
-      ineligible agent and per rest agent that sees a liked house but has
-      none left, less ``w`` per agent that may still be happy, cannot
-      beat the incumbent.
+    - *Prefix bound.* Each node carries its used houses and two agent
+      masks: ``seen``, the agents with a cover neighbour holding a house
+      they like, and ``lost``, the agents that can no longer be happy
+      (placed cover agents on a house they do not like, and rest agents
+      whose liked houses the cover holds). An agent in both is envious,
+      and at most ``n - |lost|`` agents are happy, so a node is skipped
+      with its subtree when ``scale*|seen & lost| - w*(n - |lost|)``
+      cannot beat the incumbent.
 
     - *Free-agent dominance.* A cover agent that is happy, whose preferred
       houses are all taken by the cover, or that has no neighbour outside
@@ -956,7 +941,7 @@ def solve_vertex_cover_xp(
     rest = tuple(a for a in range(n) if a not in cover_set)
     # The top-level choices are the houses of the first cover agent.
     return _search(inst, cfg, "vc-xp", _vc_space(m, k), _vc_chunk,
-                   (cover_t, rest), m if k else 1)
+                   lambda: (cover_t, rest, *_agent_masks(inst)), m if k else 1)
 
 
 # ---------------------------------------------------------------------------

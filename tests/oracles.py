@@ -67,7 +67,7 @@ def annotated_optimum(ann: AnnotatedInstance, happy: bool = False):
         return None
     best = None
     for perm in permutations(range(inst.n_houses), inst.n_agents):
-        if any(perm[a] not in ann.feasible[a] for a in range(inst.n_agents)):
+        if any(f is not None and h not in f for h, f in zip(perm, ann.feasible)):
             continue
         feasible_ok, rep = evaluate_annotated(ann, Allocation(perm))
         assert feasible_ok

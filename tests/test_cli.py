@@ -280,30 +280,82 @@ def test_solve_house_count_above_maxsize_exit_code(tmp_path, capsys, algo):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_solve_a_million_houses_in_bounded_memory(tmp_path):
-    # The angry line sends ``auto`` to the separator, whose house classes
-    # must take memory linear in the house count: a mask per house of the
-    # lower houses of its class took O(m^2) bits, tens of GB here.
+def run_cli_capped(*argv):
+    """The CLI on ``argv`` in a subprocess whose address space is capped at
+    1 GiB, so running out of memory fails fast and harms nothing else."""
     resource = pytest.importorskip("resource")
-    m = 10**6
-    path = tmp_path / "wide.haan"
-    path.write_text(f"haan/1 instance\nagents 2\nhouses {m}\nedge 0 1\n"
-                    f"prefs 0 : 0\nprefs 1 : {m - 1}\nangry : 1\n")
     cap = 1 << 30
 
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
     src = str(Path(haan.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-m", "haan.cli.main", "solve", str(path), "--omit-timing"],
+    return subprocess.run(
+        [sys.executable, "-m", "haan.cli.main", *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         preexec_fn=limit_address_space, timeout=120,
     )
+
+
+def test_solve_a_million_houses_in_bounded_memory(tmp_path):
+    # The angry line sends ``auto`` to the separator, whose house classes
+    # must take memory linear in the house count: a mask per house of the
+    # lower houses of its class took O(m^2) bits, tens of GB here.
+    m = 10**6
+    path = tmp_path / "wide.haan"
+    path.write_text(f"haan/1 instance\nagents 2\nhouses {m}\nedge 0 1\n"
+                    f"prefs 0 : 0\nprefs 1 : {m - 1}\nangry : 1\n")
+    proc = run_cli_capped("solve", str(path), "--omit-timing")
     assert proc.returncode == 0, proc.stderr
     doc = parse_result_text(proc.stdout)
     assert (doc.solver_id, doc.min_envy, doc.happiness, doc.allocation) == (
         "separator", 0, 2, (0, m - 1))
+
+
+# A house count below ``sys.maxsize`` that no bitmask over the houses fits
+# in memory.
+HUGE_TEXT = "haan/1 instance\nagents 1\nhouses 9223372036854775807\nprefs 0 :\n"
+
+
+@pytest.mark.parametrize("algo", ["auto", "envy-guess", "separator", "vc-xp"])
+def test_solve_out_of_memory_exit_code(tmp_path, algo):
+    path = tmp_path / "huge.haan"
+    path.write_text(HUGE_TEXT)
+    proc = run_cli_capped("solve", str(path), "--algo", algo)
+    assert (proc.returncode, proc.stdout) == (11, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("algo", ["brute", "vc-xp"])
+def test_solve_checks_the_guess_budget_before_building_per_house_tables(tmp_path, algo):
+    path = tmp_path / "wide.haan"
+    path.write_text("haan/1 instance\nagents 2\nhouses 1000000000\nedge 0 1\n"
+                    "prefs 0 : 0\nprefs 1 : 0\n")
+    proc = run_cli_capped("solve", str(path), "--algo", algo)
+    assert proc.returncode == 5, proc.stderr
+    assert "exceeds limit" in proc.stderr
+
+
+def test_bench_records_out_of_memory(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "huge.haan").write_text(HUGE_TEXT)
+    proc = run_cli_capped("bench", str(corpus), "--algos", "envy-guess")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].split("\t")[-1] == "error:MemoryError"
+
+
+def test_verify_a_hundred_million_houses_in_bounded_memory(tmp_path):
+    # An agent with no feasible line may receive every house; no set of
+    # them is built.
+    path = tmp_path / "wide.haan"
+    path.write_text("haan/1 instance\nagents 2\nhouses 100000000\n"
+                    "prefs 0 :\nprefs 1 :\nangry :\n")
+    alloc = tmp_path / "alloc.haan"
+    alloc.write_text("haan/1 allocation\nallocation : 0 99999999\n")
+    proc = run_cli_capped("verify", str(path), str(alloc))
+    assert proc.returncode == 0, proc.stderr
+    assert "feasible true" in proc.stdout.splitlines()
 
 
 def test_solve_annotated_instance(tmp_path, capsys):
@@ -820,7 +872,8 @@ def documents(draw):
     annotated = None
     if draw(st.booleans()):
         angry = draw(st.sets(st.integers(0, n - 1))) if n else set()
-        annotated = AnnotatedInstance(inst, [draw(houses) for _ in range(n)], angry)
+        annotated = AnnotatedInstance(inst, [draw(st.none() | houses) for _ in range(n)],
+                                      angry)
     return InstanceDocument(
         instance=inst,
         annotated=annotated,
@@ -838,7 +891,7 @@ def test_canonical_render_parse_render_is_byte_identical(doc):
 
 
 # The codes of the README's exit-code table.
-DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
 
 
 @st.composite

@@ -29,6 +29,7 @@ from haan.reductions import (
     SourceGraph,
     gen_clique_bipartite_d2,
     gen_clique_vc_bipartite,
+    gen_clique_vc_split,
     gen_halfsep_3regular,
 )
 from haan.solvers import (
@@ -668,6 +669,7 @@ def _reduction(family, graph, k):
         "halfsep-3reg": gen_halfsep_3regular,
         "clique-vc-bip": gen_clique_vc_bipartite,
         "clique-bip-d2": gen_clique_bipartite_d2,
+        "clique-vc-split": lambda g, k: gen_clique_vc_split(g, k, 1),
     }[family]
     return make(g, k).instance
 
@@ -1241,6 +1243,26 @@ def test_vc_xp_pruning_keeps_optimum_and_guess_count():
                 for r in runs
             }) == 1, trial
     assert all(count >= 10 for count in seen.values()), seen
+
+
+# Deep vc-xp searches (clique-vc-split at t=1): (min_envy, happiness,
+# allocation, guesses_explored) per objective (envy, envy-happy).
+VC_XP_DEEP = {
+    ("clique-vc-split", "k4", 3): [(3, 3, (0, 3, 1, 6, 12, 11, 10, 9, 8, 7), 274560)] * 2,
+    ("clique-vc-split", "k4", 2): [(2, 1, (0, 6, 7, 8, 14, 13, 12, 11, 10, 9), 524160)] * 2,
+    ("clique-bip-d2", "k3", 2): [(3, 1, (9, 8, 7, 6, 5, 1, 0, 3, 4), 5760),
+                                 (3, 3, (0, 9, 1, 8, 2, 7, 3, 4, 5), 5760)],
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", list(VC_XP_DEEP), ids=lambda case: ":".join(map(str, case)))
+def test_vc_xp_deep_search_witnesses_and_guess_counts(case, workers):
+    inst = _reduction(*case)
+    rows = [solve_vertex_cover_xp(inst, None, SolverConfig(objective=objective, workers=workers))
+            for objective in Objective]
+    got = [(r.min_envy, r.happiness, r.allocation.assignment, r.guesses_explored) for r in rows]
+    assert got == VC_XP_DEEP[case]
 
 
 def _loaded_after(code: str, modules: tuple[str, ...]) -> list[str]:

@@ -4,12 +4,13 @@ Each record is ``[label, algo, objective, min_envy, happiness, allocation
 or error, guesses_explored]``; a call that raises a ``HaanError`` has
 ``null`` optimum and count and the error's class name and message in place
 of the allocation. The calls are those of the three corpora of
-``perfbench/corpus.py`` at seeds 0-3, then envy-guess under both
-objectives on the reductions where its Hall tests prune most (``HEAVY``),
-then a seeded random set of small instances, half of them annotated with
-forbidden houses and angry agents, solved by the separator under both
-objectives. Every call runs with one worker, no deadline and the given
-guess limit (none by default), so the output depends only on the code
+``perfbench/corpus.py`` at seeds 0-3, then the deep searches of ``HEAVY``
+under both objectives (envy-guess where its Hall tests prune most, vc-xp
+with one worker and with two), then a seeded random set of small
+instances, half of them annotated with forbidden houses and angry agents,
+solved by the separator under both objectives. Every call runs with no
+deadline and the given guess limit (none by default), and with one worker
+unless its label ends in ``:w2``, so the output depends only on the code
 under ``ROOT``.
 
 Compare two checkouts (``ROOT`` defaults to the one holding this script)::
@@ -34,12 +35,15 @@ sys.dont_write_bytecode = True
 
 SEEDS = (0, 1, 2, 3)
 
-# (generator in haan.reductions, source graph, its other arguments) of the
-# heavy envy-guess calls.
+# (algorithm, worker counts, generator in haan.reductions, source graph,
+# its other arguments) of the heavy calls.
 HEAVY = (
-    ("gen_halfsep_3regular", "petersen", (2,)),
-    ("gen_halfsep_3regular", "random-regular:12:3:1", (2,)),
-    ("gen_clique_vc_split", "k4", (2, 1)),
+    ("envy-guess", (1,), "gen_halfsep_3regular", "petersen", (2,)),
+    ("envy-guess", (1,), "gen_halfsep_3regular", "random-regular:12:3:1", (2,)),
+    ("envy-guess", (1,), "gen_clique_vc_split", "k4", (2, 1)),
+    ("vc-xp", (1, 2), "gen_clique_vc_split", "k4", (3, 1)),
+    ("vc-xp", (1, 2), "gen_clique_vc_split", "k4", (2, 1)),
+    ("vc-xp", (1, 2), "gen_clique_bipartite_d2", "k3", (2,)),
 )
 
 
@@ -86,8 +90,9 @@ def main(argv=None) -> int:
     from haan.model import AnnotatedInstance
     from haan.solvers import Objective, SolverConfig
 
-    def call(label, algo, objective, inst, ann):
-        cfg = SolverConfig(objective=objective, workers=1, guess_limit=args.guess_limit)
+    def call(label, algo, objective, inst, ann, workers=1):
+        cfg = SolverConfig(objective=objective, workers=workers,
+                           guess_limit=args.guess_limit)
         try:
             if algo == "separator":
                 r = solvers.solve_separator(ann or AnnotatedInstance.plain(inst), cfg)
@@ -108,11 +113,13 @@ def main(argv=None) -> int:
                 label = f"{workload}:{seed}:{case.label}"
                 for algo, objective in case.calls:
                     records.append(call(label, algo, objective, case.instance, case.annotated))
-    for gen, graph, more in HEAVY:
+    for algo, worker_counts, gen, graph, more in HEAVY:
         inst = getattr(reductions, gen)(named_source_graph(graph), *more).instance
         label = ":".join(["heavy", gen, graph, *map(str, more)])
-        for objective in Objective:
-            records.append(call(label, "envy-guess", objective, inst, None))
+        for workers in worker_counts:
+            suffix = "" if workers == 1 else f":w{workers}"
+            for objective in Objective:
+                records.append(call(label + suffix, algo, objective, inst, None, workers))
     for label, ann in _random_cases(random.Random(args.random_seed), args.random):
         for objective in Objective:
             records.append(call(label, "separator", objective, ann.base, ann))
