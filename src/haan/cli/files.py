@@ -165,8 +165,9 @@ def parse_instance_text(text: str) -> InstanceDocument:
         if a not in prefs:
             raise FormatError(f"missing prefs line for agent {a}")
         pref_lists.append(prefs[a])
-    if set(prefs) - set(range(n_agents)):
-        raise FormatError("prefs line for out-of-range agent")
+    for kind, sets in (("prefs", prefs), ("feasible", feasible)):
+        if any(not 0 <= a < n_agents for a in sets):
+            raise FormatError(f"{kind} line for out-of-range agent")
     try:
         inst = Instance(n_agents, n_houses, edges, pref_lists)
     except InvalidInstance as exc:

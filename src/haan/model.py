@@ -9,7 +9,7 @@ across threads and worker processes.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -249,8 +249,15 @@ def evaluate_annotated(
     """
     report = evaluate(ann.base, alloc)
     feasible_ok = all(f is None or h in f for h, f in zip(alloc.assignment, ann.feasible))
-    envious = tuple(
-        e or (a in ann.angry and not report.happy[a])
-        for a, e in enumerate(report.envious)
+    if not ann.angry:
+        return feasible_ok, report
+    envious = list(report.envious)
+    for a in ann.angry:
+        if not report.happy[a]:
+            envious[a] = True
+    return feasible_ok, EnvyReport(
+        envious=tuple(envious),
+        happy=report.happy,
+        n_envious=sum(envious),
+        n_happy=report.n_happy,
     )
-    return feasible_ok, replace(report, envious=envious, n_envious=sum(envious))

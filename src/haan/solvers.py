@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -189,7 +188,8 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
     preference masks, neighbours, scale, w, floor, deadline, *extra(), lo,
     hi)`` and returns ``(best key or None, witness)``; several jobs run on
     a pool, and the lowest-ranked best key wins. ``extra`` runs after the
-    checks, so a refused solve builds none of its per-house tables.
+    checks, so a refused solve builds none of its per-house tables: brute
+    and vc-xp pass the neighbour and liker masks of ``_agent_masks`` there.
     """
     n, m = inst.n_agents, inst.n_houses
     if m < n:
@@ -230,45 +230,98 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
 # ---------------------------------------------------------------------------
 
 def _bf_chunk(args) -> tuple[int | None, tuple | None]:
-    (n, m, pref, nbrs, scale, w, floor, deadline, _, _) = args
-    best_key = None
+    (n, m, _, _, scale, w, floor, deadline, nmask, likers, _, _) = args
+    if deadline is not None:
+        check_deadline(deadline)
+    if not n:
+        return 0, ()
+    last = n - 1
+    lbit = 1 << last
+    near = nmask[last]
+    # Every leaf group has m - n + 1 leaves; the deadline is checked once
+    # per ``period`` groups, so about every 4096 leaves.
+    period = max(1, 4096 // (m - n + 1))
+    ticks = period
+    best_key = scale * n + 1  # above every key
     best = None
-    agents = range(n)
-    for i, asg in enumerate(permutations(range(m), n)):
-        if deadline is not None and not i & 4095:
-            check_deadline(deadline)
-        env = 0
-        hap = 0
-        for a in agents:
-            pb = pref[a]
-            if pb >> asg[a] & 1:
-                hap += 1
-            else:
-                for b in nbrs[a]:
-                    if pb >> asg[b] & 1:
-                        env += 1
-                        break
-        key = env * scale - w * hap
-        if best_key is None or key < best_key:
-            best_key = key
-            best = asg
-            if key == floor:
-                break  # nothing later can beat it
+    phi = [0] * n
+
+    def visit(j, houses, i, seen, lost):
+        # Places agent j over its free houses ascending: ``houses`` without
+        # its i-th entry, the house agent j - 1 took (agent 0 drops the
+        # stand-in house m). ``seen`` and ``lost`` are as in
+        # ``solve_bruteforce``. Returns True once the incumbent is at the
+        # floor.
+        nonlocal best_key, best, ticks
+        if j == last:
+            if deadline is not None:
+                ticks -= 1
+                if not ticks:
+                    check_deadline(deadline)
+                    ticks = period
+            # The last agent's houses, inlined. Its own bit joins ``lost``
+            # on a house it does not like, and ``seen`` is final for it.
+            env_like = seen & lost
+            env_miss = env_like | seen & lbit
+            watch = near & lost
+            key_like = w * lost.bit_count() - w * n
+            key_miss = key_like + w
+            taken = houses[i]
+            for h in houses:
+                if h == taken:
+                    continue
+                fans = likers[h]
+                if fans & lbit:
+                    key = scale * (env_like | fans & watch).bit_count() + key_like
+                else:
+                    key = scale * (env_miss | fans & watch).bit_count() + key_miss
+                if key < best_key:
+                    best_key = key
+                    phi[last] = h
+                    best = tuple(phi)
+                    if key == floor:
+                        return True  # nothing later can beat it
+            return False
+        free = houses[:i] + houses[i + 1:]
+        jbit = 1 << j
+        mine = nmask[j]
+        for c, h in enumerate(free):
+            fans = likers[h]
+            phi[j] = h
+            # Neighbourhood is symmetric: j's neighbours that like h are
+            # marked now, and j is marked by its neighbours' placements.
+            if visit(j + 1, free, c, seen | fans & mine, lost | jbit & ~fans):
+                return True
+        return False
+
+    # One agent reads the houses lazily: only the guess limit bounds m then.
+    visit(0, range(m + 1) if n == 1 else tuple(range(m + 1)), m, 0, 0)
     return best_key, best
 
 
 def solve_bruteforce(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     """Exhaustive enumeration of all injective assignments.
 
-    The witness is the first optimum in lexicographic assignment order;
-    every other solver is checked against this one, so the enumeration is
-    one sequential loop whatever ``cfg.workers`` says. It stops at the
-    first assignment whose key is the floor; ``guesses_explored`` is the
-    guess space perm(m, n).
+    One depth-first walk places agents 0..n-1 in turn, each over its free
+    houses ascending, so assignments come in lexicographic order and the
+    first optimum is the witness. Every other solver is checked against
+    this one, so the walk prunes nothing and is one sequential search
+    whatever ``cfg.workers`` says. Each node carries its free houses as an
+    ascending tuple (a house bitmask would make every step on many houses
+    cost time in m) and two agent masks: ``seen``, the agents with a placed
+    neighbour on a house they like (placing an agent on h adds its
+    neighbours among h's likers), and ``lost``, the placed agents on a
+    house they do not like. A full assignment has ``|seen & lost|``
+    envious and ``n - |lost|`` happy agents, so the last agent's houses
+    are scored with a few mask operations each and no call. The walk
+    stops at the first assignment whose key is the floor;
+    ``guesses_explored`` is the guess space perm(m, n). The deadline is
+    checked before the first assignment, then about every 4096 of them
+    (every m - n + 1, the last agent's free houses, when that is more).
     """
     cfg = cfg or SolverConfig()
     total = math.perm(inst.n_houses, inst.n_agents)
-    return _search(inst, cfg, "brute", total, _bf_chunk)
+    return _search(inst, cfg, "brute", total, _bf_chunk, lambda: _agent_masks(inst))
 
 
 # ---------------------------------------------------------------------------

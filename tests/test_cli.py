@@ -111,6 +111,8 @@ def test_instance_parse_errors():
     "agents",
     "edge 1",
     "prefs 0 1 : 0",
+    "feasible 5 : 1",  # a line for no agent is refused, not dropped
+    "feasible -1 : 1",
 ])
 def test_malformed_line_is_a_format_error(tmp_path, capsys, bad_line):
     text = TRIANGLE_TEXT + bad_line + "\n"

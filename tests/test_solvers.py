@@ -104,6 +104,55 @@ def test_brute_budget():
     solve_bruteforce(inst, SolverConfig(guess_limit=360))
 
 
+def test_brute_walk_agrees_with_the_definition():
+    # The depth-first walk against plain enumeration of the definition:
+    # same optimum, same first witness, same count. An optimum with envy is
+    # above the floor under both objectives, so those walks run to the end;
+    # every other instance has dense edges and agents that all like some of
+    # the first three houses, so that envy is often forced.
+    rng = random.Random(53)
+    uncut = 0
+    for i in range(120):
+        if i % 2:
+            inst = random_instance(rng, n_max=6, extra_houses=2, d_max=3)
+        else:
+            n = rng.randint(1, 6)
+            m = rng.randint(n, n + 2)
+            edges = [e for e in combinations(range(n), 2) if rng.random() < 0.8]
+            popular = range(min(m, 3))
+            prefs = [rng.sample(popular, rng.randint(1, len(popular))) for _ in range(n)]
+            inst = Instance(n, m, edges, prefs)
+        for happy in (False, True):
+            want = brute_optimum(inst, happy)
+            got = solve_bruteforce(inst, HAPPY if happy else SolverConfig())
+            assert (got.min_envy, got.happiness, got.allocation.assignment) == want
+            assert got.guesses_explored == math.perm(inst.n_houses, inst.n_agents)
+        uncut += want[0] > 0
+    assert uncut >= 20, uncut
+
+
+def test_brute_memory_is_linear_in_the_houses():
+    # A table keyed by house bitmasks would hold ~m^2/16 bytes (156 MB here).
+    import tracemalloc
+
+    m = 50_000
+    inst = Instance(1, m, [], [[m - 1]])
+    tracemalloc.start()
+    try:
+        r = solve_bruteforce(inst, HAPPY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.min_envy, r.happiness, r.allocation.assignment) == (0, 1, (m - 1,))
+    assert peak < 16 << 20, peak
+
+
+def test_brute_with_an_expired_deadline_times_out():
+    inst = Instance(2, 2, [(0, 1)], [[0], [0]])
+    with pytest.raises(SolveTimeout):
+        solve_bruteforce(inst, SolverConfig(deadline=time.monotonic() - 1))
+
+
 # -- d = 1 matching solver ---------------------------------------------------
 
 def test_d1_disjoint_preferences():

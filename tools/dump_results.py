@@ -6,9 +6,10 @@ or error, guesses_explored]``; a call that raises a ``HaanError`` has
 of the allocation. The calls are those of the three corpora of
 ``perfbench/corpus.py`` at seeds 0-3, then the deep searches of ``HEAVY``
 under both objectives (envy-guess where its Hall tests prune most, vc-xp
-with one worker and with two), then a seeded random set of small
-instances, half of them annotated with forbidden houses and angry agents,
-solved by the separator under both objectives. Every call runs with no
+with one worker and with two, brute force over all 40,320 assignments of
+an 8-agent instance), then a seeded random set of small instances, half
+of them annotated with forbidden houses and angry agents, solved by the
+separator under both objectives. Every call runs with no
 deadline and the given guess limit (none by default), and with one worker
 unless its label ends in ``:w2``, so the output depends only on the code
 under ``ROOT``.
@@ -44,6 +45,7 @@ HEAVY = (
     ("vc-xp", (1, 2), "gen_clique_vc_split", "k4", (3, 1)),
     ("vc-xp", (1, 2), "gen_clique_vc_split", "k4", (2, 1)),
     ("vc-xp", (1, 2), "gen_clique_bipartite_d2", "k3", (2,)),
+    ("brute", (1,), "gen_halfsep_3regular", "random-regular:8:3:2", (2,)),
 )
 
 
