@@ -30,6 +30,7 @@ __all__ = [
     "render_result_text",
     "render_allocation_text",
     "parse_allocation_text",
+    "read_allocation_file",
 ]
 
 _TAG = "haan/1"
@@ -267,12 +268,19 @@ def parse_allocation_text(text: str) -> Allocation:
     return Allocation(_set_ints(body[0][1], "allocation"))
 
 
-def read_instance_file(path: str | Path) -> InstanceDocument:
+def _read_text(path: str | Path) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    return parse_instance_text(text)
+
+
+def read_instance_file(path: str | Path) -> InstanceDocument:
+    return parse_instance_text(_read_text(path))
+
+
+def read_allocation_file(path: str | Path) -> Allocation:
+    return parse_allocation_text(_read_text(path))
 
 
 def write_instance_file(path: str | Path, doc: InstanceDocument) -> None:

@@ -4,8 +4,10 @@ Exit codes are stable: 0 success, 2 usage (argparse), 3 parse/format
 error or a file that cannot be read or written, 4 infeasible instance,
 5 guess budget exceeded, 6 wrong solver for the instance shape, 7 invalid
 allocation, 8 no feasible allocation (annotated), 9 generator precondition
-failure, 10 solve timeout, 11 out of memory during a solve. Machine-readable
-output goes to stdout only; every diagnostic goes to stderr.
+failure, 10 solve timeout, 11 out of memory or of recursion depth. Every
+command reports a failure by raising; ``main`` alone turns the exception
+into its exit code and one ``error:`` line. Machine-readable output goes
+to stdout only; every diagnostic goes to stderr.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from ..solvers import (
 from .files import (
     InstanceDocument,
     ResultDocument,
-    parse_allocation_text,
+    read_allocation_file,
     read_instance_file,
     render_allocation_text,
     render_result_text,
@@ -83,14 +85,6 @@ _ERROR_EXITS = (
 )
 
 
-def _fail(exc: HaanError) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    for kind, code in _ERROR_EXITS:
-        if isinstance(exc, kind):
-            return code
-    return 1
-
-
 def _solve_file(path, algo: str, args):
     """Read the instance at ``path`` and solve it with ``algo`` under the
     solver flags of ``args``. The timeout starts after the read. Returns
@@ -108,24 +102,10 @@ def _solve_file(path, algo: str, args):
     return result, int((time.monotonic() - start) * 1000)
 
 
-def _emit(text: str, output: str) -> None:
-    if output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text)
-
-
 def cmd_solve(args) -> int:
     if args.output != "-" and not Path(args.output).parent.is_dir():
-        print(f"error: cannot write {args.output}: no such directory", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        result, wall_ms = _solve_file(args.instance, args.algo, args)
-    except HaanError as exc:
-        return _fail(exc)
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return EXIT_MEMORY
+        raise FormatError(f"cannot write {args.output}: no such directory")
+    result, wall_ms = _solve_file(args.instance, args.algo, args)
     out = ResultDocument(
         solver_id=result.solver_id,
         objective=args.objective,
@@ -135,11 +115,10 @@ def cmd_solve(args) -> int:
         wall_time_ms=0 if args.omit_timing else wall_ms,
         allocation=result.allocation.assignment,
     )
-    try:
-        _emit(render_result_text(out), args.output)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.output == "-":
+        sys.stdout.write(render_result_text(out))
+    else:
+        Path(args.output).write_text(render_result_text(out))
     return EXIT_OK
 
 
@@ -183,44 +162,27 @@ def cmd_generate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     generate, construct = _FAMILIES[args.family]
-    try:
-        red = generate(source, args)
-        if args.witness:
-            witness = _witness(source, red, args.k, construct)
-    except HaanError as exc:
-        return _fail(exc)
+    red = generate(source, args)
+    if args.witness:
+        witness = _witness(source, red, args.k, construct)
     doc = InstanceDocument(
         instance=red.instance,
         target_envy=red.target_envy,
         provenance=red.provenance,
     )
-    try:
-        write_instance_file(args.output, doc)
-        if args.witness:
-            Path(args.witness).write_text(render_allocation_text(witness))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    write_instance_file(args.output, doc)
+    if args.witness:
+        Path(args.witness).write_text(render_allocation_text(witness))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        doc = read_instance_file(args.instance)
-        alloc = parse_allocation_text(Path(args.allocation).read_text())
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.allocation}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except HaanError as exc:
-        return _fail(exc)
-    try:
-        if doc.annotated is not None:
-            feasible_ok, report = evaluate_annotated(doc.annotated, alloc)
-        else:
-            feasible_ok, report = True, evaluate(doc.instance, alloc)
-    except InvalidAllocation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_ALLOCATION
+    doc = read_instance_file(args.instance)
+    alloc = read_allocation_file(args.allocation)
+    if doc.annotated is not None:
+        feasible_ok, report = evaluate_annotated(doc.annotated, alloc)
+    else:
+        feasible_ok, report = True, evaluate(doc.instance, alloc)
     envious = " ".join(str(a) for a, f in enumerate(report.envious) if f)
     happy = " ".join(str(a) for a, f in enumerate(report.happy) if f)
     lines = [
@@ -243,7 +205,7 @@ def _bench_one(job) -> tuple[str, ...]:
         result, wall_ms = _solve_file(path, algo, args)
     except SolveTimeout:
         return head + ("", "", "", "", "timeout")
-    except (HaanError, MemoryError) as exc:
+    except (HaanError, MemoryError, RecursionError) as exc:
         return head + ("", "", "", "", f"error:{type(exc).__name__}")
     return head + (
         str(result.min_envy), str(result.happiness),
@@ -254,15 +216,9 @@ def _bench_one(job) -> tuple[str, ...]:
 def cmd_bench(args) -> int:
     corpus = Path(args.corpus)
     if not corpus.is_dir():
-        print(f"error: {corpus} is not a directory", file=sys.stderr)
-        return EXIT_PARSE
+        raise FormatError(f"{corpus} is not a directory")
     paths = sorted(corpus.glob("*.haan"))
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            print(f"error: unknown algorithm {algo!r}", file=sys.stderr)
-            return 2
-    jobs = [(path, algo, args) for path in paths for algo in algos]
+    jobs = [(path, algo, args) for path in paths for algo in args.algos]
     print("# instance\talgo\tobjective\tmin_envy\thappiness\tguesses\twall_ms\tstatus")
     if args.jobs > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -314,6 +270,15 @@ _seconds = _checked(float, lambda v: 0 < v < math.inf,
                     "a finite number of seconds above 0")
 
 
+def _algos(text: str) -> list[str]:
+    """argparse type of ``--algos``: comma-separated solver labels."""
+    algos = [a.strip() for a in text.split(",") if a.strip()]
+    for algo in algos:
+        if algo not in ALGORITHMS:
+            raise argparse.ArgumentTypeError(f"unknown algorithm {algo!r}")
+    return algos
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="haan",
@@ -363,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run solvers over a corpus directory")
     p_bench.add_argument("corpus")
-    p_bench.add_argument("--algos", default="brute,d1,envy-guess,separator,vc-xp")
+    p_bench.add_argument("--algos", type=_algos,
+                         default="brute,d1,envy-guess,separator,vc-xp")
     p_bench.add_argument("--jobs", type=_count, default=1,
                          help="instances run sequentially by default; "
                               "values > 1 opt into a process pool")
@@ -374,9 +340,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except HaanError as exc:
+        message = str(exc)
+        code = next((code for kind, code in _ERROR_EXITS if isinstance(exc, kind)), 1)
+    except OSError as exc:
+        message, code = str(exc), EXIT_PARSE
+    except MemoryError:
+        message, code = "out of memory", EXIT_MEMORY
+    except RecursionError:
+        message, code = "recursion too deep", EXIT_MEMORY
+    # Printed outside the handlers, so that the exception's frames, and
+    # whatever memory they hold, are already released.
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

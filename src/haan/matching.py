@@ -32,31 +32,34 @@ def _kuhn(fmasks: Sequence[int], n_right: int, perfect: bool) -> list[int] | Non
     ``None`` as soon as ``perfect`` and some left vertex stays unmatched.
 
     Agents in order, lowest admissible bit first. A failed augmenting
-    search changes no pair, so one pass over the agents is maximum.
+    search changes no pair, so one pass over the agents is maximum. Each
+    search is depth-first from an explicit stack of (agent, house) steps,
+    with one ``avoid`` mask of the houses it has tried, so a path may be
+    as long as the matching.
     """
     match_right = [-1] * n_right
-
-    def attempt(a: int, avoid: int) -> tuple[bool, int]:
+    for start in range(len(fmasks)):
+        a, avoid, path = start, 0, []
         while True:
             m = fmasks[a] & ~avoid
-            if not m:
-                return False, avoid
-            bit = m & -m
-            r = bit.bit_length() - 1
-            avoid |= bit
-            holder = match_right[r]
-            if holder == -1:
-                match_right[r] = a
-                return True, avoid
-            ok, avoid = attempt(holder, avoid)
-            if ok:
-                match_right[r] = a
-                return True, avoid
-
-    for a in range(len(fmasks)):
-        ok, _ = attempt(a, 0)
-        if not ok and perfect:
-            return None
+            if m:
+                bit = m & -m
+                r = bit.bit_length() - 1
+                avoid |= bit
+                holder = match_right[r]
+                if holder == -1:
+                    match_right[r] = a
+                    for a, r in path:  # augment: each step takes its house
+                        match_right[r] = a
+                    break
+                path.append((a, r))
+                a = holder
+            elif path:
+                a = path.pop()[0]  # the holder found no house: back to its taker
+            elif perfect:
+                return None
+            else:
+                break
     return match_right
 
 

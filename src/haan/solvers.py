@@ -520,26 +520,32 @@ def _lowest_tuples(cands: Sequence[int], cls: Sequence[int], avail: int,
             yield from _lowest_tuples(cands, cls, avail ^ bit, j + 1, prefix + (h,))
 
 
-def _lowest_subsets(cls: Sequence[int], rest: int, r: int, free: int,
-                    chosen: int = 0) -> Iterator[int]:
+def _lowest_subsets(cls: Sequence[int], rest: int, r: int) -> Iterator[int]:
     """Masks of the r-subsets of the house mask ``rest`` that hold the
     lowest houses of each class in ``rest``, in ``combinations`` order;
-    ``chosen`` is taken and the other houses come from ``free``, the
-    houses of ``rest`` above it; ``r`` is at least 1. ``cls`` is as in
-    ``_lowest_tuples``."""
-    todo = free
-    while todo:
-        bit = todo & -todo
-        if (free & -bit).bit_count() < r:
-            break  # too few houses from this one up
-        c = cls[bit.bit_length() - 1]
-        todo &= ~c  # no higher house of the class is its lowest open one
-        if c & rest & ~chosen & bit - 1:
-            continue  # a lower house of the class is open
-        if r == 1:
-            yield chosen | bit
-        else:
-            yield from _lowest_subsets(cls, rest, r - 1, free & -(bit << 1), chosen | bit)
+    ``r`` is at least 1. ``cls`` is as in ``_lowest_tuples``.
+
+    Depth-first from an explicit stack of frames ``(todo, free, r,
+    chosen)``: ``chosen`` is taken, ``r`` houses are still to come from
+    ``free``, the houses of ``rest`` above it, and ``todo`` holds those
+    not yet tried as the next one."""
+    stack = [(rest, rest, r, 0)]
+    while stack:
+        todo, free, r, chosen = stack.pop()
+        while todo:
+            bit = todo & -todo
+            if (free & -bit).bit_count() < r:
+                break  # too few houses from this one up
+            c = cls[bit.bit_length() - 1]
+            todo &= ~c  # no higher house of the class is its lowest open one
+            if c & rest & ~chosen & bit - 1:
+                continue  # a lower house of the class is open
+            if r == 1:
+                yield chosen | bit
+            else:
+                stack.append((todo, free, r, chosen))
+                free &= -(bit << 1)
+                todo, r, chosen = free, r - 1, chosen | bit
 
 
 def solve_separator(
@@ -719,7 +725,7 @@ def solve_separator(
             top = scale * forced_env - w * n_c
             b1 = marked & mask1
             b2 = marked & mask2
-            for h1mask in _lowest_subsets(cls, rest, n1, rest):
+            for h1mask in _lowest_subsets(cls, rest, n1):
                 h2mask = rest & ~h1mask
                 floor2 = -w * min(n2, (liked2 & h2mask).bit_count())
                 parts_floor = floor2 - w * min(n1, (liked1 & h1mask).bit_count())

@@ -347,6 +347,15 @@ def test_bench_records_out_of_memory(tmp_path):
     assert proc.stdout.splitlines()[1].split("\t")[-1] == "error:MemoryError"
 
 
+def test_generate_out_of_memory_exit_code(tmp_path):
+    # The agent graph is complete bipartite between 60,000 vertex agents
+    # and 30,000 edge agents: 1.8·10^9 edges, far more than fit under the cap.
+    proc = run_cli_capped("generate", "clique-bip-d2", "--graph", "random-regular:2000:30",
+                          "--k", "3", "--output", str(tmp_path / "big.haan"))
+    assert (proc.returncode, proc.stdout) == (11, ""), proc.stderr
+    assert proc.stderr == "error: out of memory\n"
+
+
 def test_verify_a_hundred_million_houses_in_bounded_memory(tmp_path):
     # An agent with no feasible line may receive every house; no set of
     # them is built.
@@ -584,6 +593,33 @@ def test_bench_empty_corpus(tmp_path, capsys):
     assert code == 0
     assert out.strip().splitlines()[0].startswith("#")
     assert len(out.strip().splitlines()) == 1
+
+
+def test_bench_unknown_algorithm_is_usage_error(tmp_path, capsys):
+    corpus = make_corpus(tmp_path, 1)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(corpus), "--algos", "brute,nope"])
+    assert exc.value.code == 2
+    assert "argument --algos: unknown algorithm 'nope'" in capsys.readouterr().err
+
+
+def test_bench_corpus_that_is_a_file_exit_code(tmp_path, capsys):
+    code, out, err = run_cli_capture(capsys, "bench", str(write_triangle(tmp_path)))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_recursion_too_deep_exit_code_and_bench_row(tmp_path, capsys, monkeypatch):
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(main_module, "solve", too_deep)
+    code, out, err = run_cli_capture(capsys, "solve", str(write_triangle(tmp_path)))
+    assert (code, out, err) == (11, "", "error: recursion too deep\n")
+    code, out, _ = run_cli_capture(capsys, "bench", str(make_corpus(tmp_path, 1)),
+                                   "--algos", "brute")
+    assert code == 0
+    assert out.splitlines()[1].split("\t")[-1] == "error:RecursionError"
 
 
 def test_bench_timeout_recorded(tmp_path, capsys):

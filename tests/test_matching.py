@@ -9,6 +9,15 @@ from haan.matching import (
 from oracles import matching_optimum
 
 
+def test_augmenting_paths_as_long_as_the_matching():
+    # Left vertex a admits {a, a+1} and the last one only {0}: the last
+    # search shifts every earlier vertex one place along a 3,000-step path.
+    n = 3000
+    fmasks = [0b11 << a for a in range(n - 1)] + [1]
+    assert max_matching_size_masks(fmasks, n) == n
+    assert left_perfect_matching_masks(fmasks, n) == list(range(1, n)) + [0]
+
+
 def random_graph(rng, max_side=6, p_edge=0.6, cost_lo=0, cost_hi=9):
     """(n_left, n_right, {(l, r): cost}) with some pairs left out."""
     n_left = rng.randint(0, max_side)

@@ -131,6 +131,37 @@ def test_brute_walk_agrees_with_the_definition():
     assert uncut >= 20, uncut
 
 
+def test_guess_solvers_agree_with_the_definition_on_envious_draws():
+    # Dense draws with agents that all like some of the first three houses,
+    # as the even draws above: about half of them have an optimum with
+    # envy, so the envy floor does not end the walks at their first guess.
+    # d1 joins where every agent prefers one house.
+    rng = random.Random(59)
+    envious = single = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        m = rng.randint(n, n + 2)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.8]
+        popular = range(min(m, 3))
+        prefs = [rng.sample(popular, rng.randint(1, len(popular))) for _ in range(n)]
+        inst = Instance(n, m, edges, prefs)
+        solvers = ALL_SOLVERS[1:]
+        if all(len(p) == 1 for p in prefs):
+            solvers = solvers + [("d1", solve_d1_matching)]
+            single += 1
+        for happy in (False, True):
+            envy, hap, _ = brute_optimum(inst, happy)
+            for name, fn in solvers:
+                got = fn(inst, HAPPY if happy else SolverConfig())
+                assert got.min_envy == envy, (name, inst)
+                if happy:
+                    assert got.happiness == hap, (name, inst)
+                check_witness(inst, got)
+        envious += envy > 0
+    assert envious >= 25, envious
+    assert single >= 10, single
+
+
 def test_brute_memory_is_linear_in_the_houses():
     # A table keyed by house bitmasks would hold ~m^2/16 bytes (156 MB here).
     import tracemalloc
@@ -954,6 +985,30 @@ def test_solve_routes_separator_when_vc_xp_is_over_the_limit():
     r = solve(red.instance, "auto")
     assert r.solver_id == "separator"
     assert r.min_envy <= red.target_envy
+
+
+# Inputs whose searches run over a thousand steps deep: the key floor's
+# matching augments along a path through all 1,200 agents (agent a prefers
+# a and a+1, the last agent house 0), and the separator's first part
+# takes 1,200 of 2,400 houses that every agent prefers.
+DEEP = {
+    "chain-1200": Instance(1200, 1200, [], [[a, a + 1] for a in range(1199)] + [[0]]),
+    "pairs-2400": Instance(2400, 2400, [(a, a + 1) for a in range(0, 2400, 2)],
+                           [range(1200)] * 2400),
+}
+
+
+@pytest.mark.parametrize("label, happy, want", [
+    ("chain-1200", False, ("vc-xp", 0, 2, 1)),
+    ("chain-1200", True, ("vc-xp", 0, 1200, 1)),
+    ("pairs-2400", False, ("separator", 0, 1200, 1199)),
+    ("pairs-2400", True, ("separator", 0, 1200, 1199)),
+])
+def test_auto_solves_inputs_a_thousand_steps_deep(label, happy, want):
+    inst = DEEP[label]
+    r = solve(inst, "auto", HAPPY if happy else SolverConfig())
+    assert (r.solver_id, r.min_envy, r.happiness, r.guesses_explored) == want
+    check_witness(inst, r)
 
 
 def test_solve_unknown_algorithm():

@@ -1,18 +1,19 @@
 """Dump every solver call of the benchmark corpora as JSON, for diffing.
 
 Each record is ``[label, algo, objective, min_envy, happiness, allocation
-or error, guesses_explored]``; a call that raises a ``HaanError`` has
-``null`` optimum and count and the error's class name and message in place
-of the allocation. The calls are those of the three corpora of
-``perfbench/corpus.py`` at seeds 0-3, then the deep searches of ``HEAVY``
-under both objectives (envy-guess where its Hall tests prune most, vc-xp
-with one worker and with two, brute force over all 40,320 assignments of
-an 8-agent instance), then a seeded random set of small instances, half
-of them annotated with forbidden houses and angry agents, solved by the
-separator under both objectives. Every call runs with no
-deadline and the given guess limit (none by default), and with one worker
-unless its label ends in ``:w2``, so the output depends only on the code
-under ``ROOT``.
+or error, guesses_explored]``; a call that raises a ``HaanError``, a
+``MemoryError`` or a ``RecursionError`` has ``null`` optimum and count and
+the error's class name and message in place of the allocation. The calls
+are those of the three corpora of ``perfbench/corpus.py`` at seeds 0-3,
+then the deep searches of ``HEAVY`` under both objectives (envy-guess
+where its Hall tests prune most, vc-xp with one worker and with two,
+brute force over all 40,320 assignments of an 8-agent instance), then the
+inputs of ``DEEP`` under ``auto`` with both objectives, then a seeded
+random set of small instances, half of them annotated with forbidden
+houses and angry agents, solved by the separator under both objectives.
+Every call runs with no deadline and the given guess limit (none by
+default), and with one worker unless its label ends in ``:w2``, so the
+output depends only on the code under ``ROOT``.
 
 Compare two checkouts (``ROOT`` defaults to the one holding this script)::
 
@@ -46,6 +47,16 @@ HEAVY = (
     ("vc-xp", (1, 2), "gen_clique_vc_split", "k4", (2, 1)),
     ("vc-xp", (1, 2), "gen_clique_bipartite_d2", "k3", (2,)),
     ("brute", (1,), "gen_halfsep_3regular", "random-regular:8:3:2", (2,)),
+)
+
+# (label, agents = houses, edges, preferences) of inputs whose searches run
+# over a thousand steps deep: the key floor's matching augments along a
+# path through all 1,200 agents, and the separator's first part takes
+# 1,200 of 2,400 houses that every agent prefers.
+DEEP = (
+    ("deep:chain-1200", 1200, (), [[a, a + 1] for a in range(1199)] + [[0]]),
+    ("deep:pairs-2400", 2400, [(a, a + 1) for a in range(0, 2400, 2)],
+     [range(1200)] * 2400),
 )
 
 
@@ -89,7 +100,7 @@ def main(argv=None) -> int:
     from haan import reductions, solvers
     from haan.cli.sources import named_source_graph
     from haan.errors import HaanError
-    from haan.model import AnnotatedInstance
+    from haan.model import AnnotatedInstance, Instance
     from haan.solvers import Objective, SolverConfig
 
     def call(label, algo, objective, inst, ann, workers=1):
@@ -100,7 +111,7 @@ def main(argv=None) -> int:
                 r = solvers.solve_separator(ann or AnnotatedInstance.plain(inst), cfg)
             else:
                 r = solvers.solve(inst, algo, cfg)
-        except HaanError as exc:
+        except (HaanError, MemoryError, RecursionError) as exc:
             return [label, algo, objective.value, None, None,
                     f"{type(exc).__name__}: {exc}", None]
         return [label, algo, objective.value, r.min_envy, r.happiness,
@@ -122,6 +133,10 @@ def main(argv=None) -> int:
             suffix = "" if workers == 1 else f":w{workers}"
             for objective in Objective:
                 records.append(call(label + suffix, algo, objective, inst, None, workers))
+    for label, n, edges, prefs in DEEP:
+        inst = Instance(n, n, edges, prefs)
+        for objective in Objective:
+            records.append(call(label, "auto", objective, inst, None))
     for label, ann in _random_cases(random.Random(args.random_seed), args.random):
         for objective in Objective:
             records.append(call(label, "separator", objective, ann.base, ann))
