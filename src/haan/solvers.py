@@ -112,11 +112,26 @@ def _key_weights(cfg: SolverConfig, n: int) -> tuple[int, int]:
 
 
 def _bits(items: Iterable[int]) -> int:
-    """Bitmask with bit ``i`` set for every ``i`` in ``items``."""
-    mask = 0
+    """Bitmask with bit ``i`` set for every ``i`` in ``items``.
+
+    Setting one bit at a time rebuilds the growing integer per item, which
+    is quadratic on large sets, so more than 64 items go through a byte
+    array instead; small sets keep the loop, which is faster on them.
+    """
+    try:
+        small = len(items) <= 64
+    except TypeError:  # an iterator: read it once
+        items = list(items)
+        small = len(items) <= 64
+    if small:
+        mask = 0
+        for i in items:
+            mask |= 1 << i
+        return mask
+    buf = bytearray((max(items) >> 3) + 1)
     for i in items:
-        mask |= 1 << i
-    return mask
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _members(mask: int) -> list[int]:
@@ -405,7 +420,7 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None]:
             cut |= pa << b * f
         envious.append(row)
         calm.append([(w, full & ~cut, shun), (0, full & ~(other << a * f), hold)])
-    isolated = _bits(a for a in range(n) if not nbrs[a])
+    isolated = _bits([a for a in range(n) if not nbrs[a]])
 
     def visit(level, state, lost):
         # A node whose choice left every agent a house and passed its Hall
@@ -809,80 +824,130 @@ def solve_separator(
 def _vc_chunk(args) -> tuple[int | None, tuple | None]:
     (n, m, pref, _, scale, w, floor, deadline, cover, rest, nmask, likers, lo, hi) = args
     k = len(cover)
+    full = (1 << m) - 1
     in_rest = _bits(rest)
     best_key = None
     best = None
     # Per house: ``(bit, preferred houses)`` of each rest agent that likes it.
     fans = [[(1 << a, pref[a]) for a in rest if likers[h] >> a & 1] for h in range(m)]
-    far = [_members(nmask[a] & in_rest) for a in cover]  # rest neighbours
+    # Cover agents that can forbid houses: ``(position bit, agent, preferred
+    # houses, rest-neighbour mask)`` of each one with a rest neighbour.
+    far = [(1 << j, a, pref[a], nmask[a] & in_rest)
+           for j, a in enumerate(cover) if nmask[a] & in_rest]
+    # Forbidder set -> ``forbid_tables`` of it; ``held`` counts their rows.
+    tables = {0: ([0], [0], [0] * len(rest), [])}
+    held = 1
     phi = [0] * k
 
+    def forbid_tables(fmask):
+        # Tables of one forbidder set (a mask over cover positions), indexed
+        # by a subset ``sub`` of it (bit i: its i-th agent chosen
+        # non-envious). ``takes[sub]``: the houses the chosen agents prefer;
+        # a rest agent loses the remaining ones of those among them that
+        # neighbour it. ``by``: each rest agent's forbidders as a subset
+        # mask, aligned with ``rest``, so it loses ``takes[by & sub]``.
+        # ``shut[sub]``: the houses every rest agent loses, none unless the
+        # chosen agents neighbour every rest agent. ``restricted`` pairs the
+        # rest agents that have a forbidder with their masks. None of it
+        # depends on the houses placed, so leaves share it. A leaf with f
+        # forbidders walks 2^f subsets anyway; the cache is emptied past
+        # 2^16 rows in all.
+        nonlocal held
+        takes, by = [0], [0] * len(rest)
+        slot = 1  # the subset bit of the next forbidder
+        for bit, _, p, out in far:
+            if fmask & bit:
+                takes += [t | p for t in takes]
+                by = [c | slot if out >> a & 1 else c for a, c in zip(rest, by)]
+                slot <<= 1
+        kinds = set(by)
+        shut = []
+        for sub, common in enumerate(takes):
+            for c in kinds:
+                common &= takes[c & sub]
+            shut.append(common)
+        held += len(takes)
+        if held > 1 << 16:
+            tables.clear()
+            held = len(takes)
+        restricted = [(a, c) for a, c in zip(rest, by) if c]
+        entry = tables[fmask] = (takes, shut, by, restricted)
+        return entry
+
     def leaf(used, seen, lost):
-        # Eligible: cover agents not envious within the cover. One chosen
+        # Forbidders: unhappy cover agents, not envious within the cover,
+        # with a rest neighbour and a liked remaining house. One chosen
         # non-envious forbids its liked remaining houses to its rest
         # neighbours; a *free* one (happy, or forbidding nothing) leaves
         # every row as it is and lowers the key by ``scale``, so only
         # guesses that choose all free agents can be optimal.
         nonlocal best_key, best
-        rem_mask = (1 << m) - 1 & ~used
-        forbids = []
-        for a, out in zip(cover, far):
-            hit = pref[a] & rem_mask
-            if hit and out and (lost & ~seen) >> a & 1:  # unhappy, not envious
-                forbids.append((hit, out))
-        # The cover's part of the key, before ``scale`` less per chosen agent.
-        envious = seen & lost
-        happy = k - (lost & ~in_rest).bit_count()
-        top = scale * ((envious & ~in_rest).bit_count() + len(forbids)) - w * happy
-        # Each guess's key is at least ``scale`` per envious agent and per
-        # forbidding one it does not choose, less ``w`` per agent that may
-        # be happy.
-        least = scale * (envious.bit_count() + len(forbids)) - w * (n - lost.bit_count())
-        # Cmask-independent cost per rest agent of a house it does not like:
-        # ``scale`` when it sees a cover neighbour holding one it likes.
-        # Admissible houses are remaining ones, so ``pref[a] & ok`` are liked.
-        miss = [scale if seen >> a & 1 else 0 for a in range(n)]
-        for sub in range(1 << len(forbids)):
+        rem_mask = full & ~used
+        calm = lost & ~seen
+        fmask = 0
+        for bit, a, p, _ in far:
+            if calm >> a & 1 and p & rem_mask:
+                fmask |= bit
+        forbidders = fmask.bit_count()
+        takes, shut, by, restricted = tables.get(fmask) or forbid_tables(fmask)
+        # Row-minimum bound, in closed form: ``least``, less ``scale`` per
+        # chosen forbidder, plus corrections for the rest agents that the
+        # chosen ones restrict. ``least`` is ``scale`` per envious agent and
+        # per forbidder, less ``w`` per agent that may be happy. A rest agent
+        # that no chosen forbidder restricts pays exactly its part of it
+        # for its cheapest admissible house: ``-w`` for a liked one unless
+        # it is in ``lost``, and then ``scale`` if it is also in ``seen``.
+        least = scale * ((seen & lost).bit_count() + forbidders) - w * (n - lost.bit_count())
+        # Chosen forbidders can leave a rest agent no admissible house only
+        # if together they prefer every remaining house.
+        dead = not rem_mask & ~takes[-1]
+        starved = None
+        remaining = None
+        for sub in range(len(takes)):
             chosen = scale * sub.bit_count()
-            if best_key is not None and least - chosen >= best_key:
-                continue
-            admissible = [rem_mask] * n
-            for i, (hit, out) in enumerate(forbids):
-                if sub >> i & 1:
-                    for b in out:
-                        admissible[b] &= ~hit
-            # Row-minimum bound: every rest agent pays at least its
-            # cheapest admissible house.
-            base = top - chosen
-            bound = base
-            union = 0
-            for a in rest:
-                ok = admissible[a]
-                if pref[a] & ok:
-                    bound -= w
-                elif ok:
-                    bound += miss[a]
-                else:
-                    bound = None
-                    break
-                union |= ok
-            if bound is None or (best_key is not None and bound >= best_key):
+            bound = least - chosen
+            if best_key is not None and bound >= best_key:
                 continue
             # Most guesses that pass the bound admit no extension: fewer
             # admissible houses than rest agents rejects most before the
-            # min-cost engine, which returns None for the others.
-            if union.bit_count() < len(rest):
+            # min-cost engine, which returns None for the others. There are
+            # ``m - k`` remaining houses for ``n - k`` rest agents, so that
+            # is more than ``m - n`` remaining houses lost by all of them.
+            if (shut[sub] & rem_mask).bit_count() > m - n:
                 continue
-            remaining = _members(rem_mask)
-            rows: list[list[int | None]] = [
-                [(-w if pref[a] >> h & 1 else miss[a]) if admissible[a] >> h & 1 else None
-                 for h in remaining]
-                for a in rest
-            ]
+            if dead and any(not rem_mask & ~takes[c & sub] for _, c in restricted):
+                continue
+            if starved is None:
+                # The corrections: a restricted agent that may be happy pays
+                # ``w`` plus its cost of a house it does not like more once
+                # its chosen forbidders take all its liked remaining houses.
+                starved = []
+                for a, c in restricted:
+                    likes = pref[a] & rem_mask
+                    if likes and not likes & ~takes[c]:
+                        starved.append((c, likes, w + scale * (seen >> a & 1)))
+            for c, likes, more in starved:
+                if not likes & ~takes[c & sub]:
+                    bound += more
+            if best_key is not None and bound >= best_key:
+                continue
+            if remaining is None:
+                remaining = _members(rem_mask)
+            rows: list[list[int | None]] = []
+            for a, c in zip(rest, by):
+                # A house it does not like costs ``scale`` when it sees a
+                # cover neighbour holding one it likes.
+                ok = rem_mask & ~takes[c & sub]
+                pa, miss = pref[a], scale * (seen >> a & 1)
+                rows.append([(-w if pa >> h & 1 else miss) if ok >> h & 1 else None
+                             for h in remaining])
             matched = min_cost_saturating_assignment(rows)
             if matched is None:
                 continue
-            key = base + matched[0]
+            # The cover's part of the key, then the rest's.
+            cover_lost = lost & ~in_rest
+            key = (scale * ((seen & cover_lost).bit_count() + forbidders - sub.bit_count())
+                   - w * (k - cover_lost.bit_count()) + matched[0])
             if best_key is None or key < best_key:
                 houses = tuple(phi) + tuple(remaining[j] for j in matched[1])
                 best_key = key
@@ -928,7 +993,13 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None]:
                 return True
         return False
 
-    visit(0, 0, 0, _bits(a for a in rest if not pref[a]))
+    try:
+        visit(0, 0, 0, _bits([a for a in rest if not pref[a]]))
+    finally:
+        # ``visit`` refers to itself through its closure; dropping the name
+        # breaks that cycle, so the chunk's tables are freed now rather than
+        # at the next cyclic garbage collection.
+        del visit
     return best_key, best
 
 
@@ -975,8 +1046,21 @@ def solve_vertex_cover_xp(
       a later one.
     - *Row-minimum bound.* The extension costs at least the sum of each
       remaining agent's cheapest admissible house; a guess whose bound
-      cannot beat the incumbent is not matched. Nor is one whose rest
-      agents have fewer admissible houses between them than their number.
+      cannot beat the incumbent is not matched. In closed form the bound
+      is ``least - scale*|chosen|``, where ``least`` is ``scale`` per
+      envious agent and per forbidder (an unhappy cover agent, not envious
+      within the cover, with a rest neighbour and a liked remaining house)
+      less ``w`` per agent that may be happy, plus corrections for the rest
+      agents that the chosen forbidders restrict: ``w``, and ``scale`` if
+      it sees a liked house held by a cover neighbour, for one that may be
+      happy but loses every liked remaining house. Nor is a guess matched
+      that leaves a rest agent no admissible house, or whose rest agents
+      have fewer admissible houses between them than their number. That
+      union test can fail only when the chosen forbidders neighbour every
+      rest agent (else one keeps all ``m - k >= n - k`` remaining houses):
+      it fails when more than ``m - n`` remaining houses are lost by every
+      rest agent. What these tests read of a forbidder set does not depend
+      on the houses placed, so each job builds it once per set.
     """
     cfg = cfg or SolverConfig()
     n, m = inst.n_agents, inst.n_houses

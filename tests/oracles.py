@@ -135,3 +135,32 @@ def random_instance(rng: random.Random, n_max: int = 5, extra_houses: int = 2,
         rng.sample(range(m), rng.randint(0, min(d_max, m))) for _ in range(n)
     ]
     return Instance(n, m, edges, prefs)
+
+
+def restricted_cover_instance(rng: random.Random) -> tuple[Instance, list[int]]:
+    """A small instance and a vertex cover of it whose cover agents forbid
+    houses to the rest under vc-xp.
+
+    Two or three cover agents prefer one or (mostly) two houses of a small
+    shared pool; they have few edges among themselves, so they are rarely
+    envious within the cover, and many to the rest, whose agents prefer
+    the same pool's houses and sometimes one more. With m at most n + 1, a
+    guess whose chosen agents take a few houses from every rest agent, or
+    every remaining house from one, is common.
+    """
+    n = rng.randint(3, 6)
+    k = rng.randint(2, min(3, n - 1))
+    m = rng.randint(n, n + 1)
+    cover = sorted(rng.sample(range(n), k))
+    rest = [a for a in range(n) if a not in cover]
+    pool = rng.sample(range(m), rng.randint(2, min(4, m)))
+    edges = set()
+    for i, c in enumerate(cover):
+        edges.update((min(a, c), max(a, c)) for a in rest if rng.random() < 0.6)
+        edges.update((c, d) for d in cover[i + 1:] if rng.random() < 0.2)
+    prefs = [
+        set(rng.sample(pool, 2 if rng.random() < 0.7 else 1))
+        | ({rng.randrange(m)} if a in rest and rng.random() < 0.3 else set())
+        for a in range(n)
+    ]
+    return Instance(n, m, sorted(edges), [sorted(p) for p in prefs]), cover

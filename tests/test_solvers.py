@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -50,6 +50,7 @@ from oracles import (
     brute_optimum,
     matching_optimum,
     random_instance,
+    restricted_cover_instance,
 )
 
 HAPPY = SolverConfig(objective=Objective.MIN_ENVY_THEN_MAX_HAPPY)
@@ -1349,6 +1350,208 @@ def test_vc_xp_pruning_keeps_optimum_and_guess_count():
     assert all(count >= 10 for count in seen.values()), seen
 
 
+def _vc_leaf_cases(inst, cover):
+    """Which of four leaf cases of vc-xp the guess space of ``inst`` and
+    ``cover`` holds, from the definitions: a cover placement with two or
+    more forbidders (unhappy cover agents, not envious within the cover,
+    with a rest neighbour and a liked remaining house), and a choice of
+    forbidders that restricts one rest agent several times, that restricts
+    every rest agent, or that leaves a rest agent no remaining house."""
+    pref = [set(p) for p in inst.preferences]
+    nbrs = [set(nb) for nb in inst.neighbors]
+    rest = set(range(inst.n_agents)) - set(cover)
+    found = set()
+    for phi in permutations(range(inst.n_houses), len(cover)):
+        held = dict(zip(cover, phi))
+        remaining = set(range(inst.n_houses)) - set(phi)
+        forbidders = [
+            a for a in cover
+            if held[a] not in pref[a] and nbrs[a] & rest and pref[a] & remaining
+            and not any(held.get(c) in pref[a] for c in nbrs[a])
+        ]
+        if len(forbidders) >= 2:
+            found.add("two or more forbidders")
+        for r in range(1, len(forbidders) + 1):
+            for chosen in combinations(forbidders, r):
+                by = {b: [a for a in chosen if b in nbrs[a]] for b in rest}
+                if any(len(agents) >= 2 for agents in by.values()):
+                    found.add("rest agent restricted by several")
+                if all(by.values()):
+                    found.add("every rest agent restricted")
+                if any(remaining <= set().union(*(pref[a] for a in agents))
+                       for agents in by.values()):
+                    found.add("rest agent with no house")
+    return found
+
+
+# vc-xp on 120 ``restricted_cover_instance`` draws (seed 2026) with the
+# drawn cover: (min_envy, happiness, allocation, guesses_explored) per
+# objective (envy, envy-happy).
+VC_XP_RESTRICTED = [
+    [(0, 3, (1, 2, 0), 24), (0, 3, (1, 2, 0), 24)],
+    [(1, 2, (2, 0, 1), 24), (1, 2, (2, 0, 1), 24)],
+    [(0, 2, (3, 4, 5, 2, 0, 1), 960), (0, 3, (3, 4, 1, 5, 0, 2), 960)],
+    [(0, 2, (0, 1, 3), 48), (0, 3, (0, 1, 2), 48)],
+    [(0, 1, (1, 3, 2, 0), 48), (0, 1, (1, 3, 2, 0), 48)],
+    [(1, 1, (5, 0, 4, 1, 2), 960), (1, 2, (5, 0, 4, 3, 1), 960)],
+    [(0, 2, (3, 1, 0, 2), 48), (0, 3, (1, 3, 2, 0), 48)],
+    [(0, 2, (6, 0, 1, 2, 5, 3), 1680), (0, 3, (4, 0, 1, 2, 5, 6), 1680)],
+    [(1, 2, (2, 3, 0, 1), 48), (1, 2, (2, 3, 0, 1), 48)],
+    [(1, 2, (0, 1, 3, 5, 2), 960), (1, 4, (1, 2, 3, 0, 4), 960)],
+    [(0, 4, (2, 0, 3, 1), 48), (0, 4, (2, 0, 3, 1), 48)],
+    [(0, 0, (1, 0, 2), 24), (0, 0, (1, 0, 2), 24)],
+    [(0, 0, (3, 0, 1, 2), 480), (0, 2, (1, 0, 4, 3), 480)],
+    [(0, 2, (2, 1, 0), 24), (0, 2, (2, 1, 0), 24)],
+    [(0, 2, (4, 0, 1, 2, 5), 960), (0, 2, (4, 0, 1, 2, 5), 960)],
+    [(0, 2, (3, 0, 1), 48), (0, 3, (3, 0, 2), 48)],
+    [(0, 2, (3, 2, 0, 1), 80), (0, 4, (3, 4, 1, 2), 80)],
+    [(1, 3, (1, 0, 2, 5, 4), 960), (1, 3, (1, 0, 2, 5, 4), 960)],
+    [(0, 2, (0, 1, 4, 5, 2, 3), 960), (0, 4, (0, 2, 5, 3, 4, 1), 960)],
+    [(0, 1, (1, 0, 2), 24), (0, 2, (1, 2, 0), 24)],
+    [(0, 3, (3, 0, 1, 4, 2), 480), (0, 4, (1, 0, 3, 4, 2), 480)],
+    [(0, 3, (1, 0, 3, 2), 48), (0, 4, (0, 2, 1, 3), 48)],
+    [(1, 2, (1, 0, 3), 48), (1, 2, (1, 0, 3), 48)],
+    [(0, 2, (3, 1, 0, 2), 48), (0, 2, (3, 1, 0, 2), 48)],
+    [(0, 3, (1, 3, 4, 2, 0), 80), (0, 4, (1, 3, 2, 4, 0), 80)],
+    [(0, 2, (0, 1, 3), 48), (0, 3, (0, 2, 3), 48)],
+    [(0, 1, (0, 3, 1), 48), (0, 3, (1, 3, 0), 48)],
+    [(0, 2, (0, 1, 2, 3), 80), (0, 3, (1, 0, 4, 3), 80)],
+    [(1, 2, (0, 4, 5, 1, 2, 3), 960), (1, 2, (0, 4, 5, 1, 2, 3), 960)],
+    [(0, 2, (1, 0, 3), 48), (0, 3, (2, 0, 3), 48)],
+    [(0, 3, (1, 0, 4, 2), 480), (0, 3, (1, 0, 4, 2), 480)],
+    [(0, 2, (1, 6, 5, 0, 4, 3), 1680), (0, 4, (2, 5, 6, 0, 1, 3), 1680)],
+    [(0, 3, (4, 0, 1, 2, 3), 480), (0, 3, (4, 0, 1, 2, 3), 480)],
+    [(0, 2, (1, 0, 2, 4, 3), 480), (0, 4, (1, 0, 2, 3, 4), 480)],
+    [(2, 2, (5, 3, 2, 4, 0, 1), 960), (2, 2, (5, 3, 2, 4, 0, 1), 960)],
+    [(1, 2, (0, 5, 2, 1, 4, 3), 960), (1, 2, (0, 5, 2, 1, 4, 3), 960)],
+    [(0, 4, (0, 5, 3, 4, 1, 2), 120), (0, 4, (0, 5, 3, 4, 1, 2), 120)],
+    [(0, 0, (3, 0, 1), 48), (0, 2, (3, 1, 0), 48)],
+    [(0, 2, (1, 0, 2, 3, 5), 960), (0, 3, (1, 0, 4, 3, 5), 960)],
+    [(0, 1, (1, 0, 4, 3, 5, 2), 120), (0, 2, (1, 4, 0, 5, 3, 2), 120)],
+    [(0, 1, (1, 3, 4, 0), 480), (0, 1, (1, 3, 4, 0), 480)],
+    [(0, 4, (4, 0, 3, 2, 1), 80), (0, 5, (1, 0, 3, 4, 2), 80)],
+    [(2, 2, (0, 1, 3, 6, 2, 5), 1680), (2, 2, (0, 1, 3, 6, 2, 5), 1680)],
+    [(0, 2, (0, 1, 3), 48), (0, 3, (0, 2, 3), 48)],
+    [(0, 2, (3, 0, 5, 4, 2), 120), (0, 3, (3, 0, 1, 5, 2), 120)],
+    [(0, 2, (1, 5, 0, 6, 2, 4), 1680), (0, 3, (5, 4, 0, 6, 1, 3), 1680)],
+    [(1, 3, (0, 2, 3, 1, 4), 480), (1, 4, (1, 0, 3, 2, 4), 480)],
+    [(2, 2, (0, 5, 3, 2, 4, 1), 960), (2, 3, (0, 3, 1, 2, 5, 4), 960)],
+    [(1, 2, (0, 2, 1, 3), 48), (1, 2, (0, 2, 1, 3), 48)],
+    [(0, 2, (0, 1, 5, 3, 2), 120), (0, 4, (3, 1, 2, 4, 0), 120)],
+    [(0, 2, (0, 1, 3, 2), 48), (0, 4, (3, 1, 0, 2), 48)],
+    [(0, 2, (4, 5, 0, 3, 1), 120), (0, 3, (5, 1, 2, 3, 0), 120)],
+    [(0, 2, (4, 0, 5, 1, 2), 120), (0, 3, (3, 0, 5, 4, 2), 120)],
+    [(0, 2, (0, 1, 3), 48), (0, 3, (0, 3, 1), 48)],
+    [(0, 4, (1, 3, 2, 0, 4), 80), (0, 4, (1, 3, 2, 0, 4), 80)],
+    [(0, 1, (4, 0, 5, 1, 3), 120), (0, 5, (4, 1, 3, 0, 2), 120)],
+    [(0, 4, (2, 3, 0, 1), 48), (0, 4, (2, 3, 0, 1), 48)],
+    [(0, 3, (0, 3, 2, 5, 4), 960), (0, 3, (0, 3, 2, 5, 4), 960)],
+    [(0, 0, (0, 4, 3, 1), 80), (0, 2, (1, 3, 4, 0), 80)],
+    [(0, 2, (0, 2, 3, 1), 48), (0, 4, (2, 0, 3, 1), 48)],
+    [(0, 2, (4, 0, 5, 6, 2, 1), 1680), (0, 4, (2, 0, 1, 6, 3, 4), 1680)],
+    [(0, 3, (0, 3, 1, 4, 2), 80), (0, 3, (0, 2, 1, 4, 3), 80)],
+    [(0, 2, (0, 3, 2), 48), (0, 3, (0, 1, 2), 48)],
+    [(0, 2, (0, 2, 1), 48), (0, 2, (0, 2, 1), 48)],
+    [(0, 3, (2, 3, 0, 1, 4), 80), (0, 3, (2, 3, 0, 1, 4), 80)],
+    [(1, 2, (4, 2, 0, 1, 3), 480), (1, 2, (4, 2, 0, 1, 3), 480)],
+    [(0, 1, (0, 1, 3), 48), (0, 2, (0, 2, 1), 48)],
+    [(0, 2, (0, 5, 1, 4, 3), 960), (0, 2, (0, 4, 1, 5, 3), 960)],
+    [(0, 1, (2, 0, 1), 48), (0, 2, (3, 1, 0), 48)],
+    [(0, 3, (0, 3, 2, 1), 480), (0, 4, (1, 3, 0, 2), 480)],
+    [(0, 3, (1, 2, 3, 0), 480), (0, 3, (1, 2, 3, 0), 480)],
+    [(0, 1, (1, 2, 3, 4, 5, 0), 1680), (0, 4, (6, 5, 2, 0, 4, 1), 1680)],
+    [(0, 2, (2, 1, 3, 4, 0), 80), (0, 2, (2, 1, 3, 4, 0), 80)],
+    [(0, 1, (4, 0, 1, 3, 2), 80), (0, 3, (0, 1, 2, 3, 4), 80)],
+    [(1, 3, (0, 1, 4, 2, 3), 480), (1, 3, (0, 1, 4, 2, 3), 480)],
+    [(0, 3, (4, 0, 5, 2, 3, 1), 120), (0, 3, (4, 0, 5, 2, 3, 1), 120)],
+    [(0, 2, (0, 2, 5, 3, 1, 4), 960), (0, 2, (0, 2, 5, 3, 1, 4), 960)],
+    [(1, 1, (5, 0, 1, 3, 2), 120), (1, 1, (5, 0, 1, 3, 2), 120)],
+    [(0, 1, (2, 0, 1), 24), (0, 2, (1, 0, 2), 24)],
+    [(0, 3, (1, 2, 4, 0, 3, 5), 120), (0, 3, (1, 2, 4, 0, 3, 5), 120)],
+    [(0, 2, (4, 3, 0, 1, 5), 120), (0, 3, (1, 4, 0, 5, 3), 120)],
+    [(0, 1, (5, 0, 2, 4, 1), 120), (0, 2, (5, 0, 2, 4, 3), 120)],
+    [(0, 3, (0, 2, 5, 1, 3, 4), 120), (0, 3, (0, 2, 5, 1, 3, 4), 120)],
+    [(0, 3, (0, 1, 3), 48), (0, 3, (0, 1, 3), 48)],
+    [(0, 2, (0, 1, 3), 48), (0, 3, (3, 0, 1), 48)],
+    [(1, 2, (0, 2, 1), 24), (1, 2, (0, 2, 1), 24)],
+    [(0, 3, (3, 1, 2, 0, 4), 480), (0, 3, (0, 1, 2, 3, 4), 480)],
+    [(0, 3, (0, 1, 2, 3), 192), (0, 3, (0, 1, 2, 3), 192)],
+    [(0, 3, (1, 0, 3, 2), 48), (0, 4, (1, 2, 3, 0), 48)],
+    [(0, 2, (3, 0, 4, 1, 2), 480), (0, 2, (3, 0, 4, 1, 2), 480)],
+    [(0, 2, (0, 3, 2, 5, 4), 120), (0, 2, (0, 3, 2, 5, 4), 120)],
+    [(0, 2, (0, 2, 1, 4, 3), 480), (0, 2, (0, 2, 1, 4, 3), 480)],
+    [(0, 3, (3, 4, 0, 1, 2), 80), (0, 4, (2, 4, 0, 1, 3), 80)],
+    [(0, 1, (2, 5, 1, 4, 3), 120), (0, 2, (2, 5, 0, 4, 3), 120)],
+    [(0, 4, (0, 1, 4, 2, 3), 80), (0, 4, (0, 1, 4, 2, 3), 80)],
+    [(0, 3, (2, 0, 1), 24), (0, 3, (2, 0, 1), 24)],
+    [(1, 2, (1, 0, 2, 4, 3), 480), (1, 2, (1, 0, 2, 4, 3), 480)],
+    [(0, 4, (3, 2, 4, 0, 1, 5), 960), (0, 4, (3, 2, 4, 0, 1, 5), 960)],
+    [(0, 2, (4, 1, 0, 2), 80), (0, 2, (4, 1, 0, 2), 80)],
+    [(0, 0, (1, 0, 2, 5, 4), 960), (0, 2, (3, 5, 0, 2, 4), 960)],
+    [(0, 1, (3, 4, 0, 1), 80), (0, 3, (4, 1, 0, 3), 80)],
+    [(0, 2, (1, 3, 4, 2, 0, 5), 120), (0, 3, (1, 5, 0, 3, 2, 4), 120)],
+    [(0, 2, (4, 0, 3, 2, 1), 80), (0, 2, (4, 0, 3, 2, 1), 80)],
+    [(0, 2, (6, 0, 5, 4, 3, 1), 168), (0, 3, (4, 0, 6, 3, 5, 1), 168)],
+    [(0, 3, (1, 5, 0, 4, 2, 3), 120), (0, 3, (1, 5, 0, 4, 2, 3), 120)],
+    [(1, 1, (6, 0, 5, 1, 3, 2), 1680), (1, 2, (6, 0, 4, 1, 3, 2), 1680)],
+    [(0, 2, (0, 1, 4, 6, 5, 3), 1680), (0, 4, (0, 3, 4, 2, 6, 5), 1680)],
+    [(0, 5, (5, 0, 3, 1, 4, 6), 168), (0, 5, (5, 0, 3, 1, 4, 6), 168)],
+    [(0, 3, (6, 5, 4, 2, 0, 1), 168), (0, 4, (6, 5, 3, 2, 0, 1), 168)],
+    [(1, 2, (2, 0, 1, 3), 48), (1, 2, (2, 0, 1, 3), 48)],
+    [(1, 2, (0, 1, 3, 2), 192), (1, 2, (0, 1, 3, 2), 192)],
+    [(0, 2, (6, 4, 0, 1, 5, 2), 1680), (0, 2, (6, 4, 0, 1, 5, 2), 1680)],
+    [(0, 1, (4, 1, 2, 3, 0), 120), (0, 3, (0, 5, 2, 1, 4), 120)],
+    [(0, 2, (3, 2, 0, 4), 480), (0, 2, (3, 2, 0, 4), 480)],
+    [(0, 2, (0, 3, 1, 4, 2), 960), (0, 3, (0, 3, 2, 5, 1), 960)],
+    [(0, 3, (3, 1, 0, 2, 5, 4), 960), (0, 4, (4, 1, 0, 2, 5, 3), 960)],
+    [(0, 2, (0, 1, 3), 48), (0, 3, (0, 2, 3), 48)],
+    [(0, 2, (2, 0, 1, 3), 48), (0, 3, (2, 1, 0, 3), 48)],
+    [(1, 1, (0, 6, 4, 1, 2, 3), 1680), (1, 3, (1, 6, 5, 2, 0, 4), 1680)],
+    [(0, 1, (2, 0, 1), 24), (0, 3, (1, 0, 2), 24)],
+]
+
+
+def test_vc_xp_restricted_rest_agents_keep_optimum_and_witnesses(monkeypatch):
+    # The one-worker solves also count their min-cost matchings and those
+    # that find no assignment, pinned with the witnesses: the leaf's bounds
+    # and filters decide which guesses get one.
+    engine = haan.solvers.min_cost_saturating_assignment
+    matched = []
+
+    def counting(rows):
+        result = engine(rows)
+        matched.append(result is not None)
+        return result
+
+    monkeypatch.setattr("haan.solvers.min_cost_saturating_assignment", counting)
+    rng = random.Random(2026)
+    seen = dict.fromkeys(("two or more forbidders", "rest agent restricted by several",
+                          "every rest agent restricted", "rest agent with no house"), 0)
+    for trial, want in enumerate(VC_XP_RESTRICTED):
+        inst, cover = restricted_cover_instance(rng)
+        for case in _vc_leaf_cases(inst, cover):
+            seen[case] += 1
+        got = []
+        for objective in Objective:
+            happy = objective is Objective.MIN_ENVY_THEN_MAX_HAPPY
+            ref_envy, ref_happy, _ = brute_optimum(inst, happy=happy)
+            runs = [
+                solve_vertex_cover_xp(inst, cover, SolverConfig(objective=objective, workers=w))
+                for w in (1, 2)
+            ]
+            for r in runs:
+                assert r.min_envy == ref_envy, (trial, objective)
+                if happy:
+                    assert r.happiness == ref_happy, trial
+            rows = {(r.min_envy, r.happiness, r.allocation.assignment, r.guesses_explored)
+                    for r in runs}
+            assert len(rows) == 1, (trial, objective)
+            got.extend(rows)
+        assert got == want, trial
+    assert (len(matched), matched.count(False)) == (1410, 188)
+    assert all(count >= 10 for count in seen.values()), seen
+
+
 # Deep vc-xp searches (clique-vc-split at t=1): (min_envy, happiness,
 # allocation, guesses_explored) per objective (envy, envy-happy).
 VC_XP_DEEP = {
@@ -1378,6 +1581,26 @@ def _loaded_after(code: str, modules: tuple[str, ...]) -> list[str]:
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
+
+
+def test_bits_is_linear_on_large_sets():
+    def one_at_a_time(items):
+        mask = 0
+        for i in items:
+            mask |= 1 << i
+        return mask
+
+    start = time.perf_counter()
+    assert haan.solvers._bits(range(10**6)) == (1 << 10**6) - 1
+    assert time.perf_counter() - start < 1.0
+    rng = random.Random(314)
+    for trial in range(200):
+        items = rng.sample(range(rng.choice((10, 100, 5000))), rng.randint(0, 10))
+        items += rng.choices(items or [0], k=rng.randint(0, 200) if trial % 2 else 0)
+        want = one_at_a_time(items)
+        assert haan.solvers._bits(items) == want, trial
+        assert haan.solvers._bits(iter(items)) == want, trial
+        assert haan.solvers._bits(frozenset(items)) == want, trial
 
 
 def test_library_and_cli_load_no_undeclared_dependency():

@@ -10,10 +10,15 @@ where its Hall tests prune most, vc-xp with one worker and with two,
 brute force over all 40,320 assignments of an 8-agent instance), then the
 inputs of ``DEEP`` under ``auto`` with both objectives, then a seeded
 random set of small instances, half of them annotated with forbidden
-houses and angry agents, solved by the separator under both objectives.
-Every call runs with no deadline and the given guess limit (none by
-default), and with one worker unless its label ends in ``:w2``, so the
-output depends only on the code under ``ROOT``.
+houses and angry agents, solved by the separator under both objectives,
+then ``COVER_DRAWS`` seeded small instances with a given vertex cover,
+drawn by ``tests/oracles.restricted_cover_instance`` of this script's own
+checkout, solved by vc-xp on that cover under both objectives (its cover
+agents often forbid houses to several rest agents, to every one of them,
+or every remaining house to one). Every call runs with no deadline and
+the given guess limit (none by default), and with one worker unless its
+label ends in ``:w2``, so the output depends only on the code under
+``ROOT``.
 
 Compare two checkouts (``ROOT`` defaults to the one holding this script)::
 
@@ -36,6 +41,8 @@ from pathlib import Path
 sys.dont_write_bytecode = True
 
 SEEDS = (0, 1, 2, 3)
+
+COVER_DRAWS = 400
 
 # (algorithm, worker counts, generator in haan.reductions, source graph,
 # its other arguments) of the heavy calls.
@@ -96,19 +103,23 @@ def main(argv=None) -> int:
     args = _args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
     import corpus
+    from oracles import restricted_cover_instance
     from haan import reductions, solvers
     from haan.cli.sources import named_source_graph
     from haan.errors import HaanError
     from haan.model import AnnotatedInstance, Instance
     from haan.solvers import Objective, SolverConfig
 
-    def call(label, algo, objective, inst, ann, workers=1):
+    def call(label, algo, objective, inst, ann, workers=1, cover=None):
         cfg = SolverConfig(objective=objective, workers=workers,
                            guess_limit=args.guess_limit)
         try:
             if algo == "separator":
                 r = solvers.solve_separator(ann or AnnotatedInstance.plain(inst), cfg)
+            elif cover is not None:
+                r = solvers.solve_vertex_cover_xp(inst, cover, cfg)
             else:
                 r = solvers.solve(inst, algo, cfg)
         except (HaanError, MemoryError, RecursionError) as exc:
@@ -140,6 +151,11 @@ def main(argv=None) -> int:
     for label, ann in _random_cases(random.Random(args.random_seed), args.random):
         for objective in Objective:
             records.append(call(label, "separator", objective, ann.base, ann))
+    rng = random.Random(args.random_seed)
+    for i in range(COVER_DRAWS):
+        inst, cover = restricted_cover_instance(rng)
+        for objective in Objective:
+            records.append(call(f"cover-{i}", "vc-xp", objective, inst, None, cover=cover))
     args.out.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
     print(f"{len(records)} calls written to {args.out}")
     return 0
