@@ -31,7 +31,6 @@ from .model import (
     EnvyReport,
     Instance,
     SolveResult,
-    check_allocation,
     evaluate,
     evaluate_annotated,
 )

@@ -136,13 +136,16 @@ def find_min_vertex_cover(inst: Instance, budget: int,
 
     Among minimum covers, returns the lexicographically smallest (as a
     sorted index list). For each size k from 0 up to the budget, one
-    include-first search visits the vertices in index order. At vertex v
-    it first puts v in the cover; otherwise it leaves v out, which forces
-    every higher neighbour of v into the cover. A vertex already forced
-    costs nothing more, and a vertex whose higher neighbours are all in
-    the cover is left out at no cost (a cover holding it and all its
-    neighbours is not minimum). The first cover found within size k is
-    the answer. ``deadline`` is checked every 1024 branches.
+    include-first depth-first search visits the vertices in index order,
+    from an explicit stack of ``(v, chosen, left)``: the vertices below v
+    are decided, ``chosen`` holds those put in the cover and those forced
+    in, and at most ``left`` more may join. At vertex v it first puts v in
+    the cover; otherwise it leaves v out, which forces every higher
+    neighbour of v into the cover. A vertex already forced costs nothing
+    more, and a vertex whose higher neighbours are all in the cover is left
+    out at no cost (a cover holding it and all its neighbours is not
+    minimum). The first cover found within size k is the answer.
+    ``deadline`` is checked every 1024 branches.
     """
     n = inst.n_agents
     # Bit u of up[v]: u is a neighbour of v above it.
@@ -150,28 +153,22 @@ def find_min_vertex_cover(inst: Instance, budget: int,
     for u, v in inst.edges:
         up[u] |= 1 << v
     branches = 0
-
-    def search(v: int, chosen: int, k: int) -> int | None:
-        """Cover mask extending ``chosen`` (the vertices below v put in the
-        cover, and those forced in) by at most k more vertices, or ``None``."""
-        nonlocal branches
-        branches += 1
-        if not branches & 1023:
-            check_deadline(deadline)
-        while v < n and (chosen >> v & 1 or not up[v] & ~chosen):
-            v += 1
-        if v == n:
-            return chosen
-        if k:
-            found = search(v + 1, chosen | 1 << v, k - 1)
-            if found is not None:
-                return found
-        forced = up[v] & ~chosen
-        cost = forced.bit_count()
-        return search(v + 1, chosen | forced, k - cost) if cost <= k else None
-
     for k in range(min(budget, n) + 1):
-        cover = search(0, 0, k)
-        if cover is not None:
-            return frozenset(v for v in range(n) if cover >> v & 1)
+        stack = [(0, 0, k)]
+        while stack:
+            v, chosen, left = stack.pop()
+            branches += 1
+            if not branches & 1023:
+                check_deadline(deadline)
+            while v < n and (chosen >> v & 1 or not up[v] & ~chosen):
+                v += 1
+            if v == n:
+                return frozenset(u for u in range(n) if chosen >> u & 1)
+            # Leaving v out is pushed first, so putting it in is tried first.
+            forced = up[v] & ~chosen
+            cost = forced.bit_count()
+            if cost <= left:
+                stack.append((v + 1, chosen | forced, left - cost))
+            if left:
+                stack.append((v + 1, chosen | 1 << v, left - 1))
     return None

@@ -21,7 +21,6 @@ __all__ = [
     "EnvyReport",
     "AnnotatedInstance",
     "SolveResult",
-    "check_allocation",
     "evaluate",
     "evaluate_annotated",
 ]
@@ -198,7 +197,7 @@ class SolveResult:
     guesses_explored: int
 
 
-def check_allocation(inst: Instance, alloc: Allocation) -> None:
+def _check_allocation(inst: Instance, alloc: Allocation) -> None:
     """Raise :class:`InvalidAllocation` unless ``alloc`` is total, injective
     and in range for ``inst``."""
     assignment = alloc.assignment
@@ -221,7 +220,7 @@ def evaluate(inst: Instance, alloc: Allocation) -> EnvyReport:
     Agent ``a`` envies neighbor ``b`` iff ``a`` did not receive a preferred
     house while ``b`` received a house that ``a`` prefers.
     """
-    check_allocation(inst, alloc)
+    _check_allocation(inst, alloc)
     assignment = alloc.assignment
     prefs = inst.preferences
     happy = tuple(assignment[a] in prefs[a] for a in range(inst.n_agents))

@@ -55,18 +55,15 @@ class SourceGraph:
         object.__setattr__(self, "n_vertices", n_vertices)
         object.__setattr__(self, "edges", normalize_edges(edges, n_vertices, "vertex"))
 
-    def degrees(self) -> list[int]:
+    def regular_degree(self) -> int | None:
+        if self.n_vertices == 0:
+            return 0
         degs = [0] * self.n_vertices
         for u, v in self.edges:
             degs[u] += 1
             degs[v] += 1
-        return degs
-
-    def regular_degree(self) -> int | None:
-        degs = set(self.degrees())
-        if self.n_vertices == 0:
-            return 0
-        return degs.pop() if len(degs) == 1 else None
+        common = set(degs)
+        return common.pop() if len(common) == 1 else None
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
         vs = sorted(set(vertices))

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -111,19 +111,14 @@ def _key_weights(cfg: SolverConfig, n: int) -> tuple[int, int]:
     return 1, 0
 
 
-def _bits(items: Iterable[int]) -> int:
+def _bits(items: Collection[int]) -> int:
     """Bitmask with bit ``i`` set for every ``i`` in ``items``.
 
     Setting one bit at a time rebuilds the growing integer per item, which
     is quadratic on large sets, so more than 64 items go through a byte
     array instead; small sets keep the loop, which is faster on them.
     """
-    try:
-        small = len(items) <= 64
-    except TypeError:  # an iterator: read it once
-        items = list(items)
-        small = len(items) <= 64
-    if small:
+    if len(items) <= 64:
         mask = 0
         for i in items:
             mask |= 1 << i
@@ -309,8 +304,11 @@ def _bf_chunk(args) -> tuple[int | None, tuple | None]:
                 return True
         return False
 
-    # One agent reads the houses lazily: only the guess limit bounds m then.
-    visit(0, range(m + 1) if n == 1 else tuple(range(m + 1)), m, 0, 0)
+    try:
+        # One agent reads the houses lazily: only the guess limit bounds m then.
+        visit(0, range(m + 1) if n == 1 else tuple(range(m + 1)), m, 0, 0)
+    finally:
+        del visit  # it refers to itself through its closure
     return best_key, best
 
 
@@ -450,25 +448,28 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None]:
             else:
                 visit(level + 1, child, lost + loss)
 
-    for smask in range(1 << n):
-        if best_key == floor:
-            break  # nothing later can beat it
-        if deadline is not None and not smask & 63:
-            check_deadline(deadline)
-        if smask & isolated:
-            continue  # an agent without neighbours envies nobody: no guesses
-        env = smask.bit_count()
-        # Key bounds: every undecided agent happy, and at most H happy.
-        top = env * scale - w * (n - env)
-        cap = env * scale + floor
-        if best_key is not None and max(top, cap) >= best_key:
-            continue
-        # Depth first: the envious agents' first envied neighbours (support
-        # order, positions ascending), then the other agents from last to
-        # first, unhappy before happy, so leaves come in cmask order.
-        levels = [envious[a] for a in range(n) if smask >> a & 1]
-        levels += [calm[a] for a in range(n - 1, -1, -1) if not smask >> a & 1]
-        visit(0, full, 0)
+    try:
+        for smask in range(1 << n):
+            if best_key == floor:
+                break  # nothing later can beat it
+            if deadline is not None and not smask & 63:
+                check_deadline(deadline)
+            if smask & isolated:
+                continue  # an agent without neighbours envies nobody: no guesses
+            env = smask.bit_count()
+            # Key bounds: every undecided agent happy, and at most H happy.
+            top = env * scale - w * (n - env)
+            cap = env * scale + floor
+            if best_key is not None and max(top, cap) >= best_key:
+                continue
+            # Depth first: the envious agents' first envied neighbours (support
+            # order, positions ascending), then the other agents from last to
+            # first, unhappy before happy, so leaves come in cmask order.
+            levels = [envious[a] for a in range(n) if smask >> a & 1]
+            levels += [calm[a] for a in range(n - 1, -1, -1) if not smask >> a & 1]
+            visit(0, full, 0)
+    finally:
+        del visit  # it refers to itself through its closure
     return best_key, best
 
 
@@ -516,7 +517,12 @@ def _lowest_tuples(cands: Sequence[int], cls: Sequence[int], avail: int,
     in lexicographic order, where each entry is the lowest house of its
     class among ``avail``, the houses still free: ``cls[h]`` is the mask
     of house ``h``'s class. Each tuple comes with the houses it leaves
-    free."""
+    free.
+
+    Every mask of ``cands`` must hold all or none of each class's houses in
+    ``avail``, as the separator's feasible sets do. Taking a class's lowest
+    free house keeps that so, and then the first house of a class that the
+    loop meets is its lowest free one."""
     if j == len(cands):
         yield prefix, avail
         return
@@ -527,8 +533,6 @@ def _lowest_tuples(cands: Sequence[int], cls: Sequence[int], avail: int,
         h = bit.bit_length() - 1
         c = cls[h]
         free &= ~c  # no higher house of the class is its lowest free one
-        if c & avail & bit - 1:
-            continue  # a lower house of the class is free
         if last:
             yield prefix + (h,), avail ^ bit
         else:
@@ -1009,6 +1013,17 @@ def _vc_space(m: int, k: int) -> int:
     return math.perm(m, k) << k
 
 
+def _fitting_cover_size(n: int, m: int, limit: int | None) -> int:
+    """Largest cover size k <= n whose vc-xp guess space fits ``limit``;
+    n when ``limit`` is ``None``."""
+    if limit is None:
+        return n
+    k = 0
+    while k < n and _vc_space(m, k + 1) <= limit:
+        k += 1
+    return k
+
+
 def solve_vertex_cover_xp(
     inst: Instance,
     cover: Iterable[int] | None = None,
@@ -1025,6 +1040,11 @@ def solve_vertex_cover_xp(
     tuples come in lexicographic order and the first optimum is kept. It
     stops at its first guess whose key is the floor.
     ``guesses_explored`` is the guess space by formula, perm(m, k)·2^k.
+
+    With no ``cover`` given, the cover is the lexicographically least
+    minimum one, searched only up to the largest size whose guess space
+    fits ``cfg.guess_limit``; when no cover of that size exists,
+    :class:`BudgetExceeded` is raised at once.
 
     These rules skip guesses without changing the optimum or the witness:
 
@@ -1069,8 +1089,12 @@ def solve_vertex_cover_xp(
     if m < n:
         raise InstanceInfeasible(f"{m} houses for {n} agents")
     if cover is None:
-        cover_set = find_min_vertex_cover(inst, n, cfg.deadline)
-        assert cover_set is not None  # a budget of n always suffices
+        budget = _fitting_cover_size(n, m, cfg.guess_limit)
+        cover_set = find_min_vertex_cover(inst, budget, cfg.deadline)
+        if cover_set is None:  # so budget < n and the limit is set
+            # Every larger cover's guess space is at least this one's.
+            raise BudgetExceeded(f"vc-xp: guess space {_vc_space(m, budget + 1)} "
+                                 f"exceeds limit {cfg.guess_limit}")
     else:
         cover_set = frozenset(cover)
         for a in cover_set:
@@ -1120,10 +1144,8 @@ def solve(inst: Instance | AnnotatedInstance, algo: str = "auto",
             algo = "d1"
         else:
             limit = DEFAULT_GUESS_LIMIT if cfg.guess_limit is None else cfg.guess_limit
-            budget = 0
-            while budget < n and _vc_space(m, budget + 1) <= limit:
-                budget += 1
-            cover = find_min_vertex_cover(inst, budget, cfg.deadline)
+            cover = find_min_vertex_cover(inst, _fitting_cover_size(n, m, limit),
+                                          cfg.deadline)
             algo = "separator" if cover is None else "vc-xp"
     if algo == "brute":
         return solve_bruteforce(inst, cfg)

@@ -338,6 +338,20 @@ def test_solve_checks_the_guess_budget_before_building_per_house_tables(tmp_path
     assert "exceeds limit" in proc.stderr
 
 
+def test_solve_vc_xp_refuses_a_cover_over_the_guess_limit_at_once(tmp_path, capsys):
+    # 1,200 disjoint edges need a 1,200-agent cover, and a search for it
+    # would not end; covers above one agent are over the default limit.
+    k = 1200
+    inst = Instance(2 * k, 2 * k, [(2 * i, 2 * i + 1) for i in range(k)],
+                    [[a] for a in range(2 * k)])
+    path = tmp_path / "pairs.haan"
+    path.write_text(render_instance_text(InstanceDocument(inst)))
+    code, out, err = run_cli_capture(capsys, "solve", str(path), "--algo", "vc-xp",
+                                     "--timeout", "5")
+    assert (code, out) == (5, "")
+    assert "exceeds limit" in err
+
+
 def test_bench_records_out_of_memory(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
