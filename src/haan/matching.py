@@ -11,13 +11,18 @@ Two entry points, both deterministic:
 - ``min_cost_saturating_assignment``: the shortest-augmenting-path
   Hungarian method (Kuhn; Jonker-Volgenant) on a dense cost table with
   ``None`` for an inadmissible pair. The d1 and vc-xp solvers use it to
-  extend a guess at minimum cost.
+  extend a guess at minimum cost. A row whose cheapest column is free
+  takes it directly; only a row whose cheapest column is held runs the
+  shortest-path search, seeded with that first scan. It takes an optional
+  deadline, checked every 64 rows.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
+
+from .errors import check_deadline
 
 __all__ = [
     "left_perfect_matching_masks",
@@ -88,6 +93,7 @@ def max_matching_size_masks(fmasks: Sequence[int], n_right: int) -> int:
 
 def min_cost_saturating_assignment(
     cost_rows: Sequence[Sequence[int | None]],
+    deadline: float | None = None,
 ) -> tuple[int, list[int]] | None:
     """Min-cost matching that must cover every left vertex, else ``None``.
 
@@ -100,6 +106,14 @@ def min_cost_saturating_assignment(
     path (Dijkstra on reduced costs, with dual potentials ``u``/``v`` that
     keep them non-negative), which keeps the partial matching optimal. A
     row with no augmenting path admits no left-saturating matching.
+
+    Each new row is scanned once first: its reduced costs, and the column
+    of least reduced cost (among equal columns the last free one, else the
+    first). A free column ends the search there, as the path of one edge;
+    a held one seeds Dijkstra with the scanned distances. Ties are broken
+    the same way at every step, so the assignment returned is determined
+    by the table. ``deadline`` (a ``time.monotonic()`` cutoff) is checked
+    before the first row and then every 64 rows.
     """
     n_left = len(cost_rows)
     if n_left == 0:
@@ -112,14 +126,39 @@ def min_cost_saturating_assignment(
     v = [0] * n_right
     col_of = [-1] * n_left
     row_of = [-1] * n_right
+    shifted = False  # v stays all zero until a search moves it
     for start in range(n_left):
-        dist = [inf] * n_right
-        via = [-1] * n_right
+        if not start & 63:
+            check_deadline(deadline)
+        row = cost_rows[start]
+        if shifted:
+            dist = [inf if c is None else c - b for c, b in zip(row, v)]
+        elif None in row:
+            dist = [inf if c is None else c for c in row]
+        else:
+            dist = list(row)
+        reach = min(dist)
+        if reach == inf:
+            return None
+        pick = dist.index(reach)
+        if dist.count(reach) > 1:
+            for j in range(n_right - 1, pick, -1):
+                if dist[j] == reach and row_of[j] == -1:
+                    pick = j
+                    break
+        if row_of[pick] == -1:  # the shortest augmenting path: one edge
+            u[start] = reach
+            col_of[start] = pick
+            row_of[pick] = start
+            continue
+        shifted = True
+        via = [start] * n_right
         todo = list(range(n_right))
-        rows_seen = []
-        cols_seen = []
-        i, reach = start, 0
-        while True:
+        todo.remove(pick)
+        rows_seen = [start]
+        cols_seen = [pick]
+        while row_of[pick] != -1:
+            i = row_of[pick]
             rows_seen.append(i)
             row, base = cost_rows[i], reach - u[i]
             best, pick = inf, -1
@@ -135,9 +174,6 @@ def min_cost_saturating_assignment(
             reach = best
             todo.remove(pick)
             cols_seen.append(pick)
-            if row_of[pick] == -1:
-                break
-            i = row_of[pick]
         for i in rows_seen:
             u[i] += reach - (0 if i == start else dist[col_of[i]])
         for j in cols_seen:
@@ -149,4 +185,6 @@ def min_cost_saturating_assignment(
             col_of[i], j = j, col_of[i]
             if i == start:
                 break
-    return sum(cost_rows[l][col_of[l]] for l in range(n_left)), col_of
+    # Matched pairs have zero reduced cost, and a column keeps v = 0 until
+    # it is matched, so the duals add up to the total.
+    return sum(u) + sum(v), col_of

@@ -348,8 +348,11 @@ def solve_d1_matching(inst: Instance, cfg: SolverConfig | None = None) -> SolveR
     The cost of assigning house h to agent a is the number of neighbors
     whose single preferred house is h (the agents that assignment makes
     envious); a minimum-cost agent-saturating matching on the complete
-    bipartite graph is then an optimal allocation.
+    bipartite graph is then an optimal allocation. The deadline is checked
+    every 64 agents, while their cost rows are built and while they are
+    matched.
     """
+    cfg = cfg or SolverConfig()
     n, m = inst.n_agents, inst.n_houses
     if any(len(p) != 1 for p in inst.preferences):
         raise WrongSolver("d1 solver requires exactly one preferred house per agent")
@@ -361,13 +364,15 @@ def solve_d1_matching(inst: Instance, cfg: SolverConfig | None = None) -> SolveR
     # only breaks ties among minimum-cost matchings toward happier ones.
     rows: list[list[int | None]] = []
     for a in range(n):
+        if not a & 63:
+            check_deadline(cfg.deadline)
         counts = [0] * m
         for b in inst.neighbors[a]:
             counts[single[b]] += 1
         rows.append(
             [scale * counts[h] - (1 if single[a] == h else 0) for h in range(m)]
         )
-    matched = min_cost_saturating_assignment(rows)
+    matched = min_cost_saturating_assignment(rows, cfg.deadline)
     assert matched is not None  # complete bipartite graph with m >= n
     _, assignment = matched
     return _result(inst, assignment, "d1", 0)
@@ -945,7 +950,7 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None]:
                 pa, miss = pref[a], scale * (seen >> a & 1)
                 rows.append([(-w if pa >> h & 1 else miss) if ok >> h & 1 else None
                              for h in remaining])
-            matched = min_cost_saturating_assignment(rows)
+            matched = min_cost_saturating_assignment(rows, deadline)
             if matched is None:
                 continue
             # The cover's part of the key, then the rest's.
@@ -1014,12 +1019,14 @@ def _vc_space(m: int, k: int) -> int:
 
 
 def _fitting_cover_size(n: int, m: int, limit: int | None) -> int:
-    """Largest cover size k <= n whose vc-xp guess space fits ``limit``;
-    n when ``limit`` is ``None``."""
+    """Largest cover size k <= min(n, m) whose vc-xp guess space fits
+    ``limit``; min(n, m) when ``limit`` is ``None``. A cover of more than
+    m agents has no house tuple (its guess space, 0, is no space that fits)."""
+    top = min(n, m)
     if limit is None:
-        return n
+        return top
     k = 0
-    while k < n and _vc_space(m, k + 1) <= limit:
+    while k < top and _vc_space(m, k + 1) <= limit:
         k += 1
     return k
 

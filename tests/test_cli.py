@@ -352,6 +352,19 @@ def test_solve_vc_xp_refuses_a_cover_over_the_guess_limit_at_once(tmp_path, caps
     assert "exceeds limit" in err
 
 
+def test_solve_auto_refuses_fewer_houses_than_agents_at_once(tmp_path, capsys):
+    # 80 agents share 3 houses. No cover above 3 agents has a house tuple,
+    # so `auto` searches none before the house count is checked.
+    rng = random.Random(0)
+    inst = Instance(80, 3, rng.sample(list(combinations(range(80), 2)), 160),
+                    [rng.sample(range(3), rng.randint(1, 2)) for _ in range(80)])
+    path = tmp_path / "crowd.haan"
+    path.write_text(render_instance_text(InstanceDocument(inst)))
+    code, out, err = run_cli_capture(capsys, "solve", str(path), "--timeout", "5")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ")
+
+
 def test_bench_records_out_of_memory(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -1,5 +1,10 @@
+import hashlib
 import random
+import time
 
+import pytest
+
+from haan.errors import SolveTimeout
 from haan.matching import (
     left_perfect_matching_masks,
     max_matching_size_masks,
@@ -202,3 +207,45 @@ def test_saturating_assignment_edge_cases():
             assert_valid(rows, got)
             shapes["negative"] += cost < 0
     assert all(count >= 10 for count in shapes.values()), shapes
+
+
+def test_min_cost_with_an_expired_deadline_times_out():
+    with pytest.raises(SolveTimeout):
+        min_cost_saturating_assignment([[0, 1]], time.monotonic() - 1)
+    assert min_cost_saturating_assignment([], time.monotonic() - 1) == (0, [])
+
+
+def tie_tables():
+    """Seeded cost tables shaped like the solvers' own: vc-xp's leaf tables
+    (up to 6 x 9, entries from {-1, 0, 1, None}) and d1's dense ones."""
+    rng = random.Random(2024)
+    for _ in range(1500):
+        n_left = rng.randint(1, 6)
+        n_right = rng.randint(n_left, 9)
+        p_none = rng.choice((0.0, 0.3, 0.6))
+        yield [[None if rng.random() < p_none else rng.choice((-1, 0, 1))
+                for _ in range(n_right)] for _ in range(n_left)]
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        m = rng.randint(n, 10)
+        single = [rng.randrange(m) for _ in range(n)]
+        nbrs = [[b for b in range(n) if b != a and rng.random() < 0.4] for a in range(n)]
+        yield [[(n + 1) * sum(single[b] == h for b in nbrs[a]) - (single[a] == h)
+                for h in range(m)] for a in range(n)]
+
+
+def test_min_cost_tie_breaking_is_pinned():
+    """vc-xp's and d1's witnesses depend on which optimal assignment the
+    engine returns, not only on its cost. Least reduced cost, and among
+    equal columns the last free one, else the first."""
+    assert min_cost_saturating_assignment([[0, 0]]) == (0, [1])
+    assert min_cost_saturating_assignment([[0, 0, 0], [0, 0, 0]]) == (0, [2, 1])
+    # Row 1's cheapest column is held.
+    assert min_cost_saturating_assignment([[0, 1, 1], [0, 1, 1]]) == (1, [0, 2])
+    # Row 1's only free column is inadmissible for it.
+    assert min_cost_saturating_assignment([[0, 1], [0, None]]) == (1, [1, 0])
+    # The tables hold both kinds of row many times over, and infeasible ones.
+    got = [min_cost_saturating_assignment(rows) for rows in tie_tables()]
+    assert len(got) == 2000
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "22d081a36967d82f97e4c5155cc0d9a00fa0024f488bfbc48dd5cadf89c30cfb")

@@ -186,7 +186,23 @@ def test_brute_with_an_expired_deadline_times_out():
         solve_bruteforce(inst, SolverConfig(deadline=time.monotonic() - 1))
 
 
+def test_auto_refuses_fewer_houses_than_agents_at_once():
+    # No cover above 3 agents has a house tuple on 3 houses, so `auto`
+    # searches none before the house count is checked.
+    rng = random.Random(0)
+    inst = Instance(80, 3, rng.sample(list(combinations(range(80), 2)), 160),
+                    [rng.sample(range(3), rng.randint(1, 2)) for _ in range(80)])
+    with pytest.raises(InstanceInfeasible):
+        solve(inst, "auto", SolverConfig(deadline=time.monotonic() + 2.0))
+
+
 # -- d = 1 matching solver ---------------------------------------------------
+
+def test_d1_with_an_expired_deadline_times_out():
+    with pytest.raises(SolveTimeout):
+        solve_d1_matching(Instance(2, 2, [(0, 1)], [[0], [0]]),
+                          SolverConfig(deadline=time.monotonic() - 1))
+
 
 def test_d1_disjoint_preferences():
     inst = Instance(2, 2, [], [[0], [1]])
@@ -1551,8 +1567,8 @@ def test_vc_xp_restricted_rest_agents_keep_optimum_and_witnesses(monkeypatch):
     engine = haan.solvers.min_cost_saturating_assignment
     matched = []
 
-    def counting(rows):
-        result = engine(rows)
+    def counting(rows, deadline):
+        result = engine(rows, deadline)
         matched.append(result is not None)
         return result
 
