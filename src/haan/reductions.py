@@ -90,6 +90,33 @@ def _ekey(u: int, v: int) -> str:
     return f"{u}-{v}" if u < v else f"{v}-{u}"
 
 
+def _check_k(k: int, lo: int, hi: int) -> None:
+    if not lo <= k <= hi:
+        raise BadK(f"k={k} outside [{lo}, {hi}]")
+
+
+def _across(left: int, n: int) -> list[tuple[int, int]]:
+    """Every agent pair with one agent below ``left`` and one at or above
+    it, among ``n`` agents: the complete bipartite join of the two sides."""
+    return [(a, b) for a in range(left) for b in range(left, n)]
+
+
+def _reduced(name: str, g: SourceGraph, params: dict, target: int,
+             prefs: list[list[int]], n_houses: int, first_dummy: int,
+             agent_edges: Iterable[Sequence[int]], **maps) -> ReducedInstance:
+    """The ``ReducedInstance`` of generator ``name``: one agent per entry of
+    ``prefs``, and a provenance holding ``params`` with the source edges,
+    the family's ``maps``, and houses ``first_dummy`` up as dummies."""
+    provenance = {
+        "generator": name,
+        "params": {**params, "source_edges": [list(e) for e in g.edges]},
+        **maps,
+        "dummy_houses": list(range(first_dummy, n_houses)),
+    }
+    inst = Instance(len(prefs), n_houses, agent_edges, prefs)
+    return ReducedInstance(inst, target, provenance)
+
+
 def _checked_clique(red: ReducedInstance, clique: Iterable[int],
                     name: str, generators: tuple[str, ...]) -> list[int]:
     """The sorted ``clique``, after checking that ``red`` comes from one of
@@ -131,50 +158,27 @@ def gen_clique_bipartite_d2(g: SourceGraph, k: int) -> ReducedInstance:
     if delta is None:
         raise NotRegular("source graph is not regular")
     big_n, big_m = g.n_vertices, len(g.edges)
-    if not 1 <= k <= big_n:
-        raise BadK(f"k={k} outside [1, {big_n}]")
+    _check_k(k, 1, big_n)
     target = k * delta - k * (k - 1) // 2
     if target < 0:
         raise BadK(f"k={k} makes the target negative on a {delta}-regular graph")
-    n_dummy = delta * big_n + big_m - k
+    n_vertex_agents = delta * big_n
+    n_dummy = n_vertex_agents + big_m - k
     if n_dummy < 0:
-        raise BadK(f"k={k} exceeds the agent count {delta * big_n + big_m}")
+        raise BadK(f"k={k} exceeds the agent count {n_vertex_agents + big_m}")
 
-    n_agents = delta * big_n + big_m
-    n_houses = big_n + n_dummy
-    prefs: list[list[int]] = []
-    vertex_agents: dict[str, list[int]] = {}
-    for v in range(big_n):
-        ids = [v * delta + j for j in range(delta)]
-        vertex_agents[str(v)] = ids
-        for _ in ids:
-            prefs.append([v])
-    edge_agents: dict[str, int] = {}
-    for ei, (u, v) in enumerate(g.edges):
-        aid = delta * big_n + ei
-        edge_agents[_ekey(u, v)] = aid
-        prefs.append([u, v])
-    agent_edges = [
-        (va, ea)
-        for va in range(delta * big_n)
-        for ea in range(delta * big_n, n_agents)
-    ]
-    inst = Instance(n_agents, n_houses, agent_edges, prefs)
-    provenance = {
-        "generator": "clique-bip-d2",
-        "params": {
-            "k": k,
-            "delta": delta,
-            "n_vertices": big_n,
-            "source_edges": [list(e) for e in g.edges],
-        },
-        "vertex_agents": vertex_agents,
-        "edge_agents": edge_agents,
-        "vertex_houses": {str(v): v for v in range(big_n)},
-        "dummy_houses": list(range(big_n, n_houses)),
-        "trivial": k > delta,
-    }
-    return ReducedInstance(inst, target, provenance)
+    prefs = [[v] for v in range(big_n) for _ in range(delta)]
+    prefs += [[u, v] for u, v in g.edges]
+    return _reduced(
+        "clique-bip-d2", g, {"k": k, "delta": delta, "n_vertices": big_n}, target,
+        prefs, big_n + n_dummy, big_n, _across(n_vertex_agents, len(prefs)),
+        vertex_agents={str(v): list(range(v * delta, (v + 1) * delta))
+                       for v in range(big_n)},
+        edge_agents={_ekey(u, v): n_vertex_agents + ei
+                     for ei, (u, v) in enumerate(g.edges)},
+        vertex_houses={str(v): v for v in range(big_n)},
+        trivial=k > delta,
+    )
 
 
 def witness_from_clique(red: ReducedInstance, clique: Iterable[int]) -> Allocation:
@@ -201,25 +205,14 @@ def gen_halfsep_3regular(g: SourceGraph, k: int) -> ReducedInstance:
     if g.regular_degree() != 3:
         raise Not3Regular("source graph is not 3-regular")
     n = g.n_vertices
-    if not 0 <= k <= n:
-        raise BadK(f"k={k} outside [0, {n}]")
+    _check_k(k, 0, n)
     t = n // 2 - k // 2
-    target = 2 * (k // 2)
-    prefs = [list(range(t)) for _ in range(n)]
-    inst = Instance(n, n, g.edges, prefs)
-    provenance = {
-        "generator": "halfsep-3reg",
-        "params": {
-            "k": k,
-            "t": t,
-            "n_vertices": n,
-            "source_edges": [list(e) for e in g.edges],
-        },
-        "vertex_agents": {str(v): [v] for v in range(n)},
-        "preferred_houses": list(range(t)),
-        "dummy_houses": list(range(t, n)),
-    }
-    return ReducedInstance(inst, target, provenance)
+    return _reduced(
+        "halfsep-3reg", g, {"k": k, "t": t, "n_vertices": n}, 2 * (k // 2),
+        [list(range(t)) for _ in range(n)], n, t, g.edges,
+        vertex_agents={str(v): [v] for v in range(n)},
+        preferred_houses=list(range(t)),
+    )
 
 
 def witness_from_separator(
@@ -278,45 +271,27 @@ def gen_clique_vc_bipartite(
         raise BadT("t_pad must be non-negative")
     big_n = g.n_vertices + pad
     big_m = len(g.edges)
-    if not 1 <= k <= big_n:
-        raise BadK(f"k={k} outside [1, {big_n}]")
-    choose2 = k * (k - 1) // 2
-    n_dummy = big_n + 2 * big_m - choose2
+    _check_k(k, 1, big_n)
+    n_dummy = big_n + 2 * big_m - k * (k - 1) // 2
     if n_dummy < 0:
         raise BadK(f"k={k} needs more edge agents than the source graph has")
 
-    n_agents = big_n + 2 * big_m
-    n_houses = big_m + n_dummy
     prefs: list[list[int]] = [[] for _ in range(big_n)]
     edge_agents: dict[str, list[int]] = {}
     edge_houses: dict[str, int] = {}
     for ei, (u, v) in enumerate(g.edges):
-        a1 = big_n + 2 * ei
-        a2 = big_n + 2 * ei + 1
-        edge_agents[_ekey(u, v)] = [a1, a2]
+        edge_agents[_ekey(u, v)] = [big_n + 2 * ei, big_n + 2 * ei + 1]
         edge_houses[_ekey(u, v)] = ei
         prefs[u].append(ei)
         prefs[v].append(ei)
-        prefs.append([ei])
-        prefs.append([ei])
-    agent_edges = [
-        (va, ea) for va in range(big_n) for ea in range(big_n, n_agents)
-    ]
-    inst = Instance(n_agents, n_houses, agent_edges, prefs)
-    provenance = {
-        "generator": "clique-vc-bip",
-        "params": {
-            "k": k,
-            "t_pad": pad,
-            "n_vertices": big_n,
-            "source_edges": [list(e) for e in g.edges],
-        },
-        "vertex_agents": {str(v): [v] for v in range(big_n)},
-        "edge_agents": edge_agents,
-        "edge_houses": edge_houses,
-        "dummy_houses": list(range(big_m, n_houses)),
-    }
-    return ReducedInstance(inst, k, provenance)
+        prefs += [[ei], [ei]]
+    return _reduced(
+        "clique-vc-bip", g, {"k": k, "t_pad": pad, "n_vertices": big_n}, k,
+        prefs, big_m + n_dummy, big_m, _across(big_n, len(prefs)),
+        vertex_agents={str(v): [v] for v in range(big_n)},
+        edge_agents=edge_agents,
+        edge_houses=edge_houses,
+    )
 
 
 def gen_clique_vc_split(g: SourceGraph, k: int, t: int) -> ReducedInstance:
@@ -333,46 +308,29 @@ def gen_clique_vc_split(g: SourceGraph, k: int, t: int) -> ReducedInstance:
     big_n, big_m = g.n_vertices, len(g.edges)
     if big_m < 1:
         raise GeneratorError("source graph needs at least one edge")
-    if not 1 <= k <= big_n:
-        raise BadK(f"k={k} outside [1, {big_n}]")
-    choose2 = k * (k - 1) // 2
-    n_dummy = (big_m - choose2) * t + big_n
+    _check_k(k, 1, big_n)
+    n_dummy = (big_m - k * (k - 1) // 2) * t + big_n
     if n_dummy < 0:
         raise BadK(f"k={k} needs more edges than the source graph has")
 
-    n_agents = big_n + big_m * t
-    n_houses = big_m * t + n_dummy
     prefs: list[list[int]] = [[] for _ in range(big_n)]
     edge_agents: dict[str, list[int]] = {}
     edge_houses: dict[str, list[int]] = {}
     for ei, (u, v) in enumerate(g.edges):
-        ids = [big_n + ei * t + j for j in range(t)]
-        houses = [ei * t + j for j in range(t)]
-        edge_agents[_ekey(u, v)] = ids
+        houses = list(range(ei * t, (ei + 1) * t))
+        edge_agents[_ekey(u, v)] = [big_n + h for h in houses]
         edge_houses[_ekey(u, v)] = houses
-        prefs[u].extend(houses)
-        prefs[v].extend(houses)
-        for h in houses:
-            prefs.append([h])
-    agent_edges = [(u, v) for u, v in combinations(range(big_n), 2)]
-    agent_edges += [
-        (va, ea) for va in range(big_n) for ea in range(big_n, n_agents)
-    ]
-    inst = Instance(n_agents, n_houses, agent_edges, prefs)
-    provenance = {
-        "generator": "clique-vc-split",
-        "params": {
-            "k": k,
-            "t": t,
-            "n_vertices": big_n,
-            "source_edges": [list(e) for e in g.edges],
-        },
-        "vertex_agents": {str(v): [v] for v in range(big_n)},
-        "edge_agents": edge_agents,
-        "edge_houses": edge_houses,
-        "dummy_houses": list(range(big_m * t, n_houses)),
-    }
-    return ReducedInstance(inst, k, provenance)
+        prefs[u] += houses
+        prefs[v] += houses
+        prefs += [[h] for h in houses]
+    return _reduced(
+        "clique-vc-split", g, {"k": k, "t": t, "n_vertices": big_n}, k,
+        prefs, big_m * t + n_dummy, big_m * t,
+        list(combinations(range(big_n), 2)) + _across(big_n, len(prefs)),
+        vertex_agents={str(v): [v] for v in range(big_n)},
+        edge_agents=edge_agents,
+        edge_houses=edge_houses,
+    )
 
 
 def witness_from_clique_vc(red: ReducedInstance, clique: Iterable[int]) -> Allocation:

@@ -362,16 +362,15 @@ def solve_d1_matching(inst: Instance, cfg: SolverConfig | None = None) -> SolveR
     scale = n + 1
     # The happiness adjustment is harmless under the plain objective: it
     # only breaks ties among minimum-cost matchings toward happier ones.
-    rows: list[list[int | None]] = []
+    rows: list[list[int]] = []
     for a in range(n):
         if not a & 63:
             check_deadline(cfg.deadline)
-        counts = [0] * m
+        row = [0] * m
         for b in inst.neighbors[a]:
-            counts[single[b]] += 1
-        rows.append(
-            [scale * counts[h] - (1 if single[a] == h else 0) for h in range(m)]
-        )
+            row[single[b]] += scale
+        row[single[a]] -= 1
+        rows.append(row)
     matched = min_cost_saturating_assignment(rows, cfg.deadline)
     assert matched is not None  # complete bipartite graph with m >= n
     _, assignment = matched

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -263,6 +264,17 @@ def test_solve_budget_exit_code(tmp_path, capsys):
     code, _, _ = run_cli_capture(capsys, "solve", str(path), "--algo", "brute",
                                  "--guess-limit", "2")
     assert code == 5
+
+
+def test_solve_separator_guess_limit_exit_code(tmp_path, capsys):
+    path = tmp_path / "petersen.haan"
+    assert run_cli("generate", "halfsep-3reg", "--graph", "petersen", "--k", "2",
+                   "--output", str(path)) == 0
+    capsys.readouterr()
+    code, out, err = run_cli_capture(capsys, "solve", str(path), "--algo", "separator",
+                                     "--guess-limit", "1")
+    assert (code, out) == (5, "")
+    assert err == "error: separator: guess count exceeded limit 1\n"
 
 
 def test_solve_parse_error_exit_code(tmp_path, capsys):
@@ -598,6 +610,21 @@ def test_bench_rows_and_agreement(tmp_path, capsys):
     assert not [ln for ln in lines if ln.startswith("FAILURE")]
 
 
+def test_bench_reports_a_disagreement(tmp_path, capsys, monkeypatch):
+    solve = main_module.solve
+
+    def off_by_one(inst, algo, cfg):
+        r = solve(inst, algo, cfg)
+        return replace(r, min_envy=r.min_envy + 1) if algo == "vc-xp" else r
+
+    monkeypatch.setattr(main_module, "solve", off_by_one)
+    code, out, _ = run_cli_capture(capsys, "bench", str(make_corpus(tmp_path, 1)),
+                                   "--algos", "brute,vc-xp")
+    assert code == 0
+    assert [ln for ln in out.splitlines() if ln.startswith("FAILURE")] == [
+        "FAILURE\ttri0.haan\tdisagreement\tbrute=2/1,vc-xp=3/1"]
+
+
 def test_bench_d1_rows_error_on_wrong_shape(tmp_path, capsys):
     corpus = make_corpus(tmp_path, 1)
     (corpus / "d2.haan").write_text(
@@ -854,6 +881,7 @@ def test_separator_max_size_is_not_an_option(tmp_path, capsys, command):
 # -- dense random regular graphs ---------------------------------------------------
 
 @pytest.mark.parametrize("spec", [
+    "random-regular:8:6:1",
     "random-regular:16:6:1",
     "random-regular:22:6:2",
     "random-regular:24:6:1",
@@ -865,6 +893,13 @@ def test_dense_random_regular_specs_sample_quickly(spec):
     n = int(spec.split(":")[1])
     assert (g.n_vertices, g.regular_degree(), len(g.edges)) == (n, 6, 3 * n)
     assert named_source_graph(spec) == g
+
+
+def test_dense_random_regular_spec_is_the_complement_of_a_sparse_one():
+    # Degree 6 on 8 vertices is above (n - 1) / 2: the complement of degree 1.
+    sparse = set(named_source_graph("random-regular:8:1:1").edges)
+    assert named_source_graph("random-regular:8:6:1").edges == tuple(
+        e for e in combinations(range(8), 2) if e not in sparse)
 
 
 # -- parser properties ------------------------------------------------------------

@@ -351,6 +351,16 @@ def test_separator_no_feasible_allocation():
         solve_separator(ann)
 
 
+def test_separator_guess_limit():
+    # Petersen halfsep at k = 2 takes 448 separator guesses with no limit.
+    ann = AnnotatedInstance.plain(
+        gen_halfsep_3regular(named_source_graph("petersen"), 2).instance)
+    assert solve_separator(ann, SolverConfig(guess_limit=None)).guesses_explored == 448
+    with pytest.raises(BudgetExceeded) as exc:
+        solve_separator(ann, SolverConfig(guess_limit=1))
+    assert str(exc.value) == "separator: guess count exceeded limit 1"
+
+
 def _random_annotation(rng, inst):
     feas = [
         set(rng.sample(range(inst.n_houses), rng.randint(1, inst.n_houses)))

@@ -17,8 +17,12 @@ checkout, solved by vc-xp on that cover under both objectives (its cover
 agents often forbid houses to several rest agents, to every one of them,
 or every remaining house to one). Every call runs with no deadline and
 the given guess limit (none by default), and with one worker unless its
-label ends in ``:w2``, so the output depends only on the code under
-``ROOT``.
+label ends in ``:w2``. Last come the generator records ``["generate",
+generator, graph, k, further arguments, instance text or error]``: each
+generator of ``GENERATE`` over the named graphs of ``GRAPHS`` and k in
+``KS``, with the rendered ``haan/1`` text of its instance (provenance and
+target included) or the class name and message of its
+``GeneratorError``. The output depends only on the code under ``ROOT``.
 
 Compare two checkouts (``ROOT`` defaults to the one holding this script)::
 
@@ -67,6 +71,25 @@ DEEP = (
 )
 
 
+# Source graphs, values of k and (generator, further arguments) of the
+# generator records: regular and irregular graphs, a dense sampled one and
+# one with no edges, and each family's t or t_pad including a refused one.
+GRAPHS = ("k3", "k4", "k5", "prism", "petersen", "cycle:4", "cycle:7",
+          "random-regular:8:3:2", "random-regular:12:3:1", "random-regular:8:6:1",
+          "random-regular:6:0:1")
+KS = range(8)
+GENERATE = (
+    ("gen_clique_bipartite_d2", ()),
+    ("gen_halfsep_3regular", ()),
+    ("gen_clique_vc_bipartite", (None,)),
+    ("gen_clique_vc_bipartite", (2,)),
+    ("gen_clique_vc_bipartite", (-1,)),
+    ("gen_clique_vc_split", (1,)),
+    ("gen_clique_vc_split", (2,)),
+    ("gen_clique_vc_split", (0,)),
+)
+
+
 def _args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -107,8 +130,9 @@ def main(argv=None) -> int:
     import corpus
     from oracles import restricted_cover_instance
     from haan import reductions, solvers
+    from haan.cli.files import InstanceDocument, render_instance_text
     from haan.cli.sources import named_source_graph
-    from haan.errors import HaanError
+    from haan.errors import GeneratorError, HaanError
     from haan.model import AnnotatedInstance, Instance
     from haan.solvers import Objective, SolverConfig
 
@@ -156,8 +180,21 @@ def main(argv=None) -> int:
         inst, cover = restricted_cover_instance(rng)
         for objective in Objective:
             records.append(call(f"cover-{i}", "vc-xp", objective, inst, None, cover=cover))
+    for gen, more in GENERATE:
+        for graph in GRAPHS:
+            g = named_source_graph(graph)
+            for k in KS:
+                try:
+                    red = getattr(reductions, gen)(g, k, *more)
+                except GeneratorError as exc:
+                    out = f"{type(exc).__name__}: {exc}"
+                else:
+                    out = render_instance_text(InstanceDocument(
+                        red.instance, target_envy=red.target_envy,
+                        provenance=red.provenance))
+                records.append(["generate", gen, graph, k, list(more), out])
     args.out.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
-    print(f"{len(records)} calls written to {args.out}")
+    print(f"{len(records)} records written to {args.out}")
     return 0
 
 
