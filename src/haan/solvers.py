@@ -200,6 +200,8 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
     a pool, and the lowest-ranked best key wins. ``extra`` runs after the
     checks, so a refused solve builds none of its per-house tables: brute
     and vc-xp pass the neighbour and liker masks of ``_agent_masks`` there.
+    The deadline is checked once before the jobs, which check it as they
+    walk; with no agents, the empty allocation is the result and no job runs.
     """
     n, m = inst.n_agents, inst.n_houses
     if m < n:
@@ -212,6 +214,9 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
     scale, w = _key_weights(cfg, n)
     shared = (n, m, pref, inst.neighbors, scale, w, _key_floor(pref, m, w),
               cfg.deadline, *extra())
+    check_deadline(cfg.deadline)
+    if not n:
+        return _result(inst, (), label, total)
     parts = 1 if cfg.workers == 1 else min(branches, 4 * cfg.workers)
     jobs = [shared + (branches * i // parts, branches * (i + 1) // parts)
             for i in range(parts)]
@@ -240,43 +245,55 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
 # ---------------------------------------------------------------------------
 
 def _bf_chunk(args) -> tuple[int | None, tuple | None]:
-    (n, m, _, _, scale, w, floor, deadline, nmask, likers, _, _) = args
-    if deadline is not None:
-        check_deadline(deadline)
-    if not n:
-        return 0, ()
+    (n, m, pref, _, scale, w, floor, deadline, nmask, likers, _, _) = args
+    if n == 1:
+        # One agent envies nobody: its first optimum, found with no house
+        # list, is its lowest liked house when happiness counts, else house 0.
+        p = pref[0]
+        h = (p & -p).bit_length() - 1 if w and p else 0
+        return -w * (p >> h & 1), (h,)
     last = n - 1
     lbit = 1 << last
     near = nmask[last]
-    # Every leaf group has m - n + 1 leaves; the deadline is checked once
-    # per ``period`` groups, so about every 4096 leaves.
+    # Every leaf group has m - n + 1 leaves; the deadline is checked every
+    # ``period`` groups, so about every 4096 leaves.
     period = max(1, 4096 // (m - n + 1))
-    ticks = period
+    groups = 0
     best_key = scale * n + 1  # above every key
     best = None
     phi = [0] * n
-
-    def visit(j, houses, i, seen, lost):
-        # Places agent j over its free houses ascending: ``houses`` without
-        # its i-th entry, the house agent j - 1 took (agent 0 drops the
-        # stand-in house m). ``seen`` and ``lost`` are as in
-        # ``solve_bruteforce``. Returns True once the incumbent is at the
-        # floor.
-        nonlocal best_key, best, ticks
-        if j == last:
-            if deadline is not None:
-                ticks -= 1
-                if not ticks:
-                    check_deadline(deadline)
-                    ticks = period
-            # The last agent's houses, inlined. Its own bit joins ``lost``
-            # on a house it does not like, and ``seen`` is final for it.
+    # ``levels[j]``, for j < last: agent j's free houses ascending, the walk
+    # over them, and the node's ``seen`` and ``lost``.
+    houses = tuple(range(m))
+    levels = [(houses, enumerate(houses), 0, 0)] + [None] * (last - 1)
+    j = 0
+    while j >= 0:
+        houses, walk, seen0, lost0 = levels[j]
+        mine = nmask[j]
+        jbit = 1 << j
+        for c, taken in walk:
+            fans = likers[taken]
+            phi[j] = taken
+            # Neighbourhood is symmetric: j's neighbours that like the house
+            # are marked now, and j is marked by its neighbours' placements.
+            seen = seen0 | fans & mine
+            lost = lost0 | jbit & ~fans
+            if j + 1 < last:
+                j += 1
+                free = houses[:c] + houses[c + 1:]
+                levels[j] = (free, enumerate(free), seen, lost)
+                break
+            groups += 1
+            if deadline is not None and not groups % period:
+                check_deadline(deadline)
+            # The last agent's houses (``houses`` less ``taken``), inlined.
+            # Its own bit joins ``lost`` on a house it does not like, and
+            # ``seen`` is final for it.
             env_like = seen & lost
             env_miss = env_like | seen & lbit
             watch = near & lost
             key_like = w * lost.bit_count() - w * n
             key_miss = key_like + w
-            taken = houses[i]
             for h in houses:
                 if h == taken:
                     continue
@@ -290,25 +307,9 @@ def _bf_chunk(args) -> tuple[int | None, tuple | None]:
                     phi[last] = h
                     best = tuple(phi)
                     if key == floor:
-                        return True  # nothing later can beat it
-            return False
-        free = houses[:i] + houses[i + 1:]
-        jbit = 1 << j
-        mine = nmask[j]
-        for c, h in enumerate(free):
-            fans = likers[h]
-            phi[j] = h
-            # Neighbourhood is symmetric: j's neighbours that like h are
-            # marked now, and j is marked by its neighbours' placements.
-            if visit(j + 1, free, c, seen | fans & mine, lost | jbit & ~fans):
-                return True
-        return False
-
-    try:
-        # One agent reads the houses lazily: only the guess limit bounds m then.
-        visit(0, range(m + 1) if n == 1 else tuple(range(m + 1)), m, 0, 0)
-    finally:
-        del visit  # it refers to itself through its closure
+                        return best_key, best  # nothing later can beat it
+        else:
+            j -= 1
     return best_key, best
 
 
@@ -328,8 +329,9 @@ def solve_bruteforce(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
     envious and ``n - |lost|`` happy agents, so the last agent's houses
     are scored with a few mask operations each and no call. The walk
     stops at the first assignment whose key is the floor;
-    ``guesses_explored`` is the guess space perm(m, n). The deadline is
-    checked before the first assignment, then about every 4096 of them
+    ``guesses_explored`` is the guess space perm(m, n). The walk's open
+    levels sit in a list, so no recursion limit bounds n. The deadline is
+    checked before the first node, then about every 4,096 assignments
     (every m - n + 1, the last agent's free houses, when that is more).
     """
     cfg = cfg or SolverConfig()
@@ -385,7 +387,6 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None]:
     (n, m, pref, nbrs, scale, w, floor, deadline, _, _) = args
     best_key = None
     best = None
-    nodes = 0
     # A node's n feasibility masks are packed into one integer: agent a's
     # houses sit at bits a*f and up, below a clear guard bit, so
     # ``(x | guard) - low`` borrows a field's guard bit exactly when that
@@ -408,10 +409,13 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None]:
     # An envious agent whose first envied neighbour is nbrs[a][i] is
     # unhappy, that neighbour holds a house it prefers and those before it
     # hold none; a non-envious agent is unhappy (it and its neighbours avoid
-    # its preferred houses) or happy.
+    # its preferred houses) or happy. Each agent adds a few masks of n*f
+    # bits, so the deadline is checked every 64 agents.
     envious = []
     calm = []
     for a, nb in enumerate(nbrs):
+        if deadline is not None and not a & 63:
+            check_deadline(deadline)
         pa = pref[a]
         other = field & ~pa
         shun, hold = hall(other), hall(pa)
@@ -423,57 +427,60 @@ def _eg_chunk(args) -> tuple[int | None, tuple | None]:
         envious.append(row)
         calm.append([(w, full & ~cut, shun), (0, full & ~(other << a * f), hold)])
     isolated = _bits([a for a in range(n) if not nbrs[a]])
-
-    def visit(level, state, lost):
-        # A node whose choice left every agent a house and passed its Hall
-        # tests, and whose key bound can win. Masks only shrink and the
-        # bound only rises below, so a child that fails any of these is
-        # skipped with its subtree.
-        nonlocal best_key, best, nodes
+    # ``levels[j]``: the open node of decision j, as its packed masks, its
+    # key bound with every undecided agent happy, and the walk over its
+    # choices. Masks only shrink and the bound only rises below a node, so
+    # a child that fails a test is skipped with its subtree. A support
+    # counts as the root node of its search.
+    levels = [None] * n
+    nodes = 0
+    for smask in range(1 << n):
         nodes += 1
         if deadline is not None and not nodes & 4095:
             check_deadline(deadline)
-        if level == n:
-            masks = [state >> a * f & field for a in range(n)]
-            assignment = left_perfect_matching_masks(masks, m)
-            if assignment is not None:
-                best_key = top + lost
-                best = tuple(assignment)
-            return
-        for loss, keep, tests in levels[level]:
-            if best_key is not None and (top + lost + loss >= best_key or cap >= best_key):
-                continue
-            child = state & keep
-            if (child | guard) - low & guard != guard:
-                continue  # some agent has no house left
-            for outside, need in tests:
-                if ((child & outside | guard) - low & guard).bit_count() < need:
-                    break
+        if smask & isolated:
+            continue  # an agent without neighbours envies nobody: no guesses
+        env = smask.bit_count()
+        # Key bounds: every undecided agent happy, and at most H happy.
+        top = env * scale - w * (n - env)
+        cap = env * scale + floor
+        if best_key is not None and max(top, cap) >= best_key:
+            continue
+        # Depth first: the envious agents' first envied neighbours (support
+        # order, positions ascending), then the other agents from last to
+        # first, unhappy before happy, so leaves come in cmask order.
+        order = [envious[a] for a in range(n) if smask >> a & 1]
+        order += [calm[a] for a in range(n - 1, -1, -1) if not smask >> a & 1]
+        j = 0
+        levels[0] = (full, top, iter(order[0]))
+        while j >= 0:
+            state, bound, walk = levels[j]
+            for loss, keep, tests in walk:
+                if best_key is not None and (bound + loss >= best_key or cap >= best_key):
+                    continue
+                child = state & keep
+                if (child | guard) - low & guard != guard:
+                    continue  # some agent has no house left
+                for outside, need in tests:
+                    if ((child & outside | guard) - low & guard).bit_count() < need:
+                        break
+                else:
+                    nodes += 1
+                    if deadline is not None and not nodes & 4095:
+                        check_deadline(deadline)
+                    if j + 1 < n:
+                        j += 1
+                        levels[j] = (child, bound + loss, iter(order[j]))
+                        break
+                    masks = [child >> a * f & field for a in range(n)]
+                    assignment = left_perfect_matching_masks(masks, m)
+                    if assignment is not None:
+                        best_key = bound + loss
+                        best = tuple(assignment)
+                        if best_key == floor:
+                            return best_key, best  # nothing later can beat it
             else:
-                visit(level + 1, child, lost + loss)
-
-    try:
-        for smask in range(1 << n):
-            if best_key == floor:
-                break  # nothing later can beat it
-            if deadline is not None and not smask & 63:
-                check_deadline(deadline)
-            if smask & isolated:
-                continue  # an agent without neighbours envies nobody: no guesses
-            env = smask.bit_count()
-            # Key bounds: every undecided agent happy, and at most H happy.
-            top = env * scale - w * (n - env)
-            cap = env * scale + floor
-            if best_key is not None and max(top, cap) >= best_key:
-                continue
-            # Depth first: the envious agents' first envied neighbours (support
-            # order, positions ascending), then the other agents from last to
-            # first, unhappy before happy, so leaves come in cmask order.
-            levels = [envious[a] for a in range(n) if smask >> a & 1]
-            levels += [calm[a] for a in range(n - 1, -1, -1) if not smask >> a & 1]
-            visit(0, full, 0)
-    finally:
-        del visit  # it refers to itself through its closure
+                j -= 1
     return best_key, best
 
 
@@ -504,7 +511,11 @@ def solve_envy_guess(inst: Instance, cfg: SolverConfig | None = None) -> SolveRe
     the incumbent is at the floor, the search stops. The incumbent and
     that stop carry across supports, so the search is one sequential loop
     whatever ``cfg.workers`` says. ``guesses_explored`` is the guess
-    space by formula, the product over agents of ``degree + 2``.
+    space by formula, the product over agents of ``degree + 2``. The
+    search's open levels sit in a list, so no recursion limit bounds n.
+    The deadline is checked before the first node and every 64 agents
+    while the choice tables are built, then every 4,096 nodes (each
+    support counts as one).
     """
     cfg = cfg or SolverConfig()
     total = math.prod(inst.degree(a) + 2 for a in range(inst.n_agents))
@@ -882,133 +893,119 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None]:
         entry = tables[fmask] = (takes, shut, by, restricted)
         return entry
 
-    def leaf(used, seen, lost):
-        # Forbidders: unhappy cover agents, not envious within the cover,
-        # with a rest neighbour and a liked remaining house. One chosen
-        # non-envious forbids its liked remaining houses to its rest
-        # neighbours; a *free* one (happy, or forbidding nothing) leaves
-        # every row as it is and lowers the key by ``scale``, so only
-        # guesses that choose all free agents can be optimal.
-        nonlocal best_key, best
-        rem_mask = full & ~used
-        calm = lost & ~seen
-        fmask = 0
-        for bit, a, p, _ in far:
-            if calm >> a & 1 and p & rem_mask:
-                fmask |= bit
-        forbidders = fmask.bit_count()
-        takes, shut, by, restricted = tables.get(fmask) or forbid_tables(fmask)
-        # Row-minimum bound, in closed form: ``least``, less ``scale`` per
-        # chosen forbidder, plus corrections for the rest agents that the
-        # chosen ones restrict. ``least`` is ``scale`` per envious agent and
-        # per forbidder, less ``w`` per agent that may be happy. A rest agent
-        # that no chosen forbidder restricts pays exactly its part of it
-        # for its cheapest admissible house: ``-w`` for a liked one unless
-        # it is in ``lost``, and then ``scale`` if it is also in ``seen``.
-        least = scale * ((seen & lost).bit_count() + forbidders) - w * (n - lost.bit_count())
-        # Chosen forbidders can leave a rest agent no admissible house only
-        # if together they prefer every remaining house.
-        dead = not rem_mask & ~takes[-1]
-        starved = None
-        remaining = None
-        for sub in range(len(takes)):
-            chosen = scale * sub.bit_count()
-            bound = least - chosen
-            if best_key is not None and bound >= best_key:
-                continue
-            # Most guesses that pass the bound admit no extension: fewer
-            # admissible houses than rest agents rejects most before the
-            # min-cost engine, which returns None for the others. There are
-            # ``m - k`` remaining houses for ``n - k`` rest agents, so that
-            # is more than ``m - n`` remaining houses lost by all of them.
-            if (shut[sub] & rem_mask).bit_count() > m - n:
-                continue
-            if dead and any(not rem_mask & ~takes[c & sub] for _, c in restricted):
-                continue
-            if starved is None:
-                # The corrections: a restricted agent that may be happy pays
-                # ``w`` plus its cost of a house it does not like more once
-                # its chosen forbidders take all its liked remaining houses.
-                starved = []
-                for a, c in restricted:
-                    likes = pref[a] & rem_mask
-                    if likes and not likes & ~takes[c]:
-                        starved.append((c, likes, w + scale * (seen >> a & 1)))
-            for c, likes, more in starved:
-                if not likes & ~takes[c & sub]:
-                    bound += more
-            if best_key is not None and bound >= best_key:
-                continue
-            if remaining is None:
-                remaining = _members(rem_mask)
-            rows: list[list[int | None]] = []
-            for a, c in zip(rest, by):
-                # A house it does not like costs ``scale`` when it sees a
-                # cover neighbour holding one it likes.
-                ok = rem_mask & ~takes[c & sub]
-                pa, miss = pref[a], scale * (seen >> a & 1)
-                rows.append([(-w if pa >> h & 1 else miss) if ok >> h & 1 else None
-                             for h in remaining])
-            matched = min_cost_saturating_assignment(rows, deadline)
-            if matched is None:
-                continue
-            # The cover's part of the key, then the rest's.
-            cover_lost = lost & ~in_rest
-            key = (scale * ((seen & cover_lost).bit_count() + forbidders - sub.bit_count())
-                   - w * (k - cover_lost.bit_count()) + matched[0])
-            if best_key is None or key < best_key:
-                houses = tuple(phi) + tuple(remaining[j] for j in matched[1])
-                best_key = key
-                best = tuple(h for _, h in sorted(zip(cover + rest, houses)))
-                if key == floor:
-                    return True  # nothing later can beat it
-        return False
-
-    def visit(j, used, seen, lost):
-        # Places cover agent j (cover agents ascending) over its houses
-        # ascending, so leaves come in lexicographic tuple order. ``seen``
-        # and ``lost`` are agent masks: the agents that see a cover
-        # neighbour holding a house they like, and those that can no longer
-        # be happy (placed cover agents on a house they do not like, rest
-        # agents whose liked houses the cover holds). An agent in both is
-        # envious, and at most ``n - |lost|`` agents are happy. Returns True
-        # once the incumbent is at the floor.
-        if deadline is not None:
+    # The node reached: cover position j, the houses used, and ``seen`` and
+    # ``lost`` (see ``solve_vertex_cover_xp``). ``levels[j]``, for j < k,
+    # holds the open node of position j and the walk over its agent's houses.
+    levels = [None] * k
+    nodes = 0
+    j, used, seen, lost = 0, 0, 0, _bits([a for a in rest if not pref[a]])
+    while True:
+        nodes += 1
+        if deadline is not None and not nodes & 4095:
             check_deadline(deadline)
-        if j == k:
-            return leaf(used, seen, lost)
-        a = cover[j]
-        pa = pref[a]
-        near = nmask[a]
-        for h in (range(m) if j else range(lo, hi)):
-            bit = 1 << h
-            if used & bit:
+        if j < k:
+            levels[j] = (used, seen, lost, iter(range(m) if j else range(lo, hi)))
+        else:
+            # A leaf. Only its forbidders are guessed; every free cover agent
+            # is chosen non-envious (free-agent dominance).
+            rem_mask = full & ~used
+            calm = lost & ~seen
+            fmask = 0
+            for bit, a, p, _ in far:
+                if calm >> a & 1 and p & rem_mask:
+                    fmask |= bit
+            forbidders = fmask.bit_count()
+            takes, shut, by, restricted = tables.get(fmask) or forbid_tables(fmask)
+            # Row-minimum bound: ``least`` less ``scale`` per chosen
+            # forbidder, plus the corrections of the rest agents they
+            # restrict. A rest agent that none restricts pays exactly its
+            # part of ``least`` for its cheapest admissible house.
+            least = scale * ((seen & lost).bit_count() + forbidders) - w * (n - lost.bit_count())
+            # Chosen forbidders can leave a rest agent no admissible house
+            # only if together they prefer every remaining house.
+            dead = not rem_mask & ~takes[-1]
+            starved = remaining = None
+            for sub in range(len(takes)):
+                chosen = scale * sub.bit_count()
+                bound = least - chosen
+                if best_key is not None and bound >= best_key:
+                    continue
+                # Most guesses that pass the bound admit no extension. The
+                # union test rejects most before the min-cost engine, which
+                # returns None for the others: more than ``m - n`` of the
+                # ``m - k`` remaining houses are lost by all ``n - k`` rest
+                # agents.
+                if (shut[sub] & rem_mask).bit_count() > m - n:
+                    continue
+                if dead and any(not rem_mask & ~takes[c & sub] for _, c in restricted):
+                    continue
+                if starved is None:
+                    # The corrections: a restricted agent that may be happy
+                    # pays ``w`` plus its cost of an unliked house more once
+                    # its chosen forbidders take all its liked ones.
+                    starved = []
+                    for a, c in restricted:
+                        likes = pref[a] & rem_mask
+                        if likes and not likes & ~takes[c]:
+                            starved.append((c, likes, w + scale * (seen >> a & 1)))
+                for c, likes, more in starved:
+                    if not likes & ~takes[c & sub]:
+                        bound += more
+                if best_key is not None and bound >= best_key:
+                    continue
+                if remaining is None:
+                    remaining = _members(rem_mask)
+                rows: list[list[int | None]] = []
+                for a, c in zip(rest, by):
+                    # A house it does not like costs ``scale`` when it sees
+                    # a cover neighbour holding one it likes.
+                    ok = rem_mask & ~takes[c & sub]
+                    pa, miss = pref[a], scale * (seen >> a & 1)
+                    rows.append([(-w if pa >> h & 1 else miss) if ok >> h & 1 else None
+                                 for h in remaining])
+                matched = min_cost_saturating_assignment(rows, deadline)
+                if matched is None:
+                    continue
+                # The cover's part of the key, then the rest's.
+                cover_lost = lost & ~in_rest
+                key = (scale * ((seen & cover_lost).bit_count() + forbidders - sub.bit_count())
+                       - w * (k - cover_lost.bit_count()) + matched[0])
+                if best_key is None or key < best_key:
+                    houses = tuple(phi) + tuple(remaining[i] for i in matched[1])
+                    best_key = key
+                    best = tuple(h for _, h in sorted(zip(cover + rest, houses)))
+                    if key == floor:
+                        return best_key, best  # nothing later can beat it
+            j -= 1
+        # The next house of the deepest open level whose child passes the
+        # prefix bound.
+        while j >= 0:
+            used, seen, lost, walk = levels[j]
+            a = cover[j]
+            pa, near = pref[a], nmask[a]
+            for h in walk:
+                bit = 1 << h
+                if used & bit:
+                    continue
+                c_used = used | bit
+                c_lost = lost if pa & bit else lost | 1 << a
+                for b, pb in fans[h]:
+                    if not pb & ~c_used:
+                        c_lost |= b
+                c_seen = seen | likers[h] & near
+                if best_key is None or (
+                        scale * (c_seen & c_lost).bit_count() - w * (n - c_lost.bit_count())
+                        < best_key):
+                    break
+            else:
+                j -= 1
                 continue
-            c_used = used | bit
-            c_lost = lost if pa & bit else lost | 1 << a
-            for b, pb in fans[h]:
-                if not pb & ~c_used:
-                    c_lost |= b
-            c_seen = seen | likers[h] & near
-            # Prefix bound: seen and lost agents only grow, so no leaf
-            # below beats it.
-            if best_key is not None and (
-                    scale * (c_seen & c_lost).bit_count() - w * (n - c_lost.bit_count())
-                    >= best_key):
-                continue
-            phi[j] = h
-            if visit(j + 1, c_used, c_seen, c_lost):
-                return True
-        return False
-
-    try:
-        visit(0, 0, 0, _bits([a for a in rest if not pref[a]]))
-    finally:
-        # ``visit`` refers to itself through its closure; dropping the name
-        # breaks that cycle, so the chunk's tables are freed now rather than
-        # at the next cyclic garbage collection.
-        del visit
-    return best_key, best
+            break
+        else:
+            return best_key, best
+        phi[j] = h
+        j += 1
+        used, seen, lost = c_used, c_seen, c_lost
 
 
 def _vc_space(m: int, k: int) -> int:
@@ -1046,6 +1043,9 @@ def solve_vertex_cover_xp(
     tuples come in lexicographic order and the first optimum is kept. It
     stops at its first guess whose key is the floor.
     ``guesses_explored`` is the guess space by formula, perm(m, k)·2^k.
+    The search's open levels sit in a list, so no recursion limit bounds
+    k. The deadline is checked before the first node, then every 4,096
+    nodes, and by the min-cost engine at each extension.
 
     With no ``cover`` given, the cover is the lexicographically least
     minimum one, searched only up to the largest size whose guess space

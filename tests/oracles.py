@@ -42,6 +42,27 @@ def brute_optimum(inst: Instance, happy: bool = False):
     return best[1], best[2], best[3]
 
 
+def envy_at_most(inst: Instance, target: int) -> bool:
+    """Whether some allocation has at most ``target`` envious agents: the
+    enumeration and envy formula of ``brute_optimum``, stopping at the
+    first allocation within the target (and scoring each one only until
+    it exceeds the target). False when m < n."""
+    n, m = inst.n_agents, inst.n_houses
+    prefs = [set(p) for p in inst.preferences]
+    nbrs = inst.neighbors
+    agents = range(n)
+    for perm in permutations(range(m), n):
+        env = 0
+        for a in agents:
+            if perm[a] not in prefs[a] and any(perm[b] in prefs[a] for b in nbrs[a]):
+                env += 1
+                if env > target:
+                    break
+        else:
+            return True
+    return False
+
+
 def all_optima_happiness(inst: Instance) -> tuple[int, int]:
     """(min_envy, max happiness among min-envy allocations), enumerated."""
     assert inst.n_houses >= inst.n_agents

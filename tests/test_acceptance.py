@@ -5,6 +5,7 @@ split across a small process pool; every check itself is deterministic.
 """
 
 import math
+import multiprocessing
 import os
 import random
 import time
@@ -38,7 +39,7 @@ from haan.solvers import (
     solve_vertex_cover_xp,
 )
 
-from oracles import all_optima_happiness, brute_optimum, clique_exists, matching_optimum
+from oracles import all_optima_happiness, clique_exists, envy_at_most, matching_optimum
 
 POOL_WORKERS = min(4, os.cpu_count() or 1)
 PERM_CAP = 600_000  # brute-force enumeration cap for criterion 3
@@ -200,7 +201,7 @@ def _all_source_graphs(max_n: int):
 
 
 def _decide_reduced(red) -> bool | None:
-    """Min envy <= target by brute force, None when over the size cap;
+    """Min envy <= target by enumeration, None when over the size cap;
     an infeasible instance (m < n) decides to False."""
     inst = red.instance
     if inst.n_houses < inst.n_agents:
@@ -209,8 +210,35 @@ def _decide_reduced(red) -> bool | None:
         return None
     if math.perm(inst.n_houses, inst.n_agents) > PERM_CAP:
         return None
-    opt = brute_optimum(inst)
-    return opt[0] <= red.target_envy
+    return envy_at_most(inst, red.target_envy)
+
+
+def _check_source_graph(g) -> tuple[list, list, list]:
+    """Criterion 3 on one source graph, for every k: the families checked,
+    those skipped (a refused k or over the cap), and the failures."""
+    checked, skipped, failures = [], [], []
+    has_edges = bool(g.edges)
+    regular = g.regular_degree() is not None
+    for k in range(1, g.n_vertices + 1):
+        makes = []
+        if regular:
+            makes.append(("clique-bip-d2", gen_clique_bipartite_d2, ()))
+        makes.append(("clique-vc-bip", gen_clique_vc_bipartite, ()))
+        if has_edges:
+            makes.append(("clique-vc-split", gen_clique_vc_split, (1,)))
+        for family, generate, more in makes:
+            try:
+                decided = _decide_reduced(generate(g, k, *more))
+            except (BadK, GeneratorError):
+                decided = None
+            if decided is None:
+                skipped.append(family)
+                continue
+            has = clique_exists(g.n_vertices, set(g.edges), k)
+            if has != decided:
+                failures.append((family, g.n_vertices, g.edges, k, has, decided))
+            checked.append(family)
+    return checked, skipped, failures
 
 
 @pytest.mark.slow
@@ -219,33 +247,15 @@ def test_criterion_3_reduction_equivalence():
     failures = []
     checked = {"clique-bip-d2": 0, "clique-vc-bip": 0, "clique-vc-split": 0}
     skipped = {"clique-bip-d2": 0, "clique-vc-bip": 0, "clique-vc-split": 0}
-
-    def handle(family, g, k, make):
-        try:
-            red = make()
-        except (BadK, GeneratorError):
-            skipped[family] += 1
-            return
-        decided = _decide_reduced(red)
-        if decided is None:
-            skipped[family] += 1
-            return
-        has = clique_exists(g.n_vertices, set(g.edges), k)
-        if has != decided:
-            failures.append((family, g.n_vertices, g.edges, k, has, decided))
-        checked[family] += 1
-
-    for g in _all_source_graphs(5):
-        regular = g.regular_degree() is not None
-        for k in range(1, g.n_vertices + 1):
-            if regular:
-                handle("clique-bip-d2", g, k,
-                       lambda g=g, k=k: gen_clique_bipartite_d2(g, k))
-            handle("clique-vc-bip", g, k,
-                   lambda g=g, k=k: gen_clique_vc_bipartite(g, k))
-            if g.edges:
-                handle("clique-vc-split", g, k,
-                       lambda g=g, k=k: gen_clique_vc_split(g, k, 1))
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=POOL_WORKERS, mp_context=spawn) as pool:
+        for got_checked, got_skipped, got_failures in pool.map(
+                _check_source_graph, _all_source_graphs(5), chunksize=8):
+            for family in got_checked:
+                checked[family] += 1
+            for family in got_skipped:
+                skipped[family] += 1
+            failures.extend(got_failures)
 
     # The sweep must actually exercise each family, including yes-instances.
     # Regular source graphs on <= 5 vertices mostly reduce past the brute

@@ -707,6 +707,18 @@ def test_solve_timeout_exits_10_with_one_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_brute_solves_1200_agents_with_the_guess_limit_lifted(tmp_path, capsys):
+    # One walk level per agent; no edges, and agent a prefers house a, so
+    # the first assignment is optimal.
+    path = tmp_path / "edgeless-1200.haan"
+    path.write_text("haan/1 instance\nagents 1200\nhouses 1200\n"
+                    + "".join(f"prefs {a} : {a}\n" for a in range(1200)))
+    code, out, err = run_cli_capture(capsys, "solve", str(path), "--algo", "brute",
+                                     "--guess-limit", "0", "--omit-timing")
+    assert (code, err) == (0, "")
+    assert "min_envy 0\nhappiness 1200\n" in out
+
+
 # -- entry point ----------------------------------------------------------------
 
 def test_console_script_runs():

@@ -1056,6 +1056,53 @@ def test_auto_solves_inputs_a_thousand_steps_deep(label, happy, want):
     check_witness(inst, r)
 
 
+def _edgeless(n):
+    """n agents with no edges, agent a preferring house a: the first
+    assignment of brute force's walk is at the key floor under both
+    objectives, and so is envy-guess's first guess under ``envy``."""
+    return Instance(n, n, [], [[a] for a in range(n)])
+
+
+@pytest.mark.parametrize("happy", [False, True])
+def test_brute_walks_1200_agents_to_its_first_assignment(happy):
+    inst = _edgeless(1200)
+    cfg = SolverConfig(objective=HAPPY.objective if happy else Objective.MIN_ENVY,
+                       guess_limit=None)
+    r = solve_bruteforce(inst, cfg)
+    assert (r.min_envy, r.happiness) == (0, 1200)
+    assert r.allocation.assignment == tuple(range(1200))
+    assert r.guesses_explored == math.factorial(1200)
+
+
+@pytest.mark.parametrize("label", ["brute", "envy-guess"])
+def test_guess_walks_do_not_recurse_per_agent(label):
+    # 300 levels deep under a recursion limit of 200. Envy-guess runs under
+    # ``envy`` only: under ``envy-happy`` its first guess leaves every agent
+    # unhappy, and it takes about 10 s to reach the floor.
+    inst = _edgeless(300)
+    objectives = list(Objective) if label == "brute" else [Objective.MIN_ENVY]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        got = [dict(ALL_SOLVERS)[label](inst, SolverConfig(objective=o, guess_limit=None))
+               for o in objectives]
+    finally:
+        sys.setrecursionlimit(limit)
+    for r in got:
+        assert r.min_envy == 0
+        check_witness(inst, r)
+
+
+def test_envy_guess_checks_the_deadline_while_it_builds_its_tables():
+    # Its choice tables hold about 4n masks of n(m+1) bits: 860 MB and
+    # about 4 s on this input, all built before the first node.
+    inst = _edgeless(1200)
+    start = time.monotonic()
+    with pytest.raises(SolveTimeout):
+        solve_envy_guess(inst, SolverConfig(guess_limit=None, deadline=start + 0.2))
+    assert time.monotonic() - start < 1.0
+
+
 def test_solve_unknown_algorithm():
     with pytest.raises(UnknownAlgorithm):
         solve(TRIANGLE, "magic")
@@ -1323,17 +1370,19 @@ def test_brute_never_starts_a_pool(monkeypatch):
     assert got == solve_vertex_cover_xp(edgeless, None, SolverConfig())
 
 
-# Untimed, on a shared 2-core host, brute and envy-guess each take 13-17 s
-# (no assignment of the 10-clique reaches brute's floor) and vc-xp about
-# 2.4 s. Envy-guess spends seconds between
-# two of its every-64-supports checks here, so only the check every 4096
-# nodes stops it in time.
+# Untimed, on a shared 2-core host, brute takes about 4 s (no assignment
+# of the 10-clique reaches its floor), envy-guess about 0.5-0.7 s, and
+# vc-xp more than 30 s on clique-bip-d2 k5 k=4 (30 agents, 200 edges).
+# Envy-guess spends most of its time inside one support here, so only the
+# check every 4,096 nodes stops it in time.
 @pytest.mark.parametrize("label", ["brute", "envy-guess", "vc-xp"])
 def test_guess_solvers_honour_the_deadline(label):
     if label == "brute":
         inst = Instance(10, 10, list(combinations(range(10), 2)), [[0]] * 10)
-    else:
+    elif label == "envy-guess":
         inst = _reduction("clique-vc-bip", "k4", 3)
+    else:
+        inst = _reduction("clique-bip-d2", "k5", 4)
     start = time.monotonic()
     with pytest.raises(SolveTimeout):
         dict(ALL_SOLVERS)[label](inst, SolverConfig(guess_limit=None, deadline=start + 0.05))

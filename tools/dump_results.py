@@ -8,21 +8,24 @@ are those of the three corpora of ``perfbench/corpus.py`` at seeds 0-3,
 then the deep searches of ``HEAVY`` under both objectives (envy-guess
 where its Hall tests prune most, vc-xp with one worker and with two,
 brute force over all 40,320 assignments of an 8-agent instance), then the
-inputs of ``DEEP`` under ``auto`` with both objectives, then a seeded
-random set of small instances, half of them annotated with forbidden
-houses and angry agents, solved by the separator under both objectives,
-then ``COVER_DRAWS`` seeded small instances with a given vertex cover,
-drawn by ``tests/oracles.restricted_cover_instance`` of this script's own
-checkout, solved by vc-xp on that cover under both objectives (its cover
-agents often forbid houses to several rest agents, to every one of them,
-or every remaining house to one). Every call runs with no deadline and
-the given guess limit (none by default), and with one worker unless its
-label ends in ``:w2``. Last come the generator records ``["generate",
-generator, graph, k, further arguments, instance text or error]``: each
-generator of ``GENERATE`` over the named graphs of ``GRAPHS`` and k in
-``KS``, with the rendered ``haan/1`` text of its instance (provenance and
-target included) or the class name and message of its
-``GeneratorError``. The output depends only on the code under ``ROOT``.
+inputs of ``DEEP`` under ``auto`` with both objectives, then brute force
+on the 1,200-agent inputs of ``DEEP_BRUTE`` (its walk is one level per
+agent) under the objectives where it ends at its first assignment, then
+a seeded random set of small instances, half of them annotated with
+forbidden houses and angry agents, solved by the separator under both
+objectives, then ``COVER_DRAWS`` seeded small instances with a given
+vertex cover, drawn by ``tests/oracles.restricted_cover_instance`` of
+this script's own checkout, solved by vc-xp on that cover under both
+objectives (its cover agents often forbid houses to several rest agents,
+to every one of them, or every remaining house to one). Every call runs
+with no deadline and the given guess limit (none by default), and with
+one worker unless its label ends in ``:w2``. Last come the generator
+records ``["generate", generator, graph, k, further arguments, instance
+text or error]``: each generator of ``GENERATE`` over the named graphs of
+``GRAPHS`` and k in ``KS``, with the rendered ``haan/1`` text of its
+instance (provenance and target included) or the class name and message
+of its ``GeneratorError``. The output depends only on the code under
+``ROOT``.
 
 Compare two checkouts (``ROOT`` defaults to the one holding this script)::
 
@@ -68,6 +71,16 @@ DEEP = (
     ("deep:chain-1200", 1200, (), [[a, a + 1] for a in range(1199)] + [[0]]),
     ("deep:pairs-2400", 2400, [(a, a + 1) for a in range(0, 2400, 2)],
      [range(1200)] * 2400),
+)
+
+# (label, agents = houses, preferences, objectives) of brute force's deep
+# walks, one level per agent: inputs with no edges whose first assignment
+# is at the key floor under the given objectives. Under ``envy-happy``
+# chain-1200's first assignment leaves its last agent unhappy, and the
+# walk would reach its optimum only after about 1,199! more.
+DEEP_BRUTE = (
+    ("deep:chain-1200", 1200, DEEP[0][3], ("envy",)),
+    ("deep:identity-1200", 1200, [[a] for a in range(1200)], ("envy", "envy-happy")),
 )
 
 
@@ -172,6 +185,10 @@ def main(argv=None) -> int:
         inst = Instance(n, n, edges, prefs)
         for objective in Objective:
             records.append(call(label, "auto", objective, inst, None))
+    for label, n, prefs, objectives in DEEP_BRUTE:
+        inst = Instance(n, n, (), prefs)
+        for objective in objectives:
+            records.append(call(label, "brute", Objective(objective), inst, None))
     for label, ann in _random_cases(random.Random(args.random_seed), args.random):
         for objective in Objective:
             records.append(call(label, "separator", objective, ann.base, ann))
