@@ -48,6 +48,7 @@ from ..solvers import (
     DEFAULT_GUESS_LIMIT,
     Objective,
     SolverConfig,
+    _map_jobs,
     solve,
 )
 from .files import (
@@ -220,13 +221,7 @@ def cmd_bench(args) -> int:
     paths = sorted(corpus.glob("*.haan"))
     jobs = [(path, algo, args) for path in paths for algo in args.algos]
     print("# instance\talgo\tobjective\tmin_envy\thappiness\tguesses\twall_ms\tstatus")
-    if args.jobs > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_one, jobs))
-    else:
-        rows = [_bench_one(job) for job in jobs]
+    rows = _map_jobs(_bench_one, jobs, args.jobs)
     for row in rows:
         print("\t".join(row))
     # Disagreements between completed solvers are failures.
@@ -331,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--algos", type=_algos,
                          default="brute,d1,envy-guess,separator,vc-xp")
     p_bench.add_argument("--jobs", type=_count, default=1,
-                         help="instances run sequentially by default; "
-                              "values > 1 opt into a process pool")
+                         help="most processes to run the solves on, capped at "
+                              "the cores and the solves; 1 runs them in this one")
     add_solver_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

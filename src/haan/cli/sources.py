@@ -82,19 +82,21 @@ def _random_regular(n: int, d: int, seed: int) -> SourceGraph:
 
 
 def named_source_graph(spec: str, seed: int = 0) -> SourceGraph:
-    parts = spec.split(":")
-    name = parts[0]
-    if name in ("k3", "k4", "k5") and len(parts) == 1:
+    name, *fields = spec.split(":")
+    unknown = ValueError(f"unknown source graph spec {spec!r}")
+    try:
+        nums = [int(f) for f in fields]
+    except ValueError:
+        raise unknown from None
+    if name in ("k3", "k4", "k5") and not nums:
         return _complete(int(name[1]))
-    if name == "prism" and len(parts) == 1:
+    if name == "prism" and not nums:
         return _prism()
-    if name == "petersen" and len(parts) == 1:
+    if name == "petersen" and not nums:
         return _petersen()
-    if name == "cycle" and len(parts) == 2:
-        return _cycle(int(parts[1]))
-    if name == "random-regular" and len(parts) in (3, 4):
-        n, d = int(parts[1]), int(parts[2])
-        if len(parts) == 4:
-            seed = int(parts[3])
+    if name == "cycle" and len(nums) == 1:
+        return _cycle(nums[0])
+    if name == "random-regular" and len(nums) in (2, 3):
+        n, d, seed = (*nums, seed)[:3]
         return _random_regular(n, d, seed)
-    raise ValueError(f"unknown source graph spec {spec!r}")
+    raise unknown

@@ -29,6 +29,7 @@ reached.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, Iterator, Sequence
@@ -86,8 +87,9 @@ class Objective(Enum):
 class SolverConfig:
     """Shared solver knobs.
 
-    ``workers`` processes share vc-xp; the other solvers run in one
-    process whatever it says. ``guess_limit=None`` lifts the exploration cap.
+    At most ``workers`` processes, and no more than the cores, share vc-xp;
+    the other solvers run in one process whatever it says.
+    ``guess_limit=None`` lifts the exploration cap.
     ``deadline`` is a ``time.monotonic()`` cutoff checked cooperatively
     inside guess loops and graph searches.
     """
@@ -186,6 +188,19 @@ def _result(inst: Instance, assignment: Sequence[int], solver_id: str,
     )
 
 
+def _map_jobs(fn, jobs: Sequence, workers: int) -> list:
+    """``fn`` over ``jobs``, in order: on a pool of min(workers, jobs, cores)
+    processes when that is more than one, else in this process."""
+    size = 1 if workers == 1 else min(workers, len(jobs), os.cpu_count() or 1)
+    if size <= 1:
+        return [fn(job) for job in jobs]
+    # Imported here: the pool machinery adds about 35 ms to every fresh
+    # process importing haan (2-core host), and most runs start no pool.
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
             worker, extra=tuple, branches: int = 1) -> SolveResult:
     """Driver of the guess solvers.
@@ -193,15 +208,16 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
     Checks feasibility, then the guess space ``total`` (the reported guess
     count) against the budget. The solver's ``branches`` top-level choices
     are cut into contiguous ranked ranges: one with one worker, else
-    ``min(branches, 4*workers)``. Only vc-xp passes more than one branch,
-    so ``workers`` reaches vc-xp only. The job of range ``lo..hi`` is ``(n, m,
-    preference masks, neighbours, scale, w, floor, deadline, *extra(), lo,
-    hi)`` and returns ``(best key or None, witness)``; several jobs run on
-    a pool, and the lowest-ranked best key wins. ``extra`` runs after the
-    checks, so a refused solve builds none of its per-house tables: brute
-    and vc-xp pass the neighbour and liker masks of ``_agent_masks`` there.
-    The deadline is checked once before the jobs, which check it as they
-    walk; with no agents, the empty allocation is the result and no job runs.
+    ``min(branches, 4*workers)`` with ``workers`` capped at the cores. Only
+    vc-xp passes more than one branch, so ``workers`` reaches vc-xp only.
+    The job of range ``lo..hi`` is ``(n, m, preference masks, neighbours,
+    scale, w, floor, deadline, *extra(), lo, hi)`` and returns ``(best key
+    or None, witness)``; ``_map_jobs`` runs the jobs, and the lowest-ranked
+    best key wins. ``extra`` runs after the checks, so a refused solve
+    builds none of its per-house tables: brute and vc-xp pass the neighbour
+    and liker masks of ``_agent_masks`` there. The deadline is checked once
+    before the jobs, which check it as they walk; with no agents, the empty
+    allocation is the result and no job runs.
     """
     n, m = inst.n_agents, inst.n_houses
     if m < n:
@@ -217,22 +233,12 @@ def _search(inst: Instance, cfg: SolverConfig, label: str, total: int,
     check_deadline(cfg.deadline)
     if not n:
         return _result(inst, (), label, total)
-    parts = 1 if cfg.workers == 1 else min(branches, 4 * cfg.workers)
+    parts = 1 if cfg.workers == 1 else min(branches, 4 * min(cfg.workers, os.cpu_count() or 1))
     jobs = [shared + (branches * i // parts, branches * (i + 1) // parts)
             for i in range(parts)]
-    if parts == 1:
-        results = map(worker, jobs)
-    else:
-        # Imported here: loading the pool machinery added about 35 ms to
-        # every fresh process importing haan (2-core host), and most solves
-        # never start a pool.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, parts)) as pool:
-            results = list(pool.map(worker, jobs))
     best_key = None
     best = None
-    for key, witness in results:
+    for key, witness in _map_jobs(worker, jobs, cfg.workers):
         if key is not None and (best_key is None or key < best_key):
             best_key = key
             best = witness
@@ -636,7 +642,8 @@ def solve_separator(
     guesses that cannot beat the incumbent strictly, so witnesses do not
     change. ``guesses_explored`` counts the canonical (separator houses,
     A1 houses, non-envious subset) triples reached in distinct subproblems
-    of three or more agents before their stops.
+    of three or more agents before their stops. The deadline is checked
+    at every share of houses between the parts, so at every house tuple.
 
     Raises :class:`NoFeasibleAllocation` when the feasibility sets admit
     no allocation.
@@ -735,7 +742,6 @@ def solve_separator(
             stop = -w * min(len(agents), liked.bit_count())
         best = None
         for phi, rest in _lowest_tuples([F[p] for p in i_s], cls, hmask):
-            check_deadline(deadline)
             # Agents that prefer a house a separator neighbour now holds:
             # envious in S unless happy, angry in the parts. Marks outside
             # this subproblem are never read.
@@ -760,6 +766,7 @@ def solve_separator(
             b1 = marked & mask1
             b2 = marked & mask2
             for h1mask in _lowest_subsets(cls, rest, n1):
+                check_deadline(deadline)
                 h2mask = rest & ~h1mask
                 floor2 = -w * min(n2, (liked2 & h2mask).bit_count())
                 parts_floor = floor2 - w * min(n1, (liked1 & h1mask).bit_count())
@@ -921,9 +928,6 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None]:
             # restrict. A rest agent that none restricts pays exactly its
             # part of ``least`` for its cheapest admissible house.
             least = scale * ((seen & lost).bit_count() + forbidders) - w * (n - lost.bit_count())
-            # Chosen forbidders can leave a rest agent no admissible house
-            # only if together they prefer every remaining house.
-            dead = not rem_mask & ~takes[-1]
             starved = remaining = None
             for sub in range(len(takes)):
                 chosen = scale * sub.bit_count()
@@ -936,8 +940,6 @@ def _vc_chunk(args) -> tuple[int | None, tuple | None]:
                 # ``m - k`` remaining houses are lost by all ``n - k`` rest
                 # agents.
                 if (shut[sub] & rem_mask).bit_count() > m - n:
-                    continue
-                if dead and any(not rem_mask & ~takes[c & sub] for _, c in restricted):
                     continue
                 if starved is None:
                     # The corrections: a restricted agent that may be happy
@@ -1080,8 +1082,7 @@ def solve_vertex_cover_xp(
       agents that the chosen forbidders restrict: ``w``, and ``scale`` if
       it sees a liked house held by a cover neighbour, for one that may be
       happy but loses every liked remaining house. Nor is a guess matched
-      that leaves a rest agent no admissible house, or whose rest agents
-      have fewer admissible houses between them than their number. That
+      whose rest agents share fewer admissible houses than their number. That
       union test can fail only when the chosen forbidders neighbour every
       rest agent (else one keeps all ``m - k >= n - k`` remaining houses):
       it fails when more than ``m - n`` remaining houses are lost by every

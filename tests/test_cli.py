@@ -546,11 +546,13 @@ def test_generate_bad_k_exit_code(tmp_path, capsys):
 
 
 def test_generate_unknown_graph(tmp_path, capsys):
-    code, _, _ = run_cli_capture(
-        capsys, "generate", "clique-bip-d2", "--graph", "blob", "--k", "1",
-        "--output", str(tmp_path / "x.haan"),
-    )
-    assert code == 2
+    for spec in ("blob", "random-regular:8:3:x", "cycle:abc"):
+        code, _, err = run_cli_capture(
+            capsys, "generate", "clique-bip-d2", "--graph", spec, "--k", "1",
+            "--output", str(tmp_path / "x.haan"),
+        )
+        assert code == 2
+        assert err == f"error: unknown source graph spec {spec!r}\n"
 
 
 # -- verify ---------------------------------------------------------------------

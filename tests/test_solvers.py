@@ -809,6 +809,19 @@ def test_separator_deadline_on_a_class_heavy_reduction():
     assert time.monotonic() - start < 1.0
 
 
+def test_separator_checks_the_deadline_in_its_share_walk():
+    # Past the first, every share of the houses between the parts fails
+    # the parts bound here, so one separator tuple walks its shares for
+    # seconds without solving a part.
+    inst = _edgeless(32)
+    start = time.monotonic()
+    cfg = SolverConfig(objective=Objective.MIN_ENVY_THEN_MAX_HAPPY, guess_limit=None,
+                       deadline=start + 1.0)
+    with pytest.raises(SolveTimeout):
+        solve_separator(AnnotatedInstance.plain(inst), cfg)
+    assert time.monotonic() - start < 1.5
+
+
 # (min_envy, happiness, guesses_explored) per objective (envy, envy-happy)
 # under the default guess limit: a full enumeration explored 563,283 and
 # 2,331,079 guesses under envy on these.
@@ -1357,7 +1370,7 @@ def test_brute_never_starts_a_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-range solve started a process pool")
 
-    # ``_search`` imports the pool class from here when it needs one.
+    # ``_map_jobs`` imports the pool class from here when it needs one.
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     two = SolverConfig(workers=2, objective=Objective.MIN_ENVY_THEN_MAX_HAPPY)
     assert solve_bruteforce(inst, two) == want
@@ -1368,6 +1381,68 @@ def test_brute_never_starts_a_pool(monkeypatch):
     edgeless = Instance(3, 4, [], [[0], [0], [1]])
     got = solve_vertex_cover_xp(edgeless, None, SolverConfig(workers=2))
     assert got == solve_vertex_cover_xp(edgeless, None, SolverConfig())
+
+
+def _recording_pool(monkeypatch, cores):
+    """Swap in a process pool that starts no process: it records its size
+    and job count in the returned list and runs the jobs here. The cores
+    seen by the solvers are ``cores``."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.size = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            asked.append((self.size, len(jobs)))
+            return map(fn, jobs)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cores)
+    return asked
+
+
+@pytest.mark.parametrize("cores, want", [(3, [(3, 12)]), (1, []), (None, [])])
+def test_vc_xp_pool_and_ranges_are_capped_by_the_cores(monkeypatch, cores, want):
+    # The first cover agent has 40 houses, so without the cap 100,000
+    # workers would cut 40 ranges and ask for 40 processes.
+    rng = random.Random(27)
+    prefs = [rng.sample(range(40), 2) for _ in range(40)]
+    star = Instance(40, 40, [(0, a) for a in range(1, 40)], prefs)
+    one = [solve_vertex_cover_xp(star, [0], SolverConfig(objective=o)) for o in Objective]
+    asked = _recording_pool(monkeypatch, cores)
+    many = [solve_vertex_cover_xp(star, [0], SolverConfig(objective=o, workers=100_000))
+            for o in Objective]
+    assert many == one
+    assert asked == want * 2
+
+
+def test_bench_pool_is_capped_by_the_jobs(monkeypatch, tmp_path, capsys):
+    from haan.cli.files import InstanceDocument, write_instance_file
+    from haan.cli.main import main
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_instance_file(corpus / "tri.haan", InstanceDocument(TRIANGLE))
+    argv = ["bench", str(corpus), "--algos", "brute,vc-xp"]
+    assert main(argv) == 0
+    alone = capsys.readouterr().out
+    asked = _recording_pool(monkeypatch, 8)
+    assert main(argv + ["--jobs", "100000"]) == 0
+    pooled = capsys.readouterr().out
+
+    def rows(text):  # without the wall times
+        return [line.split("\t")[:6] + line.split("\t")[7:] for line in text.splitlines()]
+
+    assert rows(pooled) == rows(alone)
+    assert asked == [(2, 2)]
 
 
 # Untimed, on a shared 2-core host, brute takes about 4 s (no assignment
@@ -1656,7 +1731,7 @@ def test_vc_xp_restricted_rest_agents_keep_optimum_and_witnesses(monkeypatch):
             assert len(rows) == 1, (trial, objective)
             got.extend(rows)
         assert got == want, trial
-    assert (len(matched), matched.count(False)) == (1410, 188)
+    assert (len(matched), matched.count(False)) == (1437, 215)
     assert all(count >= 10 for count in seen.values()), seen
 
 

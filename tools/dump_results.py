@@ -6,7 +6,8 @@ or error, guesses_explored]``; a call that raises a ``HaanError``, a
 the error's class name and message in place of the allocation. The calls
 are those of the three corpora of ``perfbench/corpus.py`` at seeds 0-3,
 then the deep searches of ``HEAVY`` under both objectives (envy-guess
-where its Hall tests prune most, vc-xp with one worker and with two,
+where its Hall tests prune most, vc-xp with one worker and with two, and
+on its 13-house row also with 16, more than its ranges or the cores,
 brute force over all 40,320 assignments of an 8-agent instance), then the
 inputs of ``DEEP`` under ``auto`` with both objectives, then brute force
 on the 1,200-agent inputs of ``DEEP_BRUTE`` (its walk is one level per
@@ -19,13 +20,13 @@ this script's own checkout, solved by vc-xp on that cover under both
 objectives (its cover agents often forbid houses to several rest agents,
 to every one of them, or every remaining house to one). Every call runs
 with no deadline and the given guess limit (none by default), and with
-one worker unless its label ends in ``:w2``. Last come the generator
-records ``["generate", generator, graph, k, further arguments, instance
-text or error]``: each generator of ``GENERATE`` over the named graphs of
-``GRAPHS`` and k in ``KS``, with the rendered ``haan/1`` text of its
-instance (provenance and target included) or the class name and message
-of its ``GeneratorError``. The output depends only on the code under
-``ROOT``.
+one worker, or N where its label ends in ``:wN``. Last come the
+generator records ``["generate", generator, graph, k, further arguments,
+instance text or error]``: each generator of ``GENERATE`` over the named
+graphs of ``GRAPHS`` and k in ``KS``, with the rendered ``haan/1`` text
+of its instance (provenance and target included) or the class name and
+message of its ``GeneratorError``. The output depends only on the code
+under ``ROOT``.
 
 Compare two checkouts (``ROOT`` defaults to the one holding this script)::
 
@@ -57,7 +58,7 @@ HEAVY = (
     ("envy-guess", (1,), "gen_halfsep_3regular", "petersen", (2,)),
     ("envy-guess", (1,), "gen_halfsep_3regular", "random-regular:12:3:1", (2,)),
     ("envy-guess", (1,), "gen_clique_vc_split", "k4", (2, 1)),
-    ("vc-xp", (1, 2), "gen_clique_vc_split", "k4", (3, 1)),
+    ("vc-xp", (1, 2, 16), "gen_clique_vc_split", "k4", (3, 1)),
     ("vc-xp", (1, 2), "gen_clique_vc_split", "k4", (2, 1)),
     ("vc-xp", (1, 2), "gen_clique_bipartite_d2", "k3", (2,)),
     ("brute", (1,), "gen_halfsep_3regular", "random-regular:8:3:2", (2,)),
